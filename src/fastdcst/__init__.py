@@ -5,7 +5,8 @@ conjugate-pair split-radix FFT, instrumented so every real addition and
 multiplication is counted, plus O(N^2) definitional oracles and a
 verification CLI.  Signals are plain sequences: real transforms take and
 return sequences of floats, complex ones sequences of complex numbers,
-always of power-of-two length.
+always of power-of-two length.  Sample values are not checked: a NaN or
+infinity propagates through the arithmetic into the outputs.
 """
 
 from .dct2 import (
@@ -28,25 +29,10 @@ from .flops import (
     formula_splitradix_complex,
     formula_splitradix_real,
 )
-from .oracle import (
-    OracleConfig,
-    embed_4n,
-    naive_dct2,
-    naive_dct3,
-    naive_dst2,
-    naive_dst3,
-    naive_dft,
-)
+from .oracle import embed_4n, naive_dct2, naive_dct3, naive_dst2, naive_dst3, naive_dft
 from .scale_factors import ScaleTables, build_tables, scale, t_factor, unit_root
-from .transpose_net import (
-    LinearNetwork,
-    TraceError,
-    evaluate,
-    record,
-    structural_flops,
-    transpose,
-)
-from .trig_family import TrigKind, dct3_new, dst2_new, dst3_new
+from .transpose_net import LinearNetwork, TraceError, record
+from .trig_family import dct3_new, dst2_new, dst3_new
 
 __all__ = [
     "Normalization",
@@ -70,7 +56,6 @@ __all__ = [
     "formula_new_fft_complex",
     "formula_splitradix_complex",
     "formula_splitradix_real",
-    "OracleConfig",
     "embed_4n",
     "naive_dct2",
     "naive_dct3",
@@ -84,11 +69,7 @@ __all__ = [
     "unit_root",
     "LinearNetwork",
     "TraceError",
-    "evaluate",
     "record",
-    "structural_flops",
-    "transpose",
-    "TrigKind",
     "dct3_new",
     "dst2_new",
     "dst3_new",

@@ -8,9 +8,9 @@ Subcommands:
   check every ledger against its formula (exit 1 on first mismatch),
 * ``accuracy``  -- report rms relative error growth across sizes.
 
-Signal files hold one decimal real per line; blank lines and lines
-starting with ``#`` are ignored.  Outputs are written with 17 significant
-digits so files diff cleanly.  Exit codes: 0 success, 1 verification
+Signal files hold one finite decimal real per line (``nan`` and ``inf``
+are rejected); blank lines and lines starting with ``#`` are ignored.
+Outputs are written with 17 significant digits so files diff cleanly.  Exit codes: 0 success, 1 verification
 failure, 2 usage or input errors.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ from .flops import (
 from .oracle import naive_dct2, naive_dct3, naive_dst2, naive_dst3, naive_dft
 from .trig_family import dct3_new, dst2_new, dst3_new
 
+# largest flops --max-size: the largest size the test suite verifies
+MAX_FLOPS_SIZE = 1 << 16
+
 REPORT_HEADER = "size,kind,algorithm,normalization,adds,mults,total,max_rel_error,rms_rel_error"
 
 _NORMS = {
@@ -56,29 +60,6 @@ _NAIVE = {
 }
 
 
-@dataclass
-class RunReport:
-    size: int
-    kind: str
-    algorithm: str
-    normalization: str
-    adds: int
-    mults: int
-    max_rel_error: float
-    rms_rel_error: float
-
-    @property
-    def total(self):
-        return self.adds + self.mults
-
-    def csv(self):
-        return (
-            f"{self.size},{self.kind},{self.algorithm},{self.normalization},"
-            f"{self.adds},{self.mults},{self.total},"
-            f"{self.max_rel_error:.3e},{self.rms_rel_error:.3e}"
-        )
-
-
 class SignalFormatError(ValueError):
     pass
 
@@ -91,11 +72,14 @@ def read_signal(path):
             if not text or text.startswith("#"):
                 continue
             try:
-                values.append(float(text))
+                v = float(text)
             except ValueError:
                 raise SignalFormatError(
                     f"{path}:{lineno}: not a decimal real: {text!r}"
                 ) from None
+            if not math.isfinite(v):
+                raise SignalFormatError(f"{path}:{lineno}: not finite: {text!r}")
+            values.append(v)
     if not values:
         raise SignalFormatError(f"{path}: no samples found")
     return values
@@ -134,6 +118,136 @@ def _sizes(max_size, lowest=2):
         n *= 2
 
 
+# ----------------------------------------------------------------- registry
+
+@dataclass(frozen=True)
+class Kernel:
+    """One fast kernel as verify, flops and the acceptance tests see it.
+
+    ``run(x, norm, tables, ledger)`` returns the kernel's outputs; with
+    ``level`` > 0 they come divided by ``scale(level*N, k)``.
+    ``expect(n, norm_name, seen)`` gives the ledger's closed-form total (an
+    int), its exact (adds, mults) (a tuple) or None, where ``seen`` maps
+    (kind, algo, norm_name) to the ledgers already checked at this size.
+    """
+
+    family: str  # "fft" (complex input), "rfft" or "trig" (real input)
+    kind: str
+    algo: str
+    norms: tuple
+    level: int
+    run: Callable
+    expect: Callable | None
+
+    def outputs(self, x, norm, tab, diag, led):
+        """Kernel outputs on the oracle's scale; ``diag`` from _diagonals."""
+        got = self.run(x, norm, tab, led)
+        if self.level:
+            got = [v * s for v, s in zip(got, diag[self.level])]
+        return got
+
+    def reference(self, x, norm):
+        if self.family == "trig":
+            return _NAIVE[self.kind](x, norm)
+        want = naive_dft(x)
+        return want if self.family == "fft" else want[: len(x) // 2 + 1]
+
+    def ledger_fault(self, n, norm_name, led, seen):
+        """Why ``led`` breaks this kernel's expectation, or None."""
+        want = self.expect(n, norm_name, seen) if self.expect else None
+        got = led.as_tuple()
+        if isinstance(want, int) and sum(got) != want:
+            return f"ledger total {sum(got)} != formula {want}"
+        if isinstance(want, tuple) and got != want:
+            return f"ledger {got} != expected {want}"
+        return None
+
+
+def _sqrtn_saving(norm_name):
+    # unit k = 0 and k = N/2 stage constants under unitary-sqrtn
+    return 2 if norm_name == "unitary-sqrtn" else 0
+
+
+def _dct2_ledger(n, norm_name, seen, mults_saved=0):
+    # the other cosine/sine kernels are judged against the dct2/new ledger
+    adds, mults = seen["dct2", "new", norm_name]
+    return adds, mults - mults_saved
+
+
+def _dct2_scaled_times_diag(x, norm, tab, led):
+    res = dct2_scaled(x, tab, led)
+    return [v * s for v, s in zip(res.values, res.scales)]
+
+
+_DFT = ("-",)
+_ALL = tuple(_NORMS)
+
+# the 16 kernels in report order; the lambdas look kernels up at call time,
+# so a patched module attribute takes effect
+KERNELS = (
+    Kernel("fft", "fft", "conjpair", _DFT, 0,
+           lambda x, norm, tab, led: fft_conjpair(x, led),
+           lambda n, nm, seen: formula_splitradix_complex(n)),
+    Kernel("fft", "fft", "new", _DFT, 0,
+           lambda x, norm, tab, led: fft_scaled(x, 0, tab, led),
+           lambda n, nm, seen: formula_new_fft_complex(n)),
+    Kernel("fft", "fft", "new-s1", _DFT, 1,
+           lambda x, norm, tab, led: fft_scaled(x, 1, tab, led),
+           lambda n, nm, seen: formula_new_fft_complex(n) - (formula_MS(n) - formula_M(n))),
+    Kernel("fft", "fft", "new-s2", _DFT, 2,
+           lambda x, norm, tab, led: fft_scaled(x, 2, tab, led), None),
+    Kernel("fft", "fft", "new-s4", _DFT, 4,
+           lambda x, norm, tab, led: fft_scaled4(x, tab, led), None),
+    Kernel("rfft", "rfft", "conjpair", _DFT, 0,
+           lambda x, norm, tab, led: rfft_conjpair(x, led).bins,
+           lambda n, nm, seen: formula_splitradix_real(n)),
+    Kernel("rfft", "rfft", "new", _DFT, 0,
+           lambda x, norm, tab, led: rfft_scaled(x, 0, tab, led).bins,
+           lambda n, nm, seen: formula_splitradix_real(n) - formula_M(n) // 2),
+    Kernel("rfft", "rfft", "new-s1", _DFT, 1,
+           lambda x, norm, tab, led: rfft_scaled(x, 1, tab, led).bins,
+           lambda n, nm, seen: formula_splitradix_real(n) - formula_MS(n) // 2),
+    Kernel("rfft", "rfft", "new-s2", _DFT, 2,
+           lambda x, norm, tab, led: rfft_scaled(x, 2, tab, led).bins, None),
+    Kernel("rfft", "rfft", "new-s4", _DFT, 4,
+           lambda x, norm, tab, led: rfft_scaled4(x, tab, led).bins, None),
+    Kernel("trig", "dct2", "classic", _ALL, 0,
+           lambda x, norm, tab, led: dct2_classic(x, norm, led),
+           lambda n, nm, seen: formula_classic_dct2(n) - _sqrtn_saving(nm)),
+    Kernel("trig", "dct2", "new", _ALL, 0,
+           lambda x, norm, tab, led: dct2_new(x, norm, tab, led),
+           lambda n, nm, seen: formula_new_dct2(n) - _sqrtn_saving(nm)),
+    Kernel("trig", "dct2", "scaled", ("two-sided",), 0, _dct2_scaled_times_diag,
+           lambda n, nm, seen: _dct2_ledger(n, nm, seen, mults_saved=n)),
+    Kernel("trig", "dct3", "new", _ALL, 0,
+           lambda x, norm, tab, led: dct3_new(x, norm, tab, led),
+           _dct2_ledger),
+    Kernel("trig", "dst2", "new", _ALL, 0,
+           lambda x, norm, tab, led: dst2_new(x, tab, led, norm=norm),
+           _dct2_ledger),
+    Kernel("trig", "dst3", "new", _ALL, 0,
+           lambda x, norm, tab, led: dst3_new(x, tab, led, norm=norm),
+           _dct2_ledger),
+)
+
+_TAGS = {"fft": 0, "rfft": 1, "trig": 2}
+
+
+def _kernel(kind, algo):
+    return next((k for k in KERNELS if (k.kind, k.algo) == (kind, algo)), None)
+
+
+def _diagonals(n):
+    # from the recursive scale(), the reference the tables are judged by
+    return {lv: [sf.scale(lv * n, k) for k in range(n)] for lv in (1, 2, 4)}
+
+
+def _signal(family, seed, n, trial):
+    g = _rng(seed, n, trial, _TAGS[family])
+    x = g.standard_normal(n)
+    return x + 1j * g.standard_normal(n) if family == "fft" else x
+
+
 # ---------------------------------------------------------------- transform
 
 def cmd_transform(kind, algo, norm_name, input_path, output_path,
@@ -145,38 +259,25 @@ def cmd_transform(kind, algo, norm_name, input_path, output_path,
         print(f"error: expected {expect_n} samples, file has {n}", file=sys.stderr)
         return 2
     if algo == "naive":
-        out = _NAIVE[kind](x, norm)
-        write_signal(output_path, out)
+        write_signal(output_path, _NAIVE[kind](x, norm))
         return 0
     if not _is_pow2(n) or n < 2:
-        print(
-            f"error: fast algorithms need a power-of-two size >= 2, got {n}",
-            file=sys.stderr,
-        )
+        print(f"error: fast algorithms need a power-of-two size >= 2, got {n}",
+              file=sys.stderr)
         return 2
-    if algo == "classic":
-        if kind != "dct2":
-            print("error: algo 'classic' is only available for dct2", file=sys.stderr)
-            return 2
-        out = dct2_classic(x, norm)
-    elif algo == "scaled":
-        if kind != "dct2":
-            print("error: algo 'scaled' is only available for dct2", file=sys.stderr)
-            return 2
-        res = dct2_scaled(x)
+    kernel = _kernel(kind, algo)
+    if kernel is None:
+        print(f"error: algo {algo!r} is only available for dct2", file=sys.stderr)
+        return 2
+    if algo == "scaled":
         if scales_output is None:
             print("error: --scales-output is required for algo 'scaled'", file=sys.stderr)
             return 2
+        res = dct2_scaled(x)
         write_signal(scales_output, res.scales)
         out = res.values
-    elif kind == "dct2":
-        out = dct2_new(x, norm)
-    elif kind == "dct3":
-        out = dct3_new(x, norm)
-    elif kind == "dst2":
-        out = dst2_new(x, norm=norm)
     else:
-        out = dst3_new(x, norm=norm)
+        out = kernel.run(x, norm, None, None)
     write_signal(output_path, out)
     return 0
 
@@ -185,17 +286,16 @@ def cmd_transform(kind, algo, norm_name, input_path, output_path,
 
 def cmd_flops(max_size, fmt="csv", out=None):
     out = out if out is not None else sys.stdout
+    pair = (_kernel("dct2", "classic"), _kernel("dct2", "new"))
     rows = []
     for n in _sizes(max_size):
-        zeros = [0.0] * n
-        led_c, led_n = FlopLedger(), FlopLedger()
-        dct2_classic(zeros, ledger=led_c)
-        dct2_new(zeros, ledger=led_n)
-        fc, fn = formula_classic_dct2(n), formula_new_dct2(n)
-        rows.append(
-            (n, led_c.total(), led_n.total(), fc, fn,
-             led_c.total() == fc and led_n.total() == fn)
-        )
+        got, want = [], []
+        for k in pair:
+            led = FlopLedger()
+            k.run([0.0] * n, Normalization.TWO_SIDED, None, led)
+            got.append(led.total())
+            want.append(k.expect(n, "two-sided", {}))
+        rows.append((n, *got, *want, got == want))
     header = ("n", "classic_ledger", "new_ledger", "classic_formula",
               "new_formula", "match")
     if fmt == "markdown":
@@ -224,150 +324,39 @@ def _corrupted_tables(n):
     return tab
 
 
-def _dct_ledger_formula(n, norm):
-    new = formula_new_dct2(n)
-    classic = formula_classic_dct2(n)
-    if norm is Normalization.UNITARY_SQRT_N:
-        return classic - 2, new - 2
-    return classic, new
-
-
 def _verify_size(n, trials, seed, tab, reports, tol):
-    """Returns the first failing (tuple, reason) or None."""
-    h = n // 2
-
-    def run(kind, algo, normname, ledgers, errors, expect_total=None,
-            expect_ledger=None):
-        adds, mults = ledgers[0].adds, ledgers[0].mults
-        for led in ledgers[1:]:
-            if led.as_tuple() != (adds, mults):
-                return (kind, algo, normname, "ledger varies with input values")
-        max_rel = max(e[0] for e in errors)
-        rms_rel = max(e[1] for e in errors)
-        reports.append(
-            RunReport(n, kind, algo, normname, adds, mults, max_rel, rms_rel)
-        )
-        if expect_total is not None and adds + mults != expect_total:
-            return (kind, algo, normname,
-                    f"ledger total {adds + mults} != formula {expect_total}")
-        if expect_ledger is not None and (adds, mults) != expect_ledger:
-            return (kind, algo, normname,
-                    f"ledger {(adds, mults)} != expected {expect_ledger}")
-        if max_rel >= tol:
-            return (kind, algo, normname, f"max_rel_error {max_rel:.3e} >= {tol:.0e}")
-        return None
-
-    sc = [sf.scale(n, k) for k in range(n)]
-    s2 = [sf.scale(2 * n, k) for k in range(n)]
-    s4 = [sf.scale(4 * n, k) for k in range(n)]
-
-    # complex kernels
-    cases = []
-    for trial in range(trials):
-        g = _rng(seed, n, trial, 0)
-        x = g.standard_normal(n) + 1j * g.standard_normal(n)
-        cases.append((x, naive_dft(x)))
-    for algo, fn, total in (
-        ("conjpair", lambda x, led: fft_conjpair(x, led),
-         formula_splitradix_complex(n)),
-        ("new", lambda x, led: fft_scaled(x, 0, tab, led),
-         formula_new_fft_complex(n)),
-        ("new-s1", lambda x, led: [v * s for v, s in zip(fft_scaled(x, 1, tab, led), sc)],
-         formula_new_fft_complex(n) - (formula_MS(n) - formula_M(n))),
-        ("new-s2", lambda x, led: [v * s for v, s in zip(fft_scaled(x, 2, tab, led), s2)],
-         None),
-        ("new-s4", lambda x, led: [v * s for v, s in zip(fft_scaled4(x, tab, led), s4)],
-         None),
-    ):
-        ledgers, errors = [], []
-        for x, want in cases:
-            led = FlopLedger()
-            errors.append(_rel_errors(fn(x, led), want))
-            ledgers.append(led)
-        bad = run("fft", algo, "-", ledgers, errors, expect_total=total)
-        if bad:
-            return bad
-
-    # real-input kernels
-    rcases = []
-    for trial in range(trials):
-        x = _rng(seed, n, trial, 1).standard_normal(n)
-        rcases.append((x, naive_dft(x)[: h + 1]))
-    for algo, fn, total in (
-        ("conjpair", lambda x, led: rfft_conjpair(x, led).bins,
-         formula_splitradix_real(n)),
-        ("new", lambda x, led: rfft_scaled(x, 0, tab, led).bins,
-         formula_splitradix_real(n) - formula_M(n) // 2),
-        ("new-s1", lambda x, led: [v * s for v, s in zip(rfft_scaled(x, 1, tab, led).bins, sc)],
-         formula_splitradix_real(n) - formula_MS(n) // 2),
-        ("new-s2", lambda x, led: [v * s for v, s in zip(rfft_scaled(x, 2, tab, led).bins, s2)],
-         None),
-        ("new-s4", lambda x, led: [v * s for v, s in zip(rfft_scaled4(x, tab, led).bins, s4)],
-         None),
-    ):
-        ledgers, errors = [], []
-        for x, want in rcases:
-            led = FlopLedger()
-            errors.append(_rel_errors(fn(x, led), want))
-            ledgers.append(led)
-        bad = run("rfft", algo, "-", ledgers, errors, expect_total=total)
-        if bad:
-            return bad
-
-    # cosine/sine family
-    stage_tab = sf.build_tables(n) if tab.size != n else tab
-    dct2_led = {}
-    for normname, norm in _NORMS.items():
-        classic_total, new_total = _dct_ledger_formula(n, norm)
-        inputs = [_rng(seed, n, trial, 2).standard_normal(n) for trial in range(trials)]
-        oracles = {
-            kind: [_NAIVE[kind](x, norm) for x in inputs] for kind in _NAIVE
-        }
-        ledgers, errors = [], []
-        for x, want in zip(inputs, oracles["dct2"]):
-            led = FlopLedger()
-            errors.append(_rel_errors(dct2_classic(x, norm, led), want))
-            ledgers.append(led)
-        bad = run("dct2", "classic", normname, ledgers, errors,
-                  expect_total=classic_total)
-        if bad:
-            return bad
-        ledgers, errors = [], []
-        for x, want in zip(inputs, oracles["dct2"]):
-            led = FlopLedger()
-            errors.append(_rel_errors(dct2_new(x, norm, stage_tab, led), want))
-            ledgers.append(led)
-        bad = run("dct2", "new", normname, ledgers, errors, expect_total=new_total)
-        if bad:
-            return bad
-        dct2_led[normname] = ledgers[0].as_tuple()
-        if norm is Normalization.TWO_SIDED:
-            ledgers, errors = [], []
-            for x, want in zip(inputs, oracles["dct2"]):
-                led = FlopLedger()
-                res = dct2_scaled(x, stage_tab, led)
-                got = [v * s for v, s in zip(res.values, res.scales)]
-                errors.append(_rel_errors(got, want))
-                ledgers.append(led)
-            a, m = dct2_led[normname]
-            bad = run("dct2", "scaled", normname, ledgers, errors,
-                      expect_ledger=(a, m - n))
-            if bad:
-                return bad
-        for kind, fn in (
-            ("dct3", lambda x, led: dct3_new(x, norm, stage_tab, led)),
-            ("dst2", lambda x, led: dst2_new(x, stage_tab, led, norm=norm)),
-            ("dst3", lambda x, led: dst3_new(x, stage_tab, led, norm=norm)),
-        ):
-            ledgers, errors = [], []
-            for x, want in zip(inputs, oracles[kind]):
-                led = FlopLedger()
-                errors.append(_rel_errors(fn(x, led), want))
-                ledgers.append(led)
-            bad = run(kind, "new", normname, ledgers, errors,
-                      expect_ledger=dct2_led[normname])
-            if bad:
-                return bad
+    """Returns the first failing (kind, algo, norm, reason) or None."""
+    diag = _diagonals(n)
+    seen = {}
+    for family in _TAGS:
+        kernels = [k for k in KERNELS if k.family == family]
+        inputs = [_signal(family, seed, n, trial) for trial in range(trials)]
+        for normname in dict.fromkeys(nm for k in kernels for nm in k.norms):
+            norm = _NORMS.get(normname)
+            wants = {}
+            for k in kernels:
+                if normname not in k.norms:
+                    continue
+                if k.kind not in wants:
+                    wants[k.kind] = [k.reference(x, norm) for x in inputs]
+                ledgers, errors = [], []
+                for x, want in zip(inputs, wants[k.kind]):
+                    led = FlopLedger()
+                    got = k.outputs(x, norm, tab, diag, led)
+                    errors.append(_rel_errors(got, want))
+                    ledgers.append(led)
+                row = (k.kind, k.algo, normname)
+                if any(led != ledgers[0] for led in ledgers):
+                    return row + ("ledger varies with input values",)
+                max_rel = max(e[0] for e in errors)
+                reports.append((n, *row, *ledgers[0].as_tuple(), max_rel,
+                                max(e[1] for e in errors)))
+                reason = k.ledger_fault(n, normname, ledgers[0], seen)
+                if reason:
+                    return row + (reason,)
+                if max_rel >= tol:
+                    return row + (f"max_rel_error {max_rel:.3e} >= {tol:.0e}",)
+                seen[row] = ledgers[0].as_tuple()
     return None
 
 
@@ -383,9 +372,9 @@ def cmd_verify(max_size=1024, trials=5, seed=0, out=None,
         if failure:
             break
     out.write(REPORT_HEADER + "\n")
-    for rep in sorted(reports, key=lambda r: (r.size, r.kind, r.algorithm,
-                                              r.normalization)):
-        out.write(rep.csv() + "\n")
+    for size, kind, algo, norm, adds, mults, max_rel, rms_rel in sorted(reports):
+        out.write(f"{size},{kind},{algo},{norm},{adds},{mults},{adds + mults},"
+                  f"{max_rel:.3e},{rms_rel:.3e}\n")
     if failure:
         kind, algo, normname, reason = failure
         print(f"FAIL {kind}/{algo} norm={normname}: {reason}", file=sys.stderr)
@@ -483,8 +472,8 @@ def main(argv=None) -> int:
             return cmd_transform(args.kind, args.algo, args.norm, args.input,
                                  args.output, args.scales_output, args.n)
         if args.command == "flops":
-            if not _is_pow2(args.max_size) or args.max_size > 1 << 20:
-                print("error: --max-size must be a power of two <= 2**20",
+            if not _is_pow2(args.max_size) or args.max_size > MAX_FLOPS_SIZE:
+                print(f"error: --max-size must be a power of two <= {MAX_FLOPS_SIZE}",
                       file=sys.stderr)
                 return 2
             return cmd_flops(args.max_size, args.format)

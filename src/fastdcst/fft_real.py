@@ -13,18 +13,13 @@ overlap at k = 0 and k = N/8 is resolved by peeling those iterations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .fft_complex import _cmul, _omega, _tmul
+from .fft_complex import _RT_HALF, _SUBTYPE, _cmul, _omega, _tmul
 from .flops import FlopLedger, checked_log2
 from .scale_factors import ScaleTables
 
 __all__ = ["HalfSpectrum", "rfft_conjpair", "rfft_scaled", "rfft_scaled4"]
-
-_RT_HALF = math.sqrt(0.5)
-
-_SUBTYPE = {0: 0, 1: 2, 2: 4, 4: 2}
 
 
 @dataclass(frozen=True)

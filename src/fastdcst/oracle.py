@@ -8,14 +8,14 @@ to extended precision:
 * trigonometric terms come from a table built entry-by-entry with the
   argument reduced to one octant (never by recurrence), indexed by the
   exact integer phase ``n*k mod period``;
-* accumulation uses Neumaier compensated summation by default, carrying
-  a running error term per output bin (vectorized across bins, sequential
-  over the summation index).
+* accumulation is compensated: the exact rounding error of every
+  addition (Knuth's TwoSum, the same term Neumaier's ordered form
+  yields) is carried per output bin, vectorized across bins and
+  sequential over the summation index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,7 +24,6 @@ from .dct2 import Normalization
 from .scale_factors import unit_root
 
 __all__ = [
-    "OracleConfig",
     "naive_dft",
     "naive_dct2",
     "naive_dct3",
@@ -34,40 +33,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Bundle of reference-transform options; compensated summation is the
-    default for all acceptance runs."""
-
-    summation: str = "compensated"
-    kind: str = "dft"
-    normalization: Normalization = Normalization.TWO_SIDED
-
-
 class _Accumulator:
-    # Neumaier-compensated elementwise sums across all output bins
-    def __init__(self, n, compensated):
+    # compensated elementwise sums across all output bins, in place
+    def __init__(self, n):
         self.s = np.zeros(n)
         self.c = np.zeros(n)
-        self.compensated = compensated
+        self._t, self._u, self._v = np.empty(n), np.empty(n), np.empty(n)
 
     def add(self, term):
-        if not self.compensated:
-            self.s += term
-            return
-        t = self.s + term
-        big = np.abs(self.s) >= np.abs(term)
-        self.c += np.where(big, (self.s - t) + term, (term - t) + self.s)
-        self.s = t
+        s, t, u, v = self.s, self._t, self._u, self._v
+        np.add(s, term, out=t)
+        np.subtract(t, s, out=u)  # the part of term that reached t
+        np.subtract(t, u, out=v)  # the part of s that reached t
+        np.subtract(s, v, out=v)
+        np.subtract(term, u, out=u)
+        v += u  # exact rounding error of s + term
+        self.c += v
+        self.s, self._t = t, s
 
     def value(self):
         return self.s + self.c
-
-
-def _check_mode(summation):
-    if summation not in ("compensated", "plain"):
-        raise ValueError(f"summation must be 'compensated' or 'plain': {summation!r}")
-    return summation == "compensated"
 
 
 @lru_cache(maxsize=None)
@@ -82,31 +67,29 @@ def _quarter_wave(n4):
     return w.real.copy(), (-w.imag).copy()
 
 
-def naive_dft(x, summation="compensated"):
+def naive_dft(x):
     """X[k] = sum_n x[n] * exp(-2*pi*i*n*k/N) by direct summation."""
-    comp = _check_mode(summation)
     xs = np.asarray(x, dtype=complex)
     n = len(xs)
     if n == 0:
         raise ValueError("empty signal")
     w = _roots(n)
     ks = np.arange(n, dtype=np.int64)
-    re = _Accumulator(n, comp)
-    im = _Accumulator(n, comp)
+    acc = _Accumulator(2 * n)  # interleaved real and imaginary parts
     for j in range(n):
-        t = xs[j] * w[(j * ks) % n]
-        re.add(t.real)
-        im.add(t.imag)
-    return re.value() + 1j * im.value()
+        acc.add((xs[j] * w[(j * ks) % n]).view(float))
+    return acc.value().view(complex)
 
 
-def _cos_sum(x, phases_for, weights, n_out, table_size, use_sin, comp):
-    cos_t, sin_t = _quarter_wave(table_size)
+def _cos_sum(xs, phases_for, weights, use_sin):
+    # sum_j weights[j] * xs[j] * trig(2*pi*phase/(4N)), one bin per phase row
+    n = len(xs)
+    cos_t, sin_t = _quarter_wave(4 * n)
     table = sin_t if use_sin else cos_t
-    acc = _Accumulator(n_out, comp)
-    ks = np.arange(n_out, dtype=np.int64)
-    for j, xv in enumerate(x):
-        idx = phases_for(j, ks) % table_size
+    acc = _Accumulator(n)
+    ks = np.arange(n, dtype=np.int64)
+    for j, xv in enumerate(xs):
+        idx = phases_for(j, ks) % (4 * n)
         acc.add((weights[j] * xv) * table[idx])
     return acc.value()
 
@@ -121,27 +104,20 @@ def _dct2_prefactor(n, norm, k):
     return np.sqrt(2.0 - delta)
 
 
-def naive_dct2(x, norm=Normalization.TWO_SIDED, summation="compensated"):
+def naive_dct2(x, norm=Normalization.TWO_SIDED):
     """C[k] = f(k) * sum_n x[n] * cos(pi*(n + 1/2)*k/N)."""
-    comp = _check_mode(summation)
     xs = np.asarray(x, dtype=float)
     n = len(xs)
-    ones = np.ones(n)
-    raw = _cos_sum(
-        xs, lambda j, ks: (2 * j + 1) * ks, ones, n, 4 * n, False, comp
-    )
+    raw = _cos_sum(xs, lambda j, ks: (2 * j + 1) * ks, np.ones(n), False)
     return _dct2_prefactor(n, norm, np.arange(n)) * raw
 
 
-def naive_dct3(x, norm=Normalization.TWO_SIDED, summation="compensated"):
+def naive_dct3(x, norm=Normalization.TWO_SIDED):
     """C[k] = sum_n g(n) * x[n] * cos(pi*n*(k + 1/2)/N): the dct2 transpose."""
-    comp = _check_mode(summation)
     xs = np.asarray(x, dtype=float)
     n = len(xs)
     weights = _dct2_prefactor(n, norm, np.arange(n))  # column factors now
-    return _cos_sum(
-        xs, lambda j, ks: j * (2 * ks + 1), weights, n, 4 * n, False, comp
-    )
+    return _cos_sum(xs, lambda j, ks: j * (2 * ks + 1), weights, False)
 
 
 def _dst2_prefactor(n, norm, k):
@@ -154,27 +130,20 @@ def _dst2_prefactor(n, norm, k):
     return np.sqrt(2.0 - delta)
 
 
-def naive_dst2(x, norm=Normalization.TWO_SIDED, summation="compensated"):
+def naive_dst2(x, norm=Normalization.TWO_SIDED):
     """S[k] = f(k) * sum_n x[n] * sin(pi*(n + 1/2)*k/N), slot j = k - 1."""
-    comp = _check_mode(summation)
     xs = np.asarray(x, dtype=float)
     n = len(xs)
-    ones = np.ones(n)
-    raw = _cos_sum(
-        xs, lambda j, ks: (2 * j + 1) * (ks + 1), ones, n, 4 * n, True, comp
-    )
+    raw = _cos_sum(xs, lambda j, ks: (2 * j + 1) * (ks + 1), np.ones(n), True)
     return _dst2_prefactor(n, norm, np.arange(1, n + 1)) * raw
 
 
-def naive_dst3(x, norm=Normalization.TWO_SIDED, summation="compensated"):
+def naive_dst3(x, norm=Normalization.TWO_SIDED):
     """S[k] = sum_m g(m) * x[m] * sin(pi*m*(k + 1/2)/N), input slot j = m - 1."""
-    comp = _check_mode(summation)
     xs = np.asarray(x, dtype=float)
     n = len(xs)
     weights = _dst2_prefactor(n, norm, np.arange(1, n + 1))
-    return _cos_sum(
-        xs, lambda j, ks: (j + 1) * (2 * ks + 1), weights, n, 4 * n, True, comp
-    )
+    return _cos_sum(xs, lambda j, ks: (j + 1) * (2 * ks + 1), weights, True)
 
 
 def embed_4n(x):

@@ -207,9 +207,6 @@ class ScaleTables:
             return 1.0
         return self._s[m][k % (m >> 2)]
 
-    def t(self, m: int, k: int) -> complex:
-        return self._t[m][k]
-
     def t_struct(self, m: int, k: int) -> tuple:
         return self._tstruct[m][k]
 
@@ -255,7 +252,10 @@ class ScaleTables:
                 )
                 if 0 < k < q and k != m // 8:
                     # generically weighted slots must stay non-trivial or the
-                    # structural flop counts would silently drift
+                    # structural flop counts would silently drift.  Only
+                    # weights of exactly +-1 are free there and a zero drops
+                    # a term, so exactly those are trivial: a tolerance
+                    # would reject ratio4(m, ...), which nears 1 like 1/m^2
                     for name, v in (
                         (f"ratio2a({m},{k})", self._r2a[m][k]),
                         (f"ratio2b({m},{k})", self._r2b[m][k]),
@@ -264,7 +264,7 @@ class ScaleTables:
                         (f"ratio4({m},2,{k})", self._r4[m][2][k]),
                         (f"ratio4({m},3,{k})", self._r4[m][3][k]),
                     ):
-                        if min(abs(v), abs(v - 1.0), abs(v + 1.0)) < 1e-9:
+                        if v == 0.0 or v == 1.0 or v == -1.0:
                             raise TableError(f"{name} = {v} is trivial")
 
     def __repr__(self):

@@ -21,14 +21,7 @@ from __future__ import annotations
 
 import numbers
 
-__all__ = [
-    "LinearNetwork",
-    "TraceError",
-    "record",
-    "transpose",
-    "evaluate",
-    "structural_flops",
-]
+__all__ = ["LinearNetwork", "TraceError", "record"]
 
 
 class TraceError(TypeError):
@@ -302,15 +295,3 @@ def record(kernel, n_inputs: int) -> LinearNetwork:
         tr.edges.append((o.v, ov, 1.0))
         out_ids.append(ov)
     return LinearNetwork(tr.n_vertices, tr.edges, list(range(n_inputs)), out_ids)
-
-
-def transpose(net: LinearNetwork) -> LinearNetwork:
-    return net.transpose()
-
-
-def evaluate(net: LinearNetwork, x, ledger=None):
-    return net.eval(x, ledger)
-
-
-def structural_flops(net: LinearNetwork) -> tuple[int, int]:
-    return net.structural_flops()

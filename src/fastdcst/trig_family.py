@@ -24,7 +24,6 @@ four transforms produce identical ledgers.
 
 from __future__ import annotations
 
-import enum
 from functools import lru_cache
 
 from . import scale_factors as sf
@@ -34,14 +33,7 @@ from .flops import FlopLedger, checked_log2
 from .scale_factors import ScaleTables
 from .transpose_net import record
 
-__all__ = ["TrigKind", "dct3_new", "dst2_new", "dst3_new"]
-
-
-class TrigKind(enum.Enum):
-    DCT2 = "dct2"
-    DCT3 = "dct3"
-    DST2 = "dst2"
-    DST3 = "dst3"
+__all__ = ["dct3_new", "dst2_new", "dst3_new"]
 
 
 @lru_cache(maxsize=None)

@@ -21,26 +21,11 @@ from fastdcst import (
     dst2_new,
     dst3_new,
     embed_4n,
-    fft_conjpair,
-    fft_scaled,
-    fft_scaled4,
-    formula_M,
-    formula_MS,
-    formula_new_dct2,
-    formula_new_fft_complex,
-    formula_splitradix_complex,
-    formula_splitradix_real,
     naive_dct2,
-    naive_dct3,
-    naive_dst2,
-    naive_dst3,
     naive_dft,
     record,
-    rfft_conjpair,
-    rfft_scaled,
-    rfft_scaled4,
-    scale,
 )
+from fastdcst.cli import _NORMS, KERNELS, _diagonals
 from fastdcst.dct2 import _dct2_new_lanes
 
 TABLE1 = {
@@ -83,26 +68,25 @@ def test_criterion_1_table1_exact():
     _report(1, "instrumented ledgers reproduce the expected count table exactly", ok)
 
 
+def _zero_ledgers(n, kernels):
+    """Yield (kernel, norm name, ledger) for each kernel and norm on zeros."""
+    tab = build_tables(n)
+    for k in kernels:
+        for nm in k.norms:
+            led = FlopLedger()
+            k.run([0.0] * n, _NORMS.get(nm), tab, led)
+            yield k, nm, led
+
+
 def test_criterion_2_formula_closure():
     ok = True
     for n in [1 << m for m in range(2, 13)]:
-        tab = build_tables(n)
-        led = FlopLedger()
-        fft_conjpair([0j] * n, led)
-        ok &= led.total() == formula_splitradix_complex(n)
-        led = FlopLedger()
-        rfft_conjpair([0.0] * n, led)
-        ok &= led.total() == formula_splitradix_real(n)
-        led = FlopLedger()
-        fft_scaled([0j] * n, 0, tab, led)
-        ok &= led.total() == formula_new_fft_complex(n)
-        led = FlopLedger()
-        rfft_scaled([0.0] * n, 1, tab, led)
-        ok &= led.total() == formula_splitradix_real(n) - formula_MS(n) // 2
-        led = FlopLedger()
-        dct2_new([0.0] * n, tables=tab, ledger=led)
-        ok &= led.total() == formula_new_dct2(n)
-    _report(2, "every kernel ledger equals its closed-form count, N=4..4096", ok)
+        seen = {}
+        for k, nm, led in _zero_ledgers(n, KERNELS):
+            ok &= k.ledger_fault(n, nm, led, seen) is None
+            seen[k.kind, k.algo, nm] = led.as_tuple()
+    _report(2, "every kernel ledger equals its closed-form count (or the DCT-II "
+               "ledger it must match) under every norm, N=4..4096", ok)
 
 
 def test_criterion_3_scaled_output_saving():
@@ -119,15 +103,13 @@ def test_criterion_3_scaled_output_saving():
 
 def test_criterion_4_family_flop_parity():
     ok = True
+    family = [k for k in KERNELS if k.family == "trig" and k.algo == "new"]
     for n in [1 << m for m in range(4, 13)]:
-        zeros = [0.0] * n
-        leds = []
-        for fn in (dct2_new, dct3_new, dst2_new, dst3_new):
-            led = FlopLedger()
-            fn(zeros, ledger=led)
-            leds.append(led.as_tuple())
-        ok &= all(t == leds[0] for t in leds)
-    _report(4, "DCT-III/DST-II/DST-III ledgers equal DCT-II component-wise", ok)
+        leds = {}
+        for k, nm, led in _zero_ledgers(n, family):
+            ok &= leds.setdefault(nm, led) == led
+    _report(4, "DCT-III/DST-II/DST-III ledgers equal DCT-II component-wise, "
+               "under every norm", ok)
 
 
 def test_criterion_5_transposition_invariance():
@@ -157,37 +139,19 @@ def test_criterion_6_oracle_equivalence():
     worst = 0.0
     for n in SIZES_4096:
         tab = build_tables(n)
-        h = n // 2
-        s1 = np.array([scale(n, k) for k in range(n)])
-        s2 = np.array([scale(2 * n, k) for k in range(n)])
-        s4 = np.array([scale(4 * n, k) for k in range(n)])
+        diag = _diagonals(n)
         for trial in range(TRIALS):
             g = rng(600, n, trial)
             xc = _unit_variance(g, n, complex_=True)
             xr = _unit_variance(g, n)
-            want_c = naive_dft(xc)
-            want_r = naive_dft(xr)[: h + 1]
-            runs = [
-                (fft_conjpair(xc), want_c),
-                (fft_scaled(xc, 0, tab), want_c),
-                (np.array(fft_scaled(xc, 1, tab)) * s1, want_c),
-                (np.array(fft_scaled(xc, 2, tab)) * s2, want_c),
-                (np.array(fft_scaled4(xc, tab)) * s4, want_c),
-                (rfft_conjpair(xr).bins, want_r),
-                (rfft_scaled(xr, 0, tab).bins, want_r),
-                (np.array(rfft_scaled(xr, 1, tab).bins) * s1[: h + 1], want_r),
-                (np.array(rfft_scaled(xr, 2, tab).bins) * s2[: h + 1], want_r),
-                (np.array(rfft_scaled4(xr, tab).bins) * s4[: h + 1], want_r),
-            ]
-            want = naive_dct2(xr)
-            runs.append((dct2_classic(xr), want))
-            runs.append((dct2_new(xr, tables=tab), want))
-            res = dct2_scaled(xr, tables=tab)
-            runs.append((np.array(res.values) * np.array(res.scales), want))
-            runs.append((dct3_new(xr, tables=tab), naive_dct3(xr)))
-            runs.append((dst2_new(xr, tables=tab), naive_dst2(xr)))
-            runs.append((dst3_new(xr, tables=tab), naive_dst3(xr)))
-            worst = max(worst, max(_max_rel(got, want) for got, want in runs))
+            wants = {}
+            for k in KERNELS:
+                x = xc if k.family == "fft" else xr
+                norm = Normalization.TWO_SIDED if k.family == "trig" else None
+                if k.kind not in wants:
+                    wants[k.kind] = k.reference(x, norm)
+                got = k.outputs(x, norm, tab, diag, FlopLedger())
+                worst = max(worst, _max_rel(got, wants[k.kind]))
     print(f"  worst max_rel_error over all kernels/sizes: {worst:.3e}")
     _report(6, f"all 16 kernels within 1e-10 of compensated oracles (N<=4096)",
             worst < tol)

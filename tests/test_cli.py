@@ -3,7 +3,37 @@ import pytest
 from conftest import rng
 
 from fastdcst import naive_dct2, naive_dst2
-from fastdcst.cli import REPORT_HEADER, main, read_signal, write_signal
+from fastdcst.cli import MAX_FLOPS_SIZE, REPORT_HEADER, main, read_signal, write_signal
+
+# (kind, algorithm, normalization) -> (adds, mults) of every verify row at N=16
+VERIFY_ROWS_16 = {
+    ("dct2", "classic", "two-sided"): (72, 42),
+    ("dct2", "classic", "unitary"): (72, 42),
+    ("dct2", "classic", "unitary-sqrtn"): (72, 40),
+    ("dct2", "new", "two-sided"): (72, 40),
+    ("dct2", "new", "unitary"): (72, 40),
+    ("dct2", "new", "unitary-sqrtn"): (72, 38),
+    ("dct2", "scaled", "two-sided"): (72, 24),
+    ("dct3", "new", "two-sided"): (72, 40),
+    ("dct3", "new", "unitary"): (72, 40),
+    ("dct3", "new", "unitary-sqrtn"): (72, 38),
+    ("dst2", "new", "two-sided"): (72, 40),
+    ("dst2", "new", "unitary"): (72, 40),
+    ("dst2", "new", "unitary-sqrtn"): (72, 38),
+    ("dst3", "new", "two-sided"): (72, 40),
+    ("dst3", "new", "unitary"): (72, 40),
+    ("dst3", "new", "unitary-sqrtn"): (72, 38),
+    ("fft", "conjpair", "-"): (144, 24),
+    ("fft", "new", "-"): (144, 24),
+    ("fft", "new-s1", "-"): (144, 20),
+    ("fft", "new-s2", "-"): (144, 40),
+    ("fft", "new-s4", "-"): (144, 50),
+    ("rfft", "conjpair", "-"): (58, 12),
+    ("rfft", "new", "-"): (58, 12),
+    ("rfft", "new-s1", "-"): (58, 10),
+    ("rfft", "new-s2", "-"): (58, 20),
+    ("rfft", "new-s4", "-"): (58, 25),
+}
 
 
 def _write(path, values, header=None):
@@ -93,6 +123,17 @@ def test_transform_malformed_file(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e400"])
+def test_transform_rejects_non_finite(tmp_path, capsys, bad):
+    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text(f"1.0\n{bad}\n0.5\n-1.0\n")
+    rc = main(["transform", "--kind", "dct2", "--algo", "new",
+               "--input", str(src), "--output", str(dst)])
+    assert rc == 2
+    assert f"{src}:2:" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_transform_rejects_non_pow2_for_fast(tmp_path, capsys):
     src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
     _write(src, [1.0] * 12)
@@ -135,11 +176,32 @@ def test_flops_rejects_bad_max(capsys):
     assert main(["flops", "--max-size", "100"]) == 2
 
 
+def test_flops_max_size_is_largest_verified_size(capsys):
+    assert MAX_FLOPS_SIZE == 1 << 16
+    assert main(["flops", "--max-size", str(2 * MAX_FLOPS_SIZE)]) == 2
+    assert str(MAX_FLOPS_SIZE) in capsys.readouterr().err
+
+
 def test_verify_small_run_passes(capsys):
     assert main(["verify", "--max-size", "32", "--trials", "2"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == REPORT_HEADER
     assert "dct2,new,two-sided" in out
+
+
+def test_verify_report_rows(capsys):
+    assert main(["verify", "--max-size", "16", "--trials", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == REPORT_HEADER
+    rows = {}
+    for line in lines[1:]:
+        size, kind, algo, norm, adds, mults = line.split(",")[:6]
+        rows.setdefault(int(size), []).append(((kind, algo, norm), (int(adds), int(mults))))
+    assert sorted(rows) == [2, 4, 8, 16]
+    for size, got in rows.items():
+        assert len(got) == 26
+        assert {key for key, _ in got} == set(VERIFY_ROWS_16)
+    assert dict(rows[16]) == VERIFY_ROWS_16
 
 
 def test_verify_seed_stability(capsys):

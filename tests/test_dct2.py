@@ -192,3 +192,18 @@ def test_tables_shared_across_threads():
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda _: dct2_new(x, tables=tab), range(16)))
     assert all(r == want for r in results)
+
+
+def test_dct2_at_65536():
+    # the tables' trivial-ratio check is exact, so 2**16 builds; the O(N^2)
+    # oracle is too slow here, numpy.fft of the 4N embedding is the reference
+    n = 1 << 16
+    x = rng(48, n).standard_normal(n)
+    ln, ls = FlopLedger(), FlopLedger()
+    got = dct2_new(x, ledger=ln)
+    res = dct2_scaled(x, ledger=ls)
+    assert ln.total() == formula_new_dct2(n)
+    assert ls.as_tuple() == (ln.adds, ln.mults - n)
+    want = np.fft.rfft(embed_4n(x))[:n].real
+    assert max_rel(got, want) < 1e-10
+    assert max_rel(np.array(res.values) * np.array(res.scales), want) < 1e-10

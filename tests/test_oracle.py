@@ -6,7 +6,6 @@ from conftest import max_rel, rng
 
 from fastdcst import (
     Normalization,
-    OracleConfig,
     embed_4n,
     naive_dct2,
     naive_dct3,
@@ -14,6 +13,7 @@ from fastdcst import (
     naive_dst3,
     naive_dft,
 )
+from fastdcst.oracle import _Accumulator
 
 
 def test_dft_identity_and_constants():
@@ -99,20 +99,29 @@ def test_unitary_matrices_are_orthogonal():
         assert np.max(np.abs(m.T @ m - np.eye(n))) < 1e-13
 
 
-def test_compensated_vs_plain():
+def test_compensated_dct2_matches_fft_of_4n_embedding():
+    # an O(N log N) second reference for the compensated oracle
     n = 4096
     x = rng(14).standard_normal(n)
-    comp = naive_dct2(x)
-    plain = naive_dct2(x, summation="plain")
-    assert max_rel(plain, comp) < 1e-12
+    want = np.fft.rfft(embed_4n(x))[:n].real
+    assert max_rel(naive_dct2(x), want) < 1e-12
 
 
-def test_bad_summation_mode():
-    with pytest.raises(ValueError):
-        naive_dft([1.0], summation="fancy")
-
-
-def test_oracle_config_defaults():
-    cfg = OracleConfig()
-    assert cfg.summation == "compensated"
-    assert cfg.normalization is Normalization.TWO_SIDED
+def test_accumulator_matches_ordered_neumaier():
+    # TwoSum yields each addition's exact rounding error, the same term as
+    # Neumaier's magnitude-ordered form, so both sums agree bit for bit
+    n = 256
+    g = rng(15)
+    acc = _Accumulator(n)
+    s, c = np.zeros(n), np.zeros(n)
+    for step in range(300):
+        term = g.standard_normal(n) * 10.0 ** g.integers(-12, 12, n)
+        term[step % 7::7] = -s[step % 7::7]  # exact cancellations
+        t = s + term
+        big = np.abs(s) >= np.abs(term)
+        c += np.where(big, (s - t) + term, (term - t) + s)
+        s = t
+        acc.add(term)
+    got = acc.value()
+    assert np.array_equal(got, s + c)
+    assert np.array_equal(np.signbit(got), np.signbit(s + c))

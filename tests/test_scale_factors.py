@@ -131,6 +131,16 @@ def test_validate_passes_and_detects_corruption():
         tab.validate()
 
 
+def test_validate_rejects_exactly_trivial_ratios_only():
+    # structural counts treat exactly +-1 as free; anything else is a mult
+    tab = ScaleTables(64)
+    tab._r4[64][0][1] = 1.0
+    with pytest.raises(TableError, match="trivial"):
+        tab.validate()
+    tab._r4[64][0][1] = 1.0 + 2.0**-40
+    tab.validate()
+
+
 def test_unit_root_against_cmath():
     import cmath
 

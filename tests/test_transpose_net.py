@@ -9,11 +9,8 @@ from fastdcst import (
     LinearNetwork,
     TraceError,
     build_tables,
-    evaluate,
     naive_dct3,
     record,
-    structural_flops,
-    transpose,
 )
 from fastdcst.dct2 import _dct2_classic_lanes, _dct2_new_lanes, _dct2_scaled_lanes
 from fastdcst.fft_complex import _fft_scaled_lanes, _fft_std_lanes
@@ -60,7 +57,7 @@ def test_transposed_dct2_evaluates_dct3():
     n = 16
     tab = build_tables(n)
     net = record(lambda xs: _dct2_new_lanes(xs, "two-sided", tab, FlopLedger()), n)
-    tnet = transpose(net)
+    tnet = net.transpose()
     x = rng(52).standard_normal(n)
     assert max_rel(tnet.eval(list(x)), naive_dct3(x)) < 1e-10
 
@@ -114,10 +111,10 @@ def test_random_sparse_dag_add_formula():
         edges.append((int(srcs[0]), v, 1.0))
         edges.append((int(srcs[1]), v, w))
     net = LinearNetwork(n_v, edges, list(range(n_in)), [n_v - 1])
-    adds, mults = structural_flops(net)
+    adds, mults = net.structural_flops()
     assert adds == net.indegree_adds()
     assert mults == sum(1 for _, _, w in edges if w not in (1.0, -1.0))
-    out = evaluate(net, [1.0, 2.0, 3.0, 4.0])
+    out = net.eval([1.0, 2.0, 3.0, 4.0])
     assert len(out) == 1
 
 

@@ -5,7 +5,6 @@ from conftest import max_rel, rng
 from fastdcst import (
     FlopLedger,
     Normalization,
-    TrigKind,
     build_tables,
     dct2_new,
     dct3_new,
@@ -18,10 +17,6 @@ from fastdcst import (
 )
 
 NORMS = list(Normalization)
-
-
-def test_kinds_enum():
-    assert {k.value for k in TrigKind} == {"dct2", "dct3", "dst2", "dst3"}
 
 
 def test_dct3_ledger_16():
