@@ -223,10 +223,10 @@ KERNELS = (
            lambda x, norm, tab, led: dct3_new(x, norm, tab, led),
            _dct2_ledger),
     Kernel("trig", "dst2", "new", _ALL, 0,
-           lambda x, norm, tab, led: dst2_new(x, tab, led, norm=norm),
+           lambda x, norm, tab, led: dst2_new(x, norm, tab, led),
            _dct2_ledger),
     Kernel("trig", "dst3", "new", _ALL, 0,
-           lambda x, norm, tab, led: dst3_new(x, tab, led, norm=norm),
+           lambda x, norm, tab, led: dst3_new(x, norm, tab, led),
            _dct2_ledger),
 )
 
@@ -428,6 +428,14 @@ def cmd_accuracy(max_size=4096, trials=5, seed=0, out=None):
 
 # --------------------------------------------------------------------- main
 
+def _at_least(lowest):
+    def integer(text):
+        if int(text) < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {text}")
+        return int(text)
+    return integer
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="fastdcst",
@@ -452,15 +460,15 @@ def _build_parser():
     f.add_argument("--format", default="csv", choices=["csv", "markdown"])
 
     v = sub.add_parser("verify", help="kernels vs oracles and count formulas")
-    v.add_argument("--max-size", type=int, default=1024)
-    v.add_argument("--trials", type=int, default=5)
+    v.add_argument("--max-size", type=_at_least(2), default=1024)
+    v.add_argument("--trials", type=_at_least(1), default=5)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--inject-fault", default="none",
                    choices=["none", "dct2-new-stage"], help=argparse.SUPPRESS)
 
     a = sub.add_parser("accuracy", help="rms error growth report")
-    a.add_argument("--max-size", type=int, default=4096)
-    a.add_argument("--trials", type=int, default=5)
+    a.add_argument("--max-size", type=_at_least(16), default=4096)
+    a.add_argument("--trials", type=_at_least(1), default=5)
     a.add_argument("--seed", type=int, default=0)
     return p
 

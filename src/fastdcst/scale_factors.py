@@ -14,6 +14,7 @@ evaluate a trigonometric function.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .flops import checked_log2
 
@@ -296,17 +297,17 @@ def _levels(lo, hi):
         m <<= 1
 
 
-_TABLE_CACHE: dict[int, ScaleTables] = {}
+# sizes the table and transposed-network caches keep (least recently used go)
+CACHED_SIZES = 8
+_cached_tables = lru_cache(maxsize=CACHED_SIZES)(ScaleTables)
 
 
 def build_tables(n: int) -> ScaleTables:
     """Build (or fetch the cached) constant tables for root size ``n``.
 
     Eagerly materializes every recursion level so transform calls do no
-    trigonometric work and no allocation beyond their own buffers.
+    trigonometric work and no allocation beyond their own buffers.  The
+    last :data:`CACHED_SIZES` sizes used are kept.
     """
     checked_log2(n, lowest=1)
-    tab = _TABLE_CACHE.get(n)
-    if tab is None:
-        tab = _TABLE_CACHE[n] = ScaleTables(n)
-    return tab
+    return _cached_tables(n)

@@ -9,12 +9,20 @@ and outputs the reversal preserves the operation count exactly:
   indegree - 1),
 * multiplications = number of edges whose weight is not +-1.
 
+A :class:`LinearNetwork` keeps its vertices in evaluation order: every
+edge runs from a lower to a higher vertex id, and the incoming edges of
+each vertex are contiguous in ``edges``, grouped by ascending
+destination.  Evaluation is then one walk over the edge list, and
+transposition one backward pass over the vertex ids.
+
 Kernels are recorded by running them on :class:`TraceScalar` values whose
 arithmetic builds the graph: every scalar add/sub creates a two-input
 vertex, every multiplication by a constant creates a weighted edge into a
-pass-through vertex, and negation is a free -1 edge.  The DCT-III kernel
-evaluates one of these networks directly, which is how it inherits the
-DCT-II flop count without a hand-derived decimation-in-frequency FFT.
+pass-through vertex, and negation is a free -1 edge.  Each new vertex
+takes its edges when it is created, so a recording is in evaluation order.
+The DCT-III kernel evaluates one of these networks directly, which is how
+it inherits the DCT-II flop count without a hand-derived
+decimation-in-frequency FFT.
 """
 
 from __future__ import annotations
@@ -98,28 +106,41 @@ class TraceScalar:
 
 
 class LinearNetwork:
-    """Weighted DAG with designated input and output vertices."""
+    """Weighted DAG with designated input and output vertices.
+
+    The vertices must be in evaluation order (see the module docstring);
+    a network that is not raises ``ValueError`` here, before any value is
+    computed.  Edges and vertices are not to be changed afterwards.
+    """
 
     def __init__(self, n_vertices, edges, inputs, outputs):
         self.n_vertices = n_vertices
         self.edges = list(edges)
         self.inputs = list(inputs)
         self.outputs = list(outputs)
-        self._schedule = None
-
-    @property
-    def n_inputs(self):
-        return len(self.inputs)
-
-    @property
-    def n_outputs(self):
-        return len(self.outputs)
+        summed = bytearray(n_vertices)
+        last, mults = -1, 0
+        for src, dst, w in self.edges:
+            if not 0 <= src < dst:
+                raise ValueError(f"edge {src}->{dst} does not run to a higher id")
+            if dst != last:
+                if dst < last:
+                    raise ValueError(f"incoming edges of vertex {dst} are not contiguous")
+                summed[dst] = 1
+                last = dst
+            if w != 1.0 and w != -1.0:
+                mults += 1
+        for v in self.inputs:
+            if summed[v]:
+                raise ValueError(f"input vertex {v} has incoming edges")
+            summed[v] = 1
+        if not all(summed):
+            raise ValueError(f"vertex {summed.index(0)} is neither an input nor a sum")
+        self._flops = (len(self.inputs) + len(self.edges) - n_vertices, mults)
 
     def structural_flops(self) -> tuple[int, int]:
         """(additions, multiplications) determined by the graph shape alone."""
-        adds = len(self.inputs) + len(self.edges) - self.n_vertices
-        mults = sum(1 for _, _, w in self.edges if w != 1.0 and w != -1.0)
-        return adds, mults
+        return self._flops
 
     def indegree_adds(self) -> int:
         """Direct indegree-1 summation; cross-checks ``structural_flops``."""
@@ -132,131 +153,60 @@ class LinearNetwork:
     def transpose(self) -> "LinearNetwork":
         """Reverse every edge and swap the input/output roles.
 
-        The result computes the transposed matrix.  Interior vertices that
-        end up with a single unit-weight incoming edge are collapsed (a
-        pure renaming), which changes |V| and |E| by the same amount and
-        therefore leaves both structural counts intact.
+        The result computes the transposed matrix.  Vertices are numbered
+        from the highest forward id down and each takes its reversed edges
+        in their forward order, which keeps the result in evaluation order.
+        Interior vertices that would get a single unit-weight incoming edge
+        are collapsed (a pure renaming), which changes |V| and |E| by the
+        same amount and therefore leaves both structural counts intact.
         """
-        flipped = LinearNetwork(
-            self.n_vertices,
-            [(dst, src, w) for src, dst, w in self.edges],
-            list(self.outputs),
-            list(self.inputs),
-        )
-        return flipped._collapsed()
-
-    def _collapsed(self) -> "LinearNetwork":
-        keep = set(self.inputs) | set(self.outputs)
-        indeg = {}
-        single = {}
-        for src, dst, w in self.edges:
-            indeg[dst] = indeg.get(dst, 0) + 1
-            single[dst] = (src, w)
-        alias = {}
-        for v in range(self.n_vertices):
-            if v in keep or indeg.get(v) != 1:
-                continue
-            src, w = single[v]
-            if w == 1.0:
-                alias[v] = src
-        if not alias:
-            return self
-
-        def resolve(v):
-            while v in alias:
-                v = alias[v]
-            return v
-
-        edges = [
-            (resolve(src), dst, w) for src, dst, w in self.edges if dst not in alias
-        ]
-        live = sorted(
-            set(self.inputs)
-            | set(self.outputs)
-            | {s for s, _, _ in edges}
-            | {d for _, d, _ in edges}
-        )
-        remap = {v: i for i, v in enumerate(live)}
-        return LinearNetwork(
-            len(live),
-            [(remap[s], remap[d], w) for s, d, w in edges],
-            [remap[v] for v in self.inputs],
-            [remap[v] for v in self.outputs],
-        )
-
-    def _compile(self):
-        if self._schedule is not None:
-            return self._schedule
-        incoming = [[] for _ in range(self.n_vertices)]
-        outdeg = [0] * self.n_vertices
-        for src, dst, w in self.edges:
-            incoming[dst].append((src, w))
-            outdeg[src] += 1
-        inputs = set(self.inputs)
-        for v in inputs:
-            if incoming[v]:
-                raise ValueError(f"input vertex {v} has incoming edges")
-        for v in range(self.n_vertices):
-            if v not in inputs and not incoming[v]:
-                raise ValueError(f"vertex {v} is neither an input nor a sum")
-        # Kahn topological order over non-input vertices
-        pending = {
-            v: len(incoming[v]) for v in range(self.n_vertices) if v not in inputs
-        }
         fanout = [[] for _ in range(self.n_vertices)]
-        for src, dst, _ in self.edges:
-            fanout[src].append(dst)
-        ready = list(inputs) + [v for v, d in pending.items() if d == 0]
-        order = []
-        seen = set(inputs)
-        while ready:
-            v = ready.pop()
-            if v not in inputs:
-                order.append(v)
-            for d in fanout[v]:
-                pending[d] -= 1
-                if pending[d] == 0 and d not in seen:
-                    seen.add(d)
-                    ready.append(d)
-        if len(order) != self.n_vertices - len(inputs):
-            raise ValueError("network contains a cycle")
-        sched = [(v, tuple(incoming[v])) for v in order]
-        adds = sum(len(inc) - 1 for _, inc in sched)
-        mults = sum(1 for _, inc in sched for _, w in inc if w != 1.0 and w != -1.0)
-        self._schedule = (sched, adds, mults)
-        return self._schedule
+        for src, dst, w in self.edges:
+            fanout[src].append((dst, w))
+        keep = set(self.inputs) | set(self.outputs)
+        new_id = [0] * self.n_vertices
+        edges, count = [], 0
+        for v in range(self.n_vertices - 1, -1, -1):
+            out = fanout[v]
+            if len(out) == 1 and out[0][1] == 1.0 and v not in keep:
+                new_id[v] = new_id[out[0][0]]
+                continue
+            new_id[v] = count
+            edges += [(new_id[d], count, w) for d, w in out]
+            count += 1
+        return LinearNetwork(count, edges, [new_id[v] for v in self.outputs],
+                             [new_id[v] for v in self.inputs])
 
     def eval(self, x, ledger=None):
-        """Evaluate the network on a vector of length ``n_inputs``.
+        """Evaluate the network on a vector of length ``len(inputs)``.
 
-        Works on floats and on :class:`TraceScalar` values alike, so a
-        kernel that embeds a compiled network can itself be recorded.
+        One walk over ``edges``; each vertex adds its incoming terms in
+        their listed order.  Works on floats and on :class:`TraceScalar`
+        values alike, so a kernel that embeds a network can itself be
+        recorded.
         """
         if len(x) != len(self.inputs):
             raise ValueError(f"expected {len(self.inputs)} inputs, got {len(x)}")
-        sched, adds, mults = self._compile()
         if ledger is not None:
-            ledger.adds += adds
-            ledger.mults += mults
-        vals = [None] * self.n_vertices
+            ledger.adds += self._flops[0]
+            ledger.mults += self._flops[1]
+        # one spare slot at index -1 takes the flush before the first sum
+        vals = [None] * (self.n_vertices + 1)
         for v, xv in zip(self.inputs, x):
             vals[v] = xv
-        for v, inc in sched:
-            src, w = inc[0]
-            if w == 1.0:
-                acc = vals[src]
+        last, acc = -1, None
+        for src, dst, w in self.edges:
+            if dst != last:
+                vals[last] = acc
+                last = dst
+                acc = vals[src] if w == 1.0 else -vals[src] if w == -1.0 else w * vals[src]
+            elif w == 1.0:
+                acc = acc + vals[src]
             elif w == -1.0:
-                acc = -vals[src]
+                acc = acc - vals[src]
             else:
-                acc = w * vals[src]
-            for src, w in inc[1:]:
-                if w == 1.0:
-                    acc = acc + vals[src]
-                elif w == -1.0:
-                    acc = acc - vals[src]
-                else:
-                    acc = acc + w * vals[src]
-            vals[v] = acc
+                acc = acc + w * vals[src]
+        vals[last] = acc
         return [vals[v] for v in self.outputs]
 
     def dumps(self) -> str:
@@ -269,9 +219,9 @@ class LinearNetwork:
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
-        a, m = self.structural_flops()
+        a, m = self._flops
         return (
-            f"LinearNetwork({self.n_inputs}->{self.n_outputs}, "
+            f"LinearNetwork({len(self.inputs)}->{len(self.outputs)}, "
             f"|V|={self.n_vertices}, |E|={len(self.edges)}, adds={a}, mults={m})"
         )
 

@@ -5,11 +5,13 @@ DCT-III runs the DCT-II algorithm backwards: first the transposed output
 stage (a complex rotation folded with the scale factors, applied to input
 pairs x[k], x[N-k]), then the *transposed* rescaled real DFT, then the
 even/odd de-interleave.  The middle stage is obtained mechanically: the
-real-input rescaled DFT is recorded as a linear network over real lanes,
-transposed edge-by-edge, and compiled to a straight-line schedule.  Edge
-reversal preserves both operation counts for square networks, which is
-what guarantees flop parity with the DCT-II without hand-deriving a
-decimation-in-frequency kernel.
+real-input rescaled DFT is recorded as a linear network over real lanes
+and transposed edge-by-edge.  Both networks keep their vertices in
+evaluation order (every edge runs to a higher vertex id), so evaluating
+one is a single walk over its edge list.  Edge reversal preserves both
+operation counts for square networks, which is what guarantees flop
+parity with the DCT-II without hand-deriving a decimation-in-frequency
+kernel.
 
 The sine transforms are index/sign relabelings of the cosine ones:
 
@@ -36,9 +38,9 @@ from .transpose_net import record
 __all__ = ["dct3_new", "dst2_new", "dst3_new"]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=sf.CACHED_SIZES)
 def _transposed_spectrum_net(n):
-    """Transposed rescaled real DFT of size n, as a compiled network.
+    """Transposed rescaled real DFT of size n, as a network in evaluation order.
 
     Lane layout on the transposed inputs matches the forward outputs:
     [z0, re(z1), im(z1), ..., re(z_{N/2-1}), im(z_{N/2-1}), z_{N/2}].
@@ -116,9 +118,9 @@ def dct3_new(
 
 def dst2_new(
     x,
+    norm: Normalization = Normalization.TWO_SIDED,
     tables: ScaleTables | None = None,
     ledger: FlopLedger | None = None,
-    norm: Normalization = Normalization.TWO_SIDED,
 ):
     """DST-II; output slot j holds the sine coefficient for k = j + 1."""
     xs, tab = _prep(x, tables)
@@ -128,9 +130,9 @@ def dst2_new(
 
 def dst3_new(
     x,
+    norm: Normalization = Normalization.TWO_SIDED,
     tables: ScaleTables | None = None,
     ledger: FlopLedger | None = None,
-    norm: Normalization = Normalization.TWO_SIDED,
 ):
     """DST-III; input slot j is interpreted as sample j + 1."""
     xs, tab = _prep(x, tables)

@@ -182,6 +182,19 @@ def test_flops_max_size_is_largest_verified_size(capsys):
     assert str(MAX_FLOPS_SIZE) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "--trials", "0"], "--trials"),
+    (["verify", "--max-size", "1"], "--max-size"),
+    (["accuracy", "--trials", "0"], "--trials"),
+    (["accuracy", "--max-size", "8"], "--max-size"),
+])
+def test_rejects_too_small_arguments(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+
+
 def test_verify_small_run_passes(capsys):
     assert main(["verify", "--max-size", "32", "--trials", "2"]) == 0
     out = capsys.readouterr().out

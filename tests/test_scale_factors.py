@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastdcst import build_tables, scale, t_factor, unit_root
-from fastdcst.scale_factors import ScaleTables, TableError
+from fastdcst.scale_factors import CACHED_SIZES, ScaleTables, TableError, _cached_tables
+from fastdcst.trig_family import _transposed_spectrum_net
 
 SIZES = [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
 
@@ -152,3 +153,16 @@ def test_unit_root_against_cmath():
 
 def test_build_tables_cached():
     assert build_tables(64) is build_tables(64)
+    # a verify --max-size 64 run uses 6 sizes; none may be evicted meanwhile
+    assert CACHED_SIZES >= 8
+    sizes = [2**k for k in range(1, CACHED_SIZES + 2)]
+    first = build_tables(sizes[-1])
+    for n in [sizes[-1]] + sizes[:-1]:
+        build_tables(n)
+        _transposed_spectrum_net(n)
+    assert _cached_tables.cache_info().currsize <= CACHED_SIZES
+    assert _transposed_spectrum_net.cache_info().currsize <= CACHED_SIZES
+    again = build_tables(sizes[-1])
+    assert again is not first
+    assert again.twiddle_dct == first.twiddle_dct
+    assert again.dct_scales == first.dct_scales

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import max_rel, rng
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastdcst import (
     FlopLedger,
@@ -118,6 +120,41 @@ def test_random_sparse_dag_add_formula():
     assert len(out) == 1
 
 
+@st.composite
+def square_dags(draw):
+    # random sums and scalings as in test_random_sparse_dag_add_formula, then
+    # one output per input that together consume every sink: no dead vertex
+    n_in = draw(st.integers(1, 5))
+    weights = st.sampled_from([1.0, -1.0, 0.5, 3.0])
+    edges, n_v = [], n_in
+    for _ in range(draw(st.integers(0, 24))):
+        edges.append((draw(st.integers(0, n_v - 1)), n_v, draw(weights)))
+        if draw(st.booleans()):
+            edges.append((draw(st.integers(0, n_v - 1)), n_v, draw(weights)))
+        n_v += 1
+    used = {src for src, _, _ in edges}
+    sinks = [v for v in range(n_v) if v not in used]
+    outputs = list(range(n_v, n_v + n_in))
+    for j, out in enumerate(outputs):
+        for src in sinks[j::n_in] or [draw(st.integers(0, n_v - 1))]:
+            edges.append((src, out, draw(weights)))
+    return LinearNetwork(n_v + n_in, edges, list(range(n_in)), outputs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_dags(), st.integers(0, 2**32 - 1))
+def test_transpose_random_dag_property(net, seed):
+    tnet = net.transpose()  # validates the evaluation order
+    assert tnet.structural_flops() == net.structural_flops()
+    assert tnet.indegree_adds() == tnet.structural_flops()[0]
+    assert net.transpose().transpose().structural_flops() == net.structural_flops()
+    g = rng(57, seed)
+    x, y = g.standard_normal(len(net.inputs)), g.standard_normal(len(net.outputs))
+    lhs = y @ np.array(net.eval(list(x)))
+    rhs = np.array(tnet.eval(list(y))) @ x
+    assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+
 def _complex_adapter(fn, n):
     # complex kernel as a real-linear map over 2N lanes [re..., im...]
     def kernel(lanes):
@@ -206,9 +243,21 @@ def test_eval_size_mismatch():
 
 
 def test_input_with_incoming_edge_rejected():
-    net = LinearNetwork(2, [(1, 0, 1.0), (0, 1, 1.0)], [0], [1])
     with pytest.raises(ValueError):
-        net.eval([1.0])
+        LinearNetwork(2, [(1, 0, 1.0), (0, 1, 1.0)], [0], [1])
+
+
+@pytest.mark.parametrize("n_vertices,edges,inputs,outputs,message", [
+    (2, [(1, 1, 1.0)], [0], [1], "does not run to a higher id"),
+    (2, [(-1, 1, 1.0)], [0], [1], "does not run to a higher id"),
+    (2, [(0, 1, 1.0)], [0, 1], [1], "input vertex 1 has incoming edges"),
+    (3, [(0, 2, 1.0)], [0], [2], "vertex 1 is neither an input nor a sum"),
+    (4, [(0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0)], [0, 1], [3],
+     "incoming edges of vertex 2 are not contiguous"),
+], ids=["edge-to-equal-id", "edge-from-negative-id", "input-with-edge", "no-edges", "not-contiguous"])
+def test_evaluation_order_violations_rejected(n_vertices, edges, inputs, outputs, message):
+    with pytest.raises(ValueError, match=message):
+        LinearNetwork(n_vertices, edges, inputs, outputs)
 
 
 def test_dumps_edge_list():

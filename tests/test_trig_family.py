@@ -6,6 +6,7 @@ from fastdcst import (
     FlopLedger,
     Normalization,
     build_tables,
+    dct2_classic,
     dct2_new,
     dct3_new,
     dst2_new,
@@ -95,11 +96,16 @@ def test_dct3_matrix_is_dct2_transpose(n):
 
 def test_ledger_parity_holds_per_normalization():
     n = 64
+    x = list(rng(66).standard_normal(n))
     for norm in NORMS:
-        l2, l3 = FlopLedger(), FlopLedger()
-        dct2_new([0.0] * n, norm, ledger=l2)
-        dct3_new([0.0] * n, norm, ledger=l3)
-        assert l2.as_tuple() == l3.as_tuple()
+        ledgers = []
+        for fn in (dct2_new, dct3_new, dst2_new, dst3_new):
+            led = FlopLedger()
+            # one signature: (x, norm, tables, ledger)
+            assert fn(x, norm, None, led) == fn(x, norm=norm), fn.__name__
+            ledgers.append(led.as_tuple())
+        assert len(set(ledgers)) == 1
+        assert dct2_classic(x, norm) == dct2_classic(x, norm=norm)
 
 
 def test_ledger_independent_of_values():
