@@ -7,11 +7,14 @@ pairs x[k], x[N-k]), then the *transposed* rescaled real DFT, then the
 even/odd de-interleave.  The middle stage is obtained mechanically: the
 real-input rescaled DFT is recorded as a linear network over real lanes
 and transposed edge-by-edge.  Both networks keep their vertices in
-evaluation order (every edge runs to a higher vertex id), so evaluating
-one is a single walk over its edge list.  Edge reversal preserves both
-operation counts for square networks, which is what guarantees flop
-parity with the DCT-II without hand-deriving a decimation-in-frequency
-kernel.
+evaluation order (every edge runs to a higher vertex id) with their edges
+in one numpy array.  From N=128 on the transposed network has more than
+``transpose_net.PROGRAM_MIN_EDGES`` edges and runs as a levelized numpy
+program, built on its first evaluation and cached with the network;
+smaller ones are a single Python walk over the edge list.  Edge reversal
+preserves both operation counts for square networks, which is what
+guarantees flop parity with the DCT-II without hand-deriving a
+decimation-in-frequency kernel.
 
 The sine transforms are index/sign relabelings of the cosine ones:
 

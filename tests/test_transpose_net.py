@@ -1,9 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import max_rel, rng
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fastdcst import (
@@ -13,11 +14,17 @@ from fastdcst import (
     build_tables,
     naive_dct3,
     record,
+    transpose_net,
 )
 from fastdcst.dct2 import _dct2_classic_lanes, _dct2_new_lanes, _dct2_scaled_lanes
 from fastdcst.fft_complex import _fft_scaled_lanes, _fft_std_lanes
 from fastdcst.fft_real import half_spectrum_lanes
-from fastdcst.trig_family import _dct3_new_lanes, _dst2_new_lanes, _dst3_new_lanes
+from fastdcst.trig_family import (
+    _dct3_new_lanes,
+    _dst2_new_lanes,
+    _dst3_new_lanes,
+    _transposed_spectrum_net,
+)
 
 
 def test_record_identity():
@@ -141,8 +148,27 @@ def square_dags(draw):
     return LinearNetwork(n_v + n_in, edges, list(range(n_in)), outputs)
 
 
+# x0 + 0.5*x1 passes through the unit-weight vertices 3, 4 and 5 before
+# vertex 6 subtracts x0; the transpose collapses 2..5 into one renaming chain
+ALIAS_CHAIN = LinearNetwork(
+    9,
+    [(0, 2, 1.0), (1, 2, 0.5), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0),
+     (5, 6, 1.0), (0, 6, -1.0), (6, 7, 1.0), (6, 8, 2.0), (1, 8, 3.0)],
+    [0, 1], [7, 8])
+
+
+def walk_and_program(net, x):
+    """Bytes of ``net.eval(x)`` from the Python walk and from the program."""
+    with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", len(net.edges) + 1):
+        walk = np.array(net.eval(x)).tobytes()
+    with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", 0):
+        program = np.array(net.eval(x)).tobytes()
+    return walk, program
+
+
 @settings(max_examples=150, deadline=None)
 @given(square_dags(), st.integers(0, 2**32 - 1))
+@example(ALIAS_CHAIN, 0)
 def test_transpose_random_dag_property(net, seed):
     tnet = net.transpose()  # validates the evaluation order
     assert tnet.structural_flops() == net.structural_flops()
@@ -153,6 +179,41 @@ def test_transpose_random_dag_property(net, seed):
     lhs = y @ np.array(net.eval(list(x)))
     rhs = np.array(tnet.eval(list(y))) @ x
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+    walk, program = walk_and_program(net, list(x))
+    assert walk == program
+    walk, program = walk_and_program(tnet, list(y))
+    assert walk == program
+
+
+def test_transpose_collapses_alias_chain():
+    assert ALIAS_CHAIN.transpose().dumps() == (
+        "# inputs: 1 0\n# outputs: 4 3\n"
+        "1 2 1.0\n0 2 2.0\n2 3 0.5\n0 3 3.0\n2 4 1.0\n2 4 -1.0\n"
+    )
+
+
+@pytest.mark.parametrize("n", [128, 1024])
+def test_program_matches_walk_on_spectrum_net(n):
+    net = _transposed_spectrum_net(n)
+    assert len(net.edges) >= transpose_net.PROGRAM_MIN_EDGES
+    x = rng(58, n).standard_normal(n)
+    x[::5] = 0.0
+    x[1::7] = -0.0
+    for xs in (list(x), [-0.0] * n, [0.0] * n):
+        walk, program = walk_and_program(net, xs)
+        assert walk == program
+    y = net.eval(list(x))
+    assert all(type(v) is float for v in y)
+
+
+def test_recording_a_program_sized_network():
+    # TraceScalar inputs take the walk even above the program threshold
+    net = _transposed_spectrum_net(128)
+    assert len(net.edges) >= transpose_net.PROGRAM_MIN_EDGES
+    rec = record(net.eval, 128)
+    assert rec.structural_flops() == net.structural_flops()
+    x = list(rng(59).standard_normal(128))
+    assert np.array(rec.eval(x)).tobytes() == np.array(net.eval(x)).tobytes()
 
 
 def _complex_adapter(fn, n):
@@ -254,7 +315,11 @@ def test_input_with_incoming_edge_rejected():
     (3, [(0, 2, 1.0)], [0], [2], "vertex 1 is neither an input nor a sum"),
     (4, [(0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0)], [0, 1], [3],
      "incoming edges of vertex 2 are not contiguous"),
-], ids=["edge-to-equal-id", "edge-from-negative-id", "input-with-edge", "no-edges", "not-contiguous"])
+    (2, [(0, 5, 1.0)], [0], [1], "edge 0->5 ends past the last vertex 1"),
+    (2, [(0, 1, 1.0)], [7], [1], "input vertex 7 is not among the 2 vertices"),
+    (2, [(0, 1, 1.0)], [0], [-1], "output vertex -1 is not among the 2 vertices"),
+], ids=["edge-to-equal-id", "edge-from-negative-id", "input-with-edge", "no-edges",
+        "not-contiguous", "edge-past-end", "input-out-of-range", "negative-output"])
 def test_evaluation_order_violations_rejected(n_vertices, edges, inputs, outputs, message):
     with pytest.raises(ValueError, match=message):
         LinearNetwork(n_vertices, edges, inputs, outputs)
