@@ -46,11 +46,11 @@ MAX_FLOPS_SIZE = 1 << 16
 
 REPORT_HEADER = "size,kind,algorithm,normalization,adds,mults,total,max_rel_error,rms_rel_error"
 
-_NORMS = {
-    "two-sided": Normalization.TWO_SIDED,
-    "unitary": Normalization.UNITARY,
-    "unitary-sqrtn": Normalization.UNITARY_SQRT_N,
-}
+# verify fails a kernel whose max relative error reaches this
+_VERIFY_TOL = 1e-10
+
+# the command-line spellings are the enum values
+_NORMS = {n.value: n for n in Normalization}
 
 _NAIVE = {
     "dct2": naive_dct2,
@@ -101,10 +101,6 @@ def _rel_errors(got, want):
         return (0.0, 0.0) if worst == 0.0 else (math.inf, math.inf)
     denom = np.linalg.norm(want)
     return float(np.max(diff) / scale), float(np.linalg.norm(diff) / denom)
-
-
-def _rng(seed, n, trial, tag):
-    return np.random.default_rng([seed, n, trial, tag])
 
 
 def _is_pow2(n):
@@ -243,7 +239,7 @@ def _diagonals(n):
 
 
 def _signal(family, seed, n, trial):
-    g = _rng(seed, n, trial, _TAGS[family])
+    g = np.random.default_rng([seed, n, trial, _TAGS[family]])
     x = g.standard_normal(n)
     return x + 1j * g.standard_normal(n) if family == "fft" else x
 
@@ -268,6 +264,10 @@ def cmd_transform(kind, algo, norm_name, input_path, output_path,
     kernel = _kernel(kind, algo)
     if kernel is None:
         print(f"error: algo {algo!r} is only available for dct2", file=sys.stderr)
+        return 2
+    if norm_name not in kernel.norms:
+        print(f"error: algo {algo!r} supports --norm {' or '.join(kernel.norms)} only, "
+              f"got {norm_name!r}", file=sys.stderr)
         return 2
     if algo == "scaled":
         if scales_output is None:
@@ -324,7 +324,7 @@ def _corrupted_tables(n):
     return tab
 
 
-def _verify_size(n, trials, seed, tab, reports, tol):
+def _verify_size(n, trials, seed, tab, reports):
     """Returns the first failing (kind, algo, norm, reason) or None."""
     diag = _diagonals(n)
     seen = {}
@@ -354,21 +354,20 @@ def _verify_size(n, trials, seed, tab, reports, tol):
                 reason = k.ledger_fault(n, normname, ledgers[0], seen)
                 if reason:
                     return row + (reason,)
-                if max_rel >= tol:
-                    return row + (f"max_rel_error {max_rel:.3e} >= {tol:.0e}",)
+                if max_rel >= _VERIFY_TOL:
+                    return row + (f"max_rel_error {max_rel:.3e} >= {_VERIFY_TOL:.0e}",)
                 seen[row] = ledgers[0].as_tuple()
     return None
 
 
-def cmd_verify(max_size=1024, trials=5, seed=0, out=None,
-               inject_fault="none", tol=1e-10):
+def cmd_verify(max_size=1024, trials=5, seed=0, out=None, inject_fault="none"):
     out = out if out is not None else sys.stdout
     reports = []
     failure = None
     for n in _sizes(max_size):
         tab = _corrupted_tables(n) if inject_fault == "dct2-new-stage" \
             else sf.build_tables(n)
-        failure = _verify_size(n, trials, seed, tab, reports, tol)
+        failure = _verify_size(n, trials, seed, tab, reports)
         if failure:
             break
     out.write(REPORT_HEADER + "\n")
@@ -385,37 +384,28 @@ def cmd_verify(max_size=1024, trials=5, seed=0, out=None,
 # ----------------------------------------------------------------- accuracy
 
 def cmd_accuracy(max_size=4096, trials=5, seed=0, out=None):
+    """Pooled rms error of every registry kernel, under its first norm."""
     out = out if out is not None else sys.stdout
-    kernels = ("dct2_new", "dct2_classic", "fft_conjpair", "fft_new")
-    sizes = [n for n in _sizes(max_size, lowest=16)]
-    rms = {name: [] for name in kernels}
+    sizes = list(_sizes(max_size, lowest=16))
+    rms = {f"{k.kind}_{k.algo}": [] for k in KERNELS}
     for n in sizes:
-        diffs = {name: [] for name in kernels}
-        norms = {name: [] for name in kernels}
-        for trial in range(trials):
-            xr = _rng(seed, n, trial, 3).standard_normal(n)
-            want = naive_dct2(xr)
-            for name, fn in (("dct2_new", dct2_new), ("dct2_classic", dct2_classic)):
-                got = np.asarray(fn(xr), dtype=float)
-                diffs[name].append(got - want)
-                norms[name].append(want)
-            g = _rng(seed, n, trial, 4)
-            xc = g.standard_normal(n) + 1j * g.standard_normal(n)
-            wantc = naive_dft(xc)
-            tab = sf.build_tables(n)
-            for name, got in (
-                ("fft_conjpair", fft_conjpair(xc)),
-                ("fft_new", fft_scaled(xc, 0, tab)),
-            ):
-                diffs[name].append(np.asarray(got) - wantc)
-                norms[name].append(wantc)
-        for name in kernels:
-            d = np.concatenate(diffs[name])
-            w = np.concatenate(norms[name])
-            rms[name].append(float(np.linalg.norm(d) / np.linalg.norm(w)))
+        tab, diag = sf.build_tables(n), _diagonals(n)
+        inputs, wants = {}, {}
+        for k in KERNELS:
+            if k.family not in inputs:
+                inputs[k.family] = [_signal(k.family, seed, n, t) for t in range(trials)]
+            xs = inputs[k.family]
+            norm = _NORMS.get(k.norms[0])
+            if (k.kind, norm) not in wants:
+                wants[k.kind, norm] = [k.reference(x, norm) for x in xs]
+            want = wants[k.kind, norm]
+            d = [np.asarray(k.outputs(x, norm, tab, diag, None)) - w
+                 for x, w in zip(xs, want)]
+            rel = np.linalg.norm(np.concatenate(d)) / np.linalg.norm(np.concatenate(want))
+            rms[f"{k.kind}_{k.algo}"].append(float(rel))
     out.write("kernel,n,rms_rel_error,fit_c,bound,flagged\n")
     status = 0
-    for name in kernels:
+    for name in rms:
         cs = [r / math.sqrt(math.log2(n)) for r, n in zip(rms[name], sizes)]
         c = sorted(cs)[len(cs) // 2]
         for n, r in zip(sizes, rms[name]):
@@ -456,7 +446,7 @@ def _build_parser():
                    help="expected sample count (error if the file differs)")
 
     f = sub.add_parser("flops", help="operation-count table")
-    f.add_argument("--max-size", type=int, default=4096)
+    f.add_argument("--max-size", type=_at_least(2), default=4096)
     f.add_argument("--format", default="csv", choices=["csv", "markdown"])
 
     v = sub.add_parser("verify", help="kernels vs oracles and count formulas")

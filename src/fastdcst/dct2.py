@@ -15,7 +15,6 @@ form of the classic scaled 8-point DCT used by JPEG quantizers).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,31 +70,16 @@ def reorder_even_odd(x):
     return out
 
 
-@lru_cache(maxsize=None)
-def _classic_stage(n, norm_key):
+@lru_cache(maxsize=sf.CACHED_SIZES)
+def _classic_stage(n):
     # output-stage constants 2*unit_root(k, 4N) folded per normalization
-    pairs = [None] * (n // 2)
-    factor = {
-        sf.NORM_TWO_SIDED: 2.0,
-        sf.NORM_UNITARY: math.sqrt(2.0 / n),
-        sf.NORM_UNITARY_SQRT_N: math.sqrt(2.0),
-    }[norm_key]
-    for k in range(1, n // 2):
-        c = unit_root(k, 4 * n)
-        pairs[k] = (factor * c.real, factor * c.imag)
-    if norm_key == sf.NORM_TWO_SIDED:
-        ends = (2.0, math.sqrt(2.0))
-    elif norm_key == sf.NORM_UNITARY:
-        ends = (1.0 / math.sqrt(n), 1.0 / math.sqrt(n))
-    else:
-        ends = (None, None)
-    return ends, pairs
+    return sf.dct_stage(n, [2.0 * unit_root(k, 4 * n) for k in range(n // 2)])
 
 
-def _stage_outputs(ends, pairs, rr, ri, n, led):
+def _stage_outputs(stage, rr, ri, n, led):
     h = n // 2
     out = [None] * n
-    c0, ch = ends
+    c0, ch, pairs = stage
     if c0 is None:
         out[0] = rr[0]
         out[h] = rr[h]
@@ -115,15 +99,13 @@ def _stage_outputs(ends, pairs, rr, ri, n, led):
 def _dct2_classic_lanes(xs, norm_key, led):
     n = len(xs)
     rr, ri = _rfft_std_lanes(reorder_even_odd(xs), led)
-    ends, pairs = _classic_stage(n, norm_key)
-    return _stage_outputs(ends, pairs, rr, ri, n, led)
+    return _stage_outputs(_classic_stage(n)[norm_key], rr, ri, n, led)
 
 
 def _dct2_new_lanes(xs, norm_key, tab, led):
     n = len(xs)
     rr, ri = _rfft_scaled_lanes(1, reorder_even_odd(xs), tab, led)
-    c0, ch, pairs = tab.dct_stage(norm_key)
-    return _stage_outputs((c0, ch), [None] + list(pairs[1:]), rr, ri, n, led)
+    return _stage_outputs(tab.dct_stage(norm_key), rr, ri, n, led)
 
 
 def _dct2_scaled_lanes(xs, tab, led):
@@ -160,14 +142,15 @@ def dct2_classic(
     return _dct2_classic_lanes(xs, norm.value, led)
 
 
-def _stage_tables(tables, n):
+def _prep(x, tables):
     # the DCT output stage is root-size specific, so an exact match is
     # required (sub-level kernel tables alone are not enough)
+    xs = _check_input(x)
     if tables is None:
-        return sf.build_tables(n)
-    if tables.size != n:
-        raise ValueError(f"tables built for size {tables.size}, transform is {n}")
-    return tables
+        tables = sf.build_tables(len(xs))
+    elif tables.size != len(xs):
+        raise ValueError(f"tables built for size {tables.size}, transform is {len(xs)}")
+    return xs, tables
 
 
 def dct2_new(
@@ -177,8 +160,7 @@ def dct2_new(
     ledger: FlopLedger | None = None,
 ):
     """DCT-II via the rescaled real-input DFT (record flop count)."""
-    xs = _check_input(x)
-    tab = _stage_tables(tables, len(xs))
+    xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
     return _dct2_new_lanes(xs, norm.value, tab, led)
 
@@ -193,9 +175,7 @@ def dct2_scaled(
     the diagonal is returned so it can be folded downstream (e.g. into a
     quantization table).
     """
-    xs = _check_input(x)
-    n = len(xs)
-    tab = _stage_tables(tables, n)
+    xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
     values = _dct2_scaled_lanes(xs, tab, led)
     return ScaledDctOutput(values=values, scales=list(tab.dct_scales))

@@ -262,23 +262,21 @@ def fft_scaled(
     """
     if level not in (0, 1, 2):
         raise ValueError(f"level must be 0, 1 or 2, got {level!r}")
-    xr, xi = _split_lanes(x)
-    n = len(xr)
-    checked_log2(n, lowest=1)
-    if not tables.supports(n):
-        raise ValueError(f"tables built for size {tables.size} cannot serve {n}")
-    led = ledger if ledger is not None else FlopLedger()
-    return _join_lanes(_fft_scaled_lanes(level, xr, xi, tables, led))
+    return _scaled(level, x, tables, ledger)
 
 
 def fft_scaled4(
     x, tables: ScaleTables, ledger: FlopLedger | None = None
 ) -> list[complex]:
     """DFT with output bin k divided by ``scale(4*N, k)``."""
+    return _scaled(4, x, tables, ledger)
+
+
+def _scaled(typ, x, tables, ledger):
     xr, xi = _split_lanes(x)
     n = len(xr)
     checked_log2(n, lowest=1)
     if not tables.supports(n):
         raise ValueError(f"tables built for size {tables.size} cannot serve {n}")
     led = ledger if ledger is not None else FlopLedger()
-    return _join_lanes(_fft_scaled_lanes(4, xr, xi, tables, led))
+    return _join_lanes(_fft_scaled_lanes(typ, xr, xi, tables, led))

@@ -237,13 +237,13 @@ def _to_half_spectrum(res) -> HalfSpectrum:
     )
 
 
-def half_spectrum_lanes(xs, tables, led, level=1):
+def half_spectrum_lanes(xs, tables, led):
     """Lane-level entry point (used when recording as a linear network).
 
-    Packs the half spectrum into exactly N real lanes:
+    Packs the half spectrum (bin k over ``scale(N, k)``) into N real lanes:
     [re0, re1, im1, ..., re(N/2-1), im(N/2-1), reN/2].
     """
-    outr, outi = _rfft_scaled_lanes(level, list(xs), tables, led)
+    outr, outi = _rfft_scaled_lanes(1, list(xs), tables, led)
     h = len(outr) - 1
     lanes = [outr[0]]
     for k in range(1, h):
@@ -268,23 +268,21 @@ def rfft_scaled(
     """Real-input DFT with bin k divided by ``scale(level*N, k)``."""
     if level not in (0, 1, 2):
         raise ValueError(f"level must be 0, 1 or 2, got {level!r}")
-    xs = _as_real_lanes(x)
-    n = len(xs)
-    checked_log2(n, lowest=1)
-    if not tables.supports(n):
-        raise ValueError(f"tables built for size {tables.size} cannot serve {n}")
-    led = ledger if ledger is not None else FlopLedger()
-    return _to_half_spectrum(_rfft_scaled_lanes(level, xs, tables, led))
+    return _scaled(level, x, tables, ledger)
 
 
 def rfft_scaled4(
     x, tables: ScaleTables, ledger: FlopLedger | None = None
 ) -> HalfSpectrum:
     """Real-input DFT with bin k divided by ``scale(4*N, k)``."""
+    return _scaled(4, x, tables, ledger)
+
+
+def _scaled(typ, x, tables, ledger):
     xs = _as_real_lanes(x)
     n = len(xs)
     checked_log2(n, lowest=1)
     if not tables.supports(n):
         raise ValueError(f"tables built for size {tables.size} cannot serve {n}")
     led = ledger if ledger is not None else FlopLedger()
-    return _to_half_spectrum(_rfft_scaled_lanes(4, xs, tables, led))
+    return _to_half_spectrum(_rfft_scaled_lanes(typ, xs, tables, led))

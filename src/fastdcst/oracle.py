@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dct2 import Normalization
-from .scale_factors import unit_root
+from .scale_factors import CACHED_SIZES, unit_root
 
 __all__ = [
     "naive_dft",
@@ -55,12 +55,13 @@ class _Accumulator:
         return self.s + self.c
 
 
-@lru_cache(maxsize=None)
+# a size-n transform reads the roots of n (DFT) and of 4n (cosine/sine)
+@lru_cache(maxsize=2 * CACHED_SIZES)
 def _roots(n):
     return np.array([unit_root(j, n) for j in range(n)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_SIZES)
 def _quarter_wave(n4):
     # cos(2*pi*j/n4) and sin(2*pi*j/n4) for one full period of length n4
     w = _roots(n4)

@@ -27,7 +27,6 @@ _QUARTER_PI = 0.25 * math.pi
 NORM_TWO_SIDED = "two-sided"
 NORM_UNITARY = "unitary"
 NORM_UNITARY_SQRT_N = "unitary-sqrtn"
-NORM_KEYS = (NORM_TWO_SIDED, NORM_UNITARY, NORM_UNITARY_SQRT_N)
 
 
 def _cos2pi(j, n):
@@ -137,17 +136,16 @@ class ScaleTables:
                     row[k] = self.s(q, k) * _sin2pi(k, m)
             self._s[m] = row
 
-        self._t: dict[int, list[complex]] = {}
         self._tstruct: dict[int, list[tuple]] = {}
         for m in _levels(4, 4 * size if size >= 2 else 0):
             q = m >> 2
-            tr, ts = [None] * q, [None] * q
+            ts = [None] * q
             for k in range(q):
                 ratio = self.s(q, k) / self.s(m, k)
                 t = complex(_cos2pi(k, m) * ratio, -_sin2pi(k, m) * ratio)
-                tr[k] = t
+                if min(abs(abs(t.real) - 1.0), abs(abs(t.imag) - 1.0)) > 1e-12:
+                    raise TableError(f"t({m},{k}) = {t} has no unit component")
                 ts[k] = _t_structs(t)
-            self._t[m] = tr
             self._tstruct[m] = ts
 
         # folded ratios: divisions happen here, never at transform time
@@ -170,28 +168,14 @@ class ScaleTables:
         self.twiddle_dct: list[complex] = [
             2.0 * unit_root(k, 4 * size) * self.s(size, k) for k in range(h)
         ] if size >= 2 else []
-        self._stage = {}
-        if size >= 2:
-            pairs = [(c.real, c.imag) for c in self.twiddle_dct]
-            rt_half = math.sqrt(0.5)
-            u = math.sqrt(2.0 / size) / 2.0
-            self._stage[NORM_TWO_SIDED] = (2.0, math.sqrt(2.0), pairs)
-            self._stage[NORM_UNITARY] = (
-                1.0 / math.sqrt(size),
-                1.0 / math.sqrt(size),
-                [(a * u, b * u) for a, b in pairs],
-            )
-            self._stage[NORM_UNITARY_SQRT_N] = (
-                None,
-                None,
-                [(a * rt_half, b * rt_half) for a, b in pairs],
-            )
+        self._stage = dct_stage(size, self.twiddle_dct)
 
         # scaled-output DCT-II: stage constants become t(4n, k) = 1 - i*tan,
-        # and every output k carries the known diagonal 2*s(4n, k)
+        # stored as (True, 1.0, -tan), and every output k carries the known
+        # diagonal 2*s(4n, k)
         if size >= 2:
             self.scaled_stage_tan = [0.0] + [
-                -self._t[4 * size][k].imag for k in range(1, h)
+                -self._tstruct[4 * size][k][0][2] for k in range(1, h)
             ]
             self.dct_scales = [2.0 * self.s(4 * size, k) for k in range(size)]
         else:
@@ -231,10 +215,6 @@ class ScaleTables:
         foldings are only sound if the mirror/periodicity identities hold,
         so they are verified here before any transform trusts the tables.
         """
-        for m, row in self._t.items():
-            for k, t in enumerate(row):
-                if min(abs(abs(t.real) - 1.0), abs(abs(t.imag) - 1.0)) > 1e-12:
-                    raise TableError(f"t({m},{k}) = {t} has no unit component")
         for m in _levels(4, self.size):
             q = m >> 2
             for k in range(q):
@@ -270,6 +250,25 @@ class ScaleTables:
 
     def __repr__(self):
         return f"ScaleTables(size={self.size})"
+
+
+def dct_stage(size: int, twiddles) -> dict:
+    """DCT-II output-stage constants ``{norm_key: (c0, cN/2, pairs)}``.
+
+    ``pairs[k]`` is ``twiddles[k]`` as (re, im) times the normalization's
+    factor.  The factors ``sqrt(2/size)/2`` and ``sqrt(0.5)`` are ``sqrt(2/size)``
+    and ``sqrt(2)`` over a power of two, so on ``2*unit_root`` twiddles the
+    products round exactly like those factors times the unit root.
+    """
+    pairs = [(c.real, c.imag) for c in twiddles]
+    u = math.sqrt(2.0 / size) / 2.0
+    r = math.sqrt(0.5)
+    c0 = 1.0 / math.sqrt(size)
+    return {
+        NORM_TWO_SIDED: (2.0, math.sqrt(2.0), pairs),
+        NORM_UNITARY: (c0, c0, [(a * u, b * u) for a, b in pairs]),
+        NORM_UNITARY_SQRT_N: (None, None, [(a * r, b * r) for a, b in pairs]),
+    }
 
 
 def _close(a, b, what, tol=1e-13):

@@ -32,9 +32,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import scale_factors as sf
-from .dct2 import Normalization, _dct2_new_lanes, _stage_tables
+from .dct2 import Normalization, _dct2_new_lanes, _prep
 from .fft_real import half_spectrum_lanes
-from .flops import FlopLedger, checked_log2
+from .flops import FlopLedger
 from .scale_factors import ScaleTables
 from .transpose_net import record
 
@@ -95,12 +95,6 @@ def _dst2_new_lanes(xs, norm_key, tab, led):
 def _dst3_new_lanes(xs, norm_key, tab, led):
     c = _dct3_new_lanes(list(xs)[::-1], norm_key, tab, led)
     return [c[k] if k % 2 == 0 else -c[k] for k in range(len(c))]
-
-
-def _prep(x, tables):
-    xs = [float(v) for v in x]
-    checked_log2(len(xs), lowest=2)
-    return xs, _stage_tables(tables, len(xs))
 
 
 def dct3_new(

@@ -3,7 +3,14 @@ import pytest
 from conftest import rng
 
 from fastdcst import naive_dct2, naive_dst2
-from fastdcst.cli import MAX_FLOPS_SIZE, REPORT_HEADER, main, read_signal, write_signal
+from fastdcst.cli import (
+    KERNELS,
+    MAX_FLOPS_SIZE,
+    REPORT_HEADER,
+    main,
+    read_signal,
+    write_signal,
+)
 
 # (kind, algorithm, normalization) -> (adds, mults) of every verify row at N=16
 VERIFY_ROWS_16 = {
@@ -105,6 +112,23 @@ def test_transform_scaled_writes_sidecar(tmp_path):
     assert np.max(np.abs(v * s - want)) < 1e-12 * np.max(np.abs(want))
 
 
+def test_transform_scaled_rejects_other_norms(tmp_path, capsys):
+    src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+    scales = tmp_path / "scales.txt"
+    _write(src, [1.0, 2.0, 3.0, 4.0])
+    for norm in ("unitary", "unitary-sqrtn"):
+        rc = main(["transform", "--kind", "dct2", "--algo", "scaled",
+                   "--norm", norm, "--input", str(src), "--output", str(dst),
+                   "--scales-output", str(scales)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'scaled'" in err and "two-sided" in err
+        assert not dst.exists() and not scales.exists()
+    assert main(["transform", "--kind", "dct2", "--algo", "scaled",
+                 "--norm", "two-sided", "--input", str(src), "--output", str(dst),
+                 "--scales-output", str(scales)]) == 0
+
+
 def test_transform_scaled_requires_sidecar(tmp_path, capsys):
     src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
     _write(src, [0.0] * 8)
@@ -187,6 +211,7 @@ def test_flops_max_size_is_largest_verified_size(capsys):
     (["verify", "--max-size", "1"], "--max-size"),
     (["accuracy", "--trials", "0"], "--trials"),
     (["accuracy", "--max-size", "8"], "--max-size"),
+    (["flops", "--max-size", "1"], "--max-size"),
 ])
 def test_rejects_too_small_arguments(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -247,6 +272,15 @@ def test_accuracy_report(capsys):
     # no accuracy sacrifice vs the classic kernel
     for nr, cr in zip(new_rows, classic_rows):
         assert float(nr[2]) < 2.5 * float(cr[2])
+
+
+def test_accuracy_covers_every_kernel(capsys):
+    assert main(["accuracy", "--max-size", "32", "--trials", "1"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "kernel,n,rms_rel_error,fit_c,bound,flagged"
+    rows = [tuple(l.split(",")[:2]) for l in lines[1:]]
+    assert rows == [(f"{k.kind}_{k.algo}", n) for k in KERNELS for n in ("16", "32")]
+    assert all(float(l.split(",")[2]) < 1e-14 for l in lines[1:])
 
 
 def test_accuracy_zero_error_on_zero_input():

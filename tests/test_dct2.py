@@ -18,7 +18,9 @@ from fastdcst import (
     naive_dct2,
     naive_dft,
     reorder_even_odd,
+    unit_root,
 )
+from fastdcst.dct2 import _classic_stage
 
 NORMS = list(Normalization)
 
@@ -172,6 +174,29 @@ def test_scaled_end_bins_pass_through():
     two = naive_dct2(x)
     assert res.scales[0] == pytest.approx(2.0)
     assert res.values[0] == pytest.approx(two[0] / 2.0, rel=1e-12)
+
+
+def test_classic_stage_matches_definition():
+    # the classic constants come from the same dct_stage as the rescaled
+    # ones; they must still be exactly factor * unit_root(k, 4N), zero
+    # signs included.  Slot 0 is never read: bins 0 and N/2 take the ends.
+    for n in (1 << e for e in range(1, 13)):
+        stages = _classic_stage(n)
+        for norm, factor, ends in (
+            (Normalization.TWO_SIDED, 2.0, (2.0, math.sqrt(2.0))),
+            (Normalization.UNITARY, math.sqrt(2.0 / n),
+             (1.0 / math.sqrt(n), 1.0 / math.sqrt(n))),
+            (Normalization.UNITARY_SQRT_N, math.sqrt(2.0), (None, None)),
+        ):
+            c0, ch, pairs = stages[norm.value]
+            assert (c0, ch) == ends
+            assert len(pairs) == n // 2
+            for k in range(1, n // 2):
+                c = unit_root(k, 4 * n)
+                want = (factor * c.real, factor * c.imag)
+                assert pairs[k] == want, (n, norm, k)
+                signs = [math.copysign(1.0, v) for v in pairs[k] + want]
+                assert signs[:2] == signs[2:], (n, norm, k)
 
 
 def test_rejects_bad_input():

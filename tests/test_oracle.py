@@ -13,7 +13,8 @@ from fastdcst import (
     naive_dst3,
     naive_dft,
 )
-from fastdcst.oracle import _Accumulator
+from fastdcst.oracle import _Accumulator, _quarter_wave, _roots
+from fastdcst.scale_factors import CACHED_SIZES
 
 
 def test_dft_identity_and_constants():
@@ -105,6 +106,23 @@ def test_compensated_dct2_matches_fft_of_4n_embedding():
     x = rng(14).standard_normal(n)
     want = np.fft.rfft(embed_4n(x))[:n].real
     assert max_rel(naive_dct2(x), want) < 1e-12
+
+
+def test_oracle_caches_stay_bounded():
+    lengths = range(3, 3 + 3 * CACHED_SIZES)  # any length is accepted
+    x0 = rng(60).standard_normal(lengths[0])
+    first = naive_dft(x0), naive_dct2(x0)
+    for n in lengths:
+        x = rng(61, n).standard_normal(n)
+        naive_dft(x)
+        naive_dct2(x)
+        assert _roots.cache_info().currsize <= 2 * CACHED_SIZES
+        assert _quarter_wave.cache_info().currsize <= CACHED_SIZES
+    misses = _roots.cache_info().misses
+    again = naive_dft(x0), naive_dct2(x0)
+    assert _roots.cache_info().misses > misses  # the first length was evicted
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_accumulator_matches_ordered_neumaier():

@@ -94,16 +94,26 @@ def test_t_factor_rejects_bad_args():
         t_factor(24, 1)
 
 
+def _decode_t_struct(struct):
+    # (unit_re, sign, coef): sign * (1 + i*coef) or sign * (coef + i)
+    unit_re, sign, coef = struct
+    return sign * (complex(1.0, coef) if unit_re else complex(coef, 1.0))
+
+
 def test_unit_component_form_of_stored_t():
     tab = build_tables(256)
-    for m, row in tab._t.items():
-        for k, t in enumerate(row):
-            assert min(abs(abs(t.real) - 1.0), abs(abs(t.imag) - 1.0)) < 1e-12, (m, k)
+    assert sorted(tab._tstruct) == [4 << e for e in range(9)]  # 4 .. 4*256
+    for m, row in tab._tstruct.items():
+        assert len(row) == m // 4
+        for k, (ts, tcs) in enumerate(row):
+            t = t_factor(m, k)
+            assert abs(_decode_t_struct(ts) - t) < 1e-12, (m, k)
+            assert abs(_decode_t_struct(tcs) - t.conjugate()) < 1e-12, (m, k)
 
 
 def test_build_tables_basics():
     tab1 = build_tables(1)
-    assert tab1._t == {}
+    assert tab1._tstruct == {}
     tab = build_tables(16)
     # invariant replay on the stored s entries
     for m, row in tab._s.items():
