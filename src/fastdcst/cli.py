@@ -6,7 +6,8 @@ Subcommands:
 * ``flops``     -- tabulate instrumented vs closed-form operation counts,
 * ``verify``    -- run every kernel against its definitional oracle and
   check every ledger against its formula (exit 1 on first mismatch),
-* ``accuracy``  -- report rms relative error growth across sizes.
+* ``accuracy``  -- report rms relative error and its growth across sizes
+  (exit 1 if any row is flagged).
 
 Signal files hold one finite decimal real per line (``nan`` and ``inf``
 are rejected); blank lines and lines starting with ``#`` are ignored.
@@ -46,7 +47,8 @@ MAX_FLOPS_SIZE = 1 << 16
 
 REPORT_HEADER = "size,kind,algorithm,normalization,adds,mults,total,max_rel_error,rms_rel_error"
 
-# verify fails a kernel whose max relative error reaches this
+# verify fails a kernel whose max relative error reaches this, and
+# accuracy flags a row whose rms relative error does
 _VERIFY_TOL = 1e-10
 
 # the command-line spellings are the enum values
@@ -384,7 +386,12 @@ def cmd_verify(max_size=1024, trials=5, seed=0, out=None, inject_fault="none"):
 # ----------------------------------------------------------------- accuracy
 
 def cmd_accuracy(max_size=4096, trials=5, seed=0, out=None):
-    """Pooled rms error of every registry kernel, under its first norm."""
+    """Pooled rms error of every registry kernel, under its first norm.
+
+    A row is flagged when its error reaches ``_VERIFY_TOL`` (a kernel that
+    is uniformly wrong) or exceeds twice the kernel's own median
+    ``rms / sqrt(lg N)`` scaled to that size (error that grows too fast).
+    """
     out = out if out is not None else sys.stdout
     sizes = list(_sizes(max_size, lowest=16))
     rms = {f"{k.kind}_{k.algo}": [] for k in KERNELS}
@@ -410,7 +417,7 @@ def cmd_accuracy(max_size=4096, trials=5, seed=0, out=None):
         c = sorted(cs)[len(cs) // 2]
         for n, r in zip(sizes, rms[name]):
             bound = 2.0 * c * math.sqrt(math.log2(n))
-            flagged = r > bound
+            flagged = r > bound or r >= _VERIFY_TOL
             status |= int(flagged)
             out.write(f"{name},{n},{r:.3e},{c:.3e},{bound:.3e},{flagged}\n")
     return status

@@ -10,6 +10,12 @@ the output-stage constants, which removes half of M_S(N) flops;
 ``dct2_scaled`` additionally leaves each output divided by its known
 positive diagonal, trading N more multiplications away (the generalized
 form of the classic scaled 8-point DCT used by JPEG quantizers).
+
+At N <= :data:`PLAN_MAX_SIZE` a configuration (kernel, normalization,
+table set) that has been called :data:`PLAN_AFTER_CALLS` times records
+the whole kernel once as a linear network, its *plan*, and runs every
+later call as that network's compiled codelet, with the same output
+bits and the same ledger.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from . import scale_factors as sf
 from .fft_real import _rfft_scaled_lanes, _rfft_std_lanes
 from .flops import FlopLedger, checked_log2
 from .scale_factors import ScaleTables, unit_root
+from .transpose_net import record
 
 __all__ = [
     "Normalization",
@@ -125,8 +132,50 @@ def _dct2_scaled_lanes(xs, tab, led):
     return out
 
 
+# Plans are built for sizes up to PLAN_MAX_SIZE, on a configuration's
+# PLAN_AFTER_CALLS-th call.  Building one costs about 100 to 160 scalar
+# calls, so a configuration called only a few times (one `fastdcst verify`
+# calls each twice) never pays for it; and plans for N=32 and N=64 held
+# after a `verify --max-size 64` sweep cost about 10% more peak memory.
+PLAN_MAX_SIZE = 16
+PLAN_AFTER_CALLS = 128
+
+
+def _counted(net, led, what):
+    # a network's structural count must equal the ledger of the kernel it records
+    if net.structural_flops() != led.as_tuple():
+        raise RuntimeError(
+            f"recorded network disagrees with the kernel ledger {what}: "
+            f"{net.structural_flops()} vs {led.as_tuple()}"
+        )
+    return net
+
+
+def _planned(tab, key, xs, led, lanes, *args):
+    """``lanes(xs, *args, led)``, or the plan it becomes for ``tab.plans[key]``.
+
+    ``tab.plans[key]`` counts the calls until the PLAN_AFTER_CALLS-th,
+    which records the plan from the constants of ``tab`` itself.  Threads
+    that race here may lose a count or record the same plan twice, but a
+    plan is stored only once it is complete.
+    """
+    n = len(xs)
+    if n > PLAN_MAX_SIZE:
+        return lanes(xs, *args, led)
+    plan = tab.plans.get(key, 0)
+    if type(plan) is int:
+        if plan + 1 < PLAN_AFTER_CALLS:
+            tab.plans[key] = plan + 1
+            return lanes(xs, *args, led)
+        rec = FlopLedger()
+        plan = _counted(record(lambda ins: lanes(ins, *args, rec), n), rec,
+                        f"of {key} at size {n}")
+        tab.plans[key] = plan
+    return plan.eval(xs, led)
+
+
 def _check_input(x):
-    xs = [float(v) for v in x]
+    xs = list(map(float, x))
     checked_log2(len(xs), lowest=2)
     return xs
 
@@ -139,7 +188,11 @@ def dct2_classic(
     """DCT-II via the plain real-input split-radix DFT."""
     xs = _check_input(x)
     led = ledger if ledger is not None else FlopLedger()
-    return _dct2_classic_lanes(xs, norm.value, led)
+    key = norm.value
+    if len(xs) > PLAN_MAX_SIZE:  # no plan, so no tables to keep one on
+        return _dct2_classic_lanes(xs, key, led)
+    return _planned(sf.build_tables(len(xs)), ("dct2_classic", key), xs, led,
+                    _dct2_classic_lanes, key)
 
 
 def _prep(x, tables):
@@ -162,7 +215,8 @@ def dct2_new(
     """DCT-II via the rescaled real-input DFT (record flop count)."""
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
-    return _dct2_new_lanes(xs, norm.value, tab, led)
+    key = norm.value
+    return _planned(tab, ("dct2_new", key), xs, led, _dct2_new_lanes, key, tab)
 
 
 def dct2_scaled(
@@ -177,5 +231,5 @@ def dct2_scaled(
     """
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
-    values = _dct2_scaled_lanes(xs, tab, led)
+    values = _planned(tab, ("dct2_scaled",), xs, led, _dct2_scaled_lanes, tab)
     return ScaledDctOutput(values=values, scales=list(tab.dct_scales))

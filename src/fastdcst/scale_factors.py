@@ -118,13 +118,18 @@ class ScaleTables:
     Materializes all recursion levels for a root size ``n`` (scale values
     up to size ``4n``), the fused t-factors, the folded scale ratios used
     by the four mutually recursive kernel variants, and the DCT output
-    stage constants.  Instances are immutable after construction and safe
-    to share between threads.
+    stage constants.  The constants are immutable after construction.
+    The one mutable part is ``plans``: per kernel configuration, a call
+    count and then the recorded whole-kernel network (see
+    :func:`fastdcst.dct2._planned`), recorded from these constants.
+    Instances are safe to share between threads: a race at most records
+    the same plan twice and never publishes a half-built one.
     """
 
     def __init__(self, size: int):
         checked_log2(size, lowest=1)
         self.size = size
+        self.plans: dict = {}
         self._s: dict[int, list[float]] = {}
         for m in _levels(8, 4 * size):
             q = m >> 2

@@ -16,10 +16,11 @@ destination.  The edges are columnar, one structured numpy array of
 ``(src, dst, w)``, so validation, counting and transposition are
 vectorized passes over it.  Evaluation has two executors with
 bit-identical results.  Below :data:`PROGRAM_MIN_EDGES` edges, and on
-:class:`TraceScalar` inputs, it is one Python walk over the edge list.
-At or above it, floats run through a levelized program: the edges are
-sorted once into levels of independent steps, and each level is a few
-numpy gathers, multiplies and scatters.
+:class:`TraceScalar` inputs, it is a codelet: straight-line Python
+source generated from the network, one statement per vertex, compiled
+once and kept with the network.  At or above it, floats run through a
+levelized program: the edges are sorted once into levels of independent
+steps, and each level is a few numpy gathers, multiplies and scatters.
 
 Kernels are recorded by running them on :class:`TraceScalar` values whose
 arithmetic builds the graph: every scalar add/sub creates a two-input
@@ -28,11 +29,13 @@ pass-through vertex, and negation is a free -1 edge.  Each new vertex
 takes its edges when it is created, so a recording is in evaluation order.
 The DCT-III kernel evaluates one of these networks directly, which is how
 it inherits the DCT-II flop count without a hand-derived
-decimation-in-frequency FFT.
+decimation-in-frequency FFT, and the small public transforms are recorded
+whole as networks (plans) that run as codelets.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -42,12 +45,18 @@ __all__ = ["LinearNetwork", "TraceError", "record"]
 EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", np.float64)])
 
 # Networks with at least this many edges evaluate floats as a levelized
-# numpy program; smaller ones take the Python walk.  Measured on the
-# transposed spectrum networks, the program's warm eval draws level with
-# the walk around 900 edges (N=64), where building it costs three to four
-# walks; at 2,217 edges (N=128) it is 2.5 to 4 times faster and repays
-# its build within a few calls.
+# numpy program; smaller ones run their codelet.  The threshold was set on
+# the transposed spectrum networks against the Python edge walk that the
+# codelet replaced (level near 900 edges, N=64).  Warm, the codelet is
+# still ahead at 2,217 edges (N=128: 33 against 61 us) and draws level
+# near 5,000 (N=256), but compiling it costs about 10 us per edge.
 PROGRAM_MIN_EDGES = 2048
+
+# Inlined single-edge terms nest at most this deep in one codelet
+# statement (CPython rejects source nested more than 200 parentheses deep),
+# and one statement sums at most this many terms before it is continued.
+_CODELET_MAX_DEPTH = 64
+_CODELET_MAX_TERMS = 64
 
 
 class TraceError(TypeError):
@@ -133,8 +142,8 @@ class LinearNetwork:
     docstring) and every id must lie in ``0 .. n_vertices-1``; a network
     that breaks either raises ``ValueError`` here, before any value is
     computed.  Edges and vertices are not to be changed afterwards: the
-    walk's edge list and the levelized program are built from them once,
-    on first use, and held on the network.
+    codelet and the levelized program are built from them once, on first
+    use, and held on the network.
     """
 
     def __init__(self, n_vertices, edges, inputs, outputs):
@@ -171,7 +180,7 @@ class LinearNetwork:
                 f"vertex {np.argmin(summed)} is neither an input nor a sum")
         mults = int(np.count_nonzero((w != 1.0) & (w != -1.0)))
         self._flops = (len(self.inputs) + len(edges) - n_vertices, mults)
-        self._edge_list = None
+        self._codelet = None
         self._levels = None
 
     def structural_flops(self) -> tuple[int, int]:
@@ -229,8 +238,8 @@ class LinearNetwork:
         float64 values runs its levelized program, built on the first such
         call, and returns Python floats.  Any other network or input,
         including :class:`TraceScalar` values (so a kernel that embeds a
-        network can itself be recorded), takes one walk over ``edges``.
-        Both executors give bit-identical floats.
+        network can itself be recorded), runs the network's codelet,
+        compiled on first use.  Both executors give bit-identical floats.
         """
         if len(x) != len(self.inputs):
             raise ValueError(f"expected {len(self.inputs)} inputs, got {len(x)}")
@@ -241,29 +250,9 @@ class LinearNetwork:
             xs = np.asarray(x)
             if xs.dtype == np.float64:
                 return self._run(xs)
-        return self._walk(x)
-
-    def _walk(self, x):
-        if self._edge_list is None:
-            self._edge_list = self.edges.tolist()
-        # one spare slot at index -1 takes the flush before the first sum
-        vals = [None] * (self.n_vertices + 1)
-        for v, xv in zip(self.inputs, x):
-            vals[v] = xv
-        last, acc = -1, None
-        for src, dst, w in self._edge_list:
-            if dst != last:
-                vals[last] = acc
-                last = dst
-                acc = vals[src] if w == 1.0 else -vals[src] if w == -1.0 else w * vals[src]
-            elif w == 1.0:
-                acc = acc + vals[src]
-            elif w == -1.0:
-                acc = acc - vals[src]
-            else:
-                acc = acc + w * vals[src]
-        vals[last] = acc
-        return [vals[v] for v in self.outputs]
+        if self._codelet is None:
+            self._codelet = _codelet(self)
+        return self._codelet(x)
 
     def _run(self, xs):
         if self._levels is None:
@@ -282,7 +271,7 @@ class LinearNetwork:
 
         Each edge is one step: a vertex's first edge sets it to
         ``w * vals[src]`` and each later edge adds ``w * vals[src]`` to it,
-        so every sum keeps the walk's order and rounding (multiplying by
+        so every sum keeps the codelet's order and rounding (multiplying by
         +-1 is exact).  A step runs one level after both its source and
         the partial sum it extends are complete, so no level reads what it
         writes or writes one vertex twice.
@@ -326,6 +315,63 @@ class LinearNetwork:
             f"LinearNetwork({len(self.inputs)}->{len(self.outputs)}, "
             f"|V|={self.n_vertices}, |E|={len(self.edges)}, adds={a}, mults={m})"
         )
+
+
+def _term(w, e):
+    # one incoming term in the float form every executor shares
+    return e if w == 1.0 else f"-{e}" if w == -1.0 else f"{w!r} * {e}"
+
+
+def _codelet(net):
+    """Compile ``net`` to a Python function of straight-line code.
+
+    One statement per vertex, in vertex order: ``v = t0 + t1 - t2 ...``
+    with terms left-associative, the first one written ``v``, ``-v`` or
+    ``w * v`` and the later ones ``+ v``, ``- v`` or ``+ w * v``, weights
+    by ``repr`` (``inf`` and ``nan`` are names in the codelet's globals).
+    A vertex whose one in-edge has unit weight is a rename, not a
+    statement.  A single-edge vertex read by exactly one consumer is
+    inlined there as ``(w * v)`` or ``(-v)``: the same rounding, since
+    Python has no fused multiply-add.  On :class:`TraceScalar` values each
+    term and each sum creates one vertex, so a recording through a codelet
+    has the network's structural counts.
+    """
+    n = net.n_vertices
+    src, dst, w = (net.edges[f].tolist() for f in ("src", "dst", "w"))
+    indeg = np.bincount(net.edges["dst"], minlength=n).tolist()
+    uses = np.bincount(net.edges["src"], minlength=n)
+    np.add.at(uses, net._out_ids, 1)
+    uses = uses.tolist()
+    expr = [f"v{v}" for v in range(n)]  # a name, or an inlined "(...)" term
+    depth = [0] * n
+    lines = ["def codelet(x):"]
+    if net.inputs:
+        lines.append("    " + "".join(f"v{v}, " for v in net.inputs) + "= x")
+    pos = 0  # of the edge among its vertex's in-edges
+    for k, (s, v, wk) in enumerate(zip(src, dst, w)):
+        pos = pos + 1 if k and dst[k - 1] == v else 0
+        e = expr[s]
+        if indeg[v] == 1:
+            d = depth[s] + (wk != 1.0)
+            if d == 0 or (uses[v] == 1 and d <= _CODELET_MAX_DEPTH):
+                expr[v] = e if wk == 1.0 else f"({_term(wk, e)})"
+                depth[v] = d
+            else:
+                lines.append(f"    v{v} = {_term(wk, e)}")
+            continue
+        if pos == 0:
+            text = _term(wk, e)
+        else:
+            if pos % _CODELET_MAX_TERMS == 0:
+                lines.append(f"    v{v} = {text}")
+                text = f"v{v}"
+            text += f" - {e}" if wk == -1.0 else f" + {_term(wk, e)}"
+        if pos + 1 == indeg[v]:
+            lines.append(f"    v{v} = {text}")
+    lines.append("    return [" + ", ".join(expr[v] for v in net.outputs) + "]")
+    scope = {"inf": math.inf, "nan": math.nan}
+    exec(compile("\n".join(lines) + "\n", f"<codelet {net!r}>", "exec"), scope)
+    return scope["codelet"]
 
 
 def record(kernel, n_inputs: int) -> LinearNetwork:

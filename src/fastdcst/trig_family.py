@@ -11,10 +11,14 @@ evaluation order (every edge runs to a higher vertex id) with their edges
 in one numpy array.  From N=128 on the transposed network has more than
 ``transpose_net.PROGRAM_MIN_EDGES`` edges and runs as a levelized numpy
 program, built on its first evaluation and cached with the network;
-smaller ones are a single Python walk over the edge list.  Edge reversal
-preserves both operation counts for square networks, which is what
-guarantees flop parity with the DCT-II without hand-deriving a
-decimation-in-frequency kernel.
+smaller ones run as a codelet, straight-line Python compiled from the
+network.  Edge reversal preserves both operation counts for square
+networks, which is what guarantees flop parity with the DCT-II without
+hand-deriving a decimation-in-frequency kernel.  Like the DCT-II kernels,
+all three public transforms run repeated calls at N <= 16 as plans (see
+:mod:`fastdcst.dct2`): a DCT-III plan records the spectrum network
+through its codelet, so the whole kernel is again one straight-line
+function.
 
 The sine transforms are index/sign relabelings of the cosine ones:
 
@@ -32,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import scale_factors as sf
-from .dct2 import Normalization, _dct2_new_lanes, _prep
+from .dct2 import Normalization, _counted, _dct2_new_lanes, _planned, _prep
 from .fft_real import half_spectrum_lanes
 from .flops import FlopLedger
 from .scale_factors import ScaleTables
@@ -51,12 +55,7 @@ def _transposed_spectrum_net(n):
     tab = sf.build_tables(n)
     led = FlopLedger()
     net = record(lambda xs: half_spectrum_lanes(xs, tab, led), n)
-    if net.structural_flops() != (led.adds, led.mults):
-        raise RuntimeError(
-            f"recorded network disagrees with the kernel ledger at size {n}: "
-            f"{net.structural_flops()} vs {led.as_tuple()}"
-        )
-    return net.transpose()
+    return _counted(net, led, f"at size {n}").transpose()
 
 
 def _dct3_new_lanes(xs, norm_key, tab, led):
@@ -110,7 +109,8 @@ def dct3_new(
     """
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
-    return _dct3_new_lanes(xs, norm.value, tab, led)
+    key = norm.value
+    return _planned(tab, ("dct3_new", key), xs, led, _dct3_new_lanes, key, tab)
 
 
 def dst2_new(
@@ -122,7 +122,8 @@ def dst2_new(
     """DST-II; output slot j holds the sine coefficient for k = j + 1."""
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
-    return _dst2_new_lanes(xs, norm.value, tab, led)
+    key = norm.value
+    return _planned(tab, ("dst2_new", key), xs, led, _dst2_new_lanes, key, tab)
 
 
 def dst3_new(
@@ -134,4 +135,5 @@ def dst3_new(
     """DST-III; input slot j is interpreted as sample j + 1."""
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
-    return _dst3_new_lanes(xs, norm.value, tab, led)
+    key = norm.value
+    return _planned(tab, ("dst3_new", key), xs, led, _dst3_new_lanes, key, tab)

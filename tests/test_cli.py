@@ -283,6 +283,19 @@ def test_accuracy_covers_every_kernel(capsys):
     assert all(float(l.split(",")[2]) < 1e-14 for l in lines[1:])
 
 
+def test_accuracy_flags_uniform_error(capsys, monkeypatch):
+    # an error of 1e-6 at every size does not grow, but it is far too large
+    from fastdcst import cli
+
+    real = cli.dct2_new
+    monkeypatch.setattr(
+        cli, "dct2_new", lambda *a, **k: [v * (1 + 1e-6) for v in real(*a, **k)])
+    assert main(["accuracy", "--max-size", "64", "--trials", "1"]) == 1
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+            if l.startswith("dct2_new,")]
+    assert len(rows) == 3 and all(r[-1] == "True" for r in rows)
+
+
 def test_accuracy_zero_error_on_zero_input():
     # zero inputs are not part of the random battery; check the kernels
     from fastdcst import dct2_new

@@ -1,0 +1,223 @@
+"""Plans: whole-kernel networks that run repeated small transforms."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from conftest import rng
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fastdcst import (
+    FlopLedger,
+    LinearNetwork,
+    Normalization,
+    ScaleTables,
+    build_tables,
+    dct2,
+    dct2_new,
+    dct3_new,
+    dst2_new,
+    dst3_new,
+    record,
+    transpose_net,
+)
+from fastdcst.cli import _NORMS, KERNELS, _corrupted_tables
+
+K = dct2.PLAN_AFTER_CALLS
+TRIG = [k for k in KERNELS if k.family == "trig"]
+CONFIGS = [pytest.param(k, nm, id=f"{k.kind}_{k.algo}-{nm}") for k in TRIG for nm in k.norms]
+SIZES = [2, 4, 8, 16]
+
+
+def _signed_zeros(n, seed):
+    x = rng(90, n, seed).standard_normal(n)
+    x[::3] = 0.0
+    x[1::4] = -0.0
+    return x.tolist()
+
+
+def _run(kernel, x, norm_name, tab):
+    led = FlopLedger()
+    out = kernel.run(x, _NORMS[norm_name], tab, led)
+    return np.array(out).tobytes(), led.as_tuple()
+
+
+def _tables_for(kernel, n):
+    # dct2_classic keeps its plans on the shared tables of its size
+    if kernel.algo == "classic":
+        tab = build_tables(n)
+        tab.plans.clear()
+        return tab
+    return ScaleTables(n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kernel,norm_name", CONFIGS)
+def test_plan_matches_scalar_path_bitwise(kernel, norm_name, n):
+    tab = _tables_for(kernel, n)
+    x = _signed_zeros(n, 0)
+    first = _run(kernel, x, norm_name, tab)
+    for _ in range(K - 1):
+        _run(kernel, x, norm_name, tab)
+    assert any(isinstance(p, LinearNetwork) for p in tab.plans.values())
+    assert _run(kernel, x, norm_name, tab) == first
+    zeros = [-0.0] * n
+    assert _run(kernel, zeros, norm_name, tab) == _run(kernel, zeros, norm_name, ScaleTables(n))
+
+
+@pytest.mark.parametrize("kernel", [k for k in TRIG if k.algo != "classic"],
+                         ids=lambda k: f"{k.kind}_{k.algo}")
+def test_plan_recorded_on_the_kth_call_only(kernel):
+    n, norm_name = 8, kernel.norms[-1]
+    tab = ScaleTables(n)
+    x = _signed_zeros(n, 1)
+    with mock.patch.object(dct2, "record", wraps=record) as rec:
+        for call in range(1, K):
+            _run(kernel, x, norm_name, tab)
+            assert rec.call_count == 0, call
+            (count,) = tab.plans.values()
+            assert count == call
+        _run(kernel, x, norm_name, tab)
+        assert rec.call_count == 1
+        _run(kernel, x, norm_name, tab)
+        assert rec.call_count == 1
+    (plan,) = tab.plans.values()
+    assert isinstance(plan, LinearNetwork)
+    assert plan.structural_flops() == _run(kernel, x, norm_name, tab)[1]
+
+
+def test_no_plans_above_the_size_cap():
+    n = 2 * dct2.PLAN_MAX_SIZE
+    tab = ScaleTables(n)
+    x = _signed_zeros(n, 2)
+    with mock.patch.object(dct2, "record", wraps=record) as rec:
+        for _ in range(K + 1):
+            dct2_new(x, Normalization.UNITARY, tab)
+    assert rec.call_count == 0 and tab.plans == {}
+
+
+@pytest.mark.parametrize("fn", [dct2_new, dct3_new, dst2_new, dst3_new])
+def test_plan_on_bent_tables_uses_their_constants(fn):
+    n = 8
+    bent = _corrupted_tables(n)
+    x = rng(92).standard_normal(n).tolist()  # no zero hides the bent constant
+    scalar = fn(x, Normalization.UNITARY, bent)
+    for _ in range(K):
+        fn(x, Normalization.UNITARY, bent)
+    assert isinstance(bent.plans[(fn.__name__, "unitary")], LinearNetwork)
+    planned = fn(x, Normalization.UNITARY, bent)
+    assert np.array(planned).tobytes() == np.array(scalar).tobytes()
+    assert planned != fn(x, Normalization.UNITARY, ScaleTables(n))
+
+
+def test_plans_built_under_threads_agree():
+    from concurrent.futures import ThreadPoolExecutor
+
+    n = 8
+    tab = ScaleTables(n)
+    x = _signed_zeros(n, 4)
+    want = np.array(dct3_new(x, Normalization.UNITARY, ScaleTables(n))).tobytes()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        outs = list(pool.map(lambda _: dct3_new(x, Normalization.UNITARY, tab),
+                             range(2 * K)))
+    assert {np.array(o).tobytes() for o in outs} == {want}
+    assert isinstance(tab.plans[("dct3_new", "unitary")], LinearNetwork)
+
+
+def test_deep_chain_of_scalings_compiles_exactly():
+    depth = 500
+    weights = [1.0 + (-1) ** i * 2.0 ** -(i % 7 + 1) for i in range(depth)]
+    weights[::9] = [-1.0] * len(weights[::9])
+    weights[::13] = [1.0] * len(weights[::13])
+    edges = [(i, i + 1, w) for i, w in enumerate(weights)]
+    net = LinearNetwork(depth + 1, edges, [0], [depth])
+    x = 0.7314
+    want = x
+    for w in weights:
+        want = want if w == 1.0 else -want if w == -1.0 else w * want
+    assert net.eval([x]) == [want]
+    rec = record(net.eval, 1)
+    assert rec.structural_flops() == net.structural_flops()
+    assert rec.eval([x]) == [want]
+
+
+def test_wide_sum_compiles_exactly():
+    # CPython cannot compile one expression of a few thousand terms
+    width = 5000
+    edges = [(i, width, 0.5 + i) for i in range(width)]
+    net = LinearNetwork(width + 1, edges, list(range(width)), [width])
+    x = rng(91).standard_normal(width).tolist()
+    want = (0.5) * x[0]
+    for i in range(1, width):
+        want = want + (0.5 + i) * x[i]
+    with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", width + 1):
+        assert net.eval(x) == [want]
+
+
+def test_non_finite_weights_compile():
+    net = LinearNetwork(3, [(0, 2, math.inf), (1, 2, math.nan)], [0, 1], [2])
+    (y,) = net.eval([1.0, 1.0])
+    assert math.isnan(y)
+
+
+# --------------------------------------------------- properties, both paths
+
+PATHS = {
+    "scalar": ("PLAN_MAX_SIZE", 0),
+    "plan": ("PLAN_AFTER_CALLS", 1),
+}
+# signed zeros and magnitudes in [1e-3, 1e3]: products of two samples
+# neither underflow nor overflow
+finite = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1e3),
+                   st.floats(-1e3, -1e-3))
+
+
+def _on_path(path):
+    return mock.patch.object(dct2, *PATHS[path])
+
+
+def _apply(kernel, norm_name, x, tab):
+    led = FlopLedger()
+    return np.array(kernel.run(list(x), _NORMS[norm_name], tab, led)), led.as_tuple()
+
+
+@st.composite
+def signal_pairs(draw):
+    n = draw(st.sampled_from([2, 4, 8, 16, 32]))
+    vec = st.lists(finite, min_size=n, max_size=n)
+    return draw(vec), draw(vec), draw(finite), draw(finite)
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("kernel,norm_name", CONFIGS)
+@settings(max_examples=15, deadline=None)
+@given(signal_pairs())
+def test_linearity_and_value_free_ledger(kernel, norm_name, path, pair):
+    x, y, a, b = pair
+    n = len(x)
+    tab = ScaleTables(n)
+    with _on_path(path):
+        fx, lx = _apply(kernel, norm_name, x, tab)
+        fy, ly = _apply(kernel, norm_name, y, tab)
+        mixed = [a * u + b * v for u, v in zip(x, y)]
+        fm, lm = _apply(kernel, norm_name, mixed, tab)
+    assert lx == ly == lm
+    scale = max(np.max(np.abs(a * fx)), np.max(np.abs(b * fy)),
+                np.max(np.abs(fm)))
+    assert np.max(np.abs(fm - (a * fx + b * fy))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("forward,inverse", [(dct2_new, dct3_new), (dst2_new, dst3_new)],
+                         ids=["dct", "dst"])
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 4, 8, 16, 32]).flatmap(
+    lambda n: st.lists(finite, min_size=n, max_size=n)))
+def test_unitary_round_trip(forward, inverse, path, x):
+    tab = ScaleTables(len(x))
+    u = Normalization.UNITARY
+    with _on_path(path):
+        back = inverse(forward(x, u, tab), u, tab)
+    assert np.max(np.abs(np.array(back) - x)) <= 1e-12 * max(np.max(np.abs(x)), 1e-300)

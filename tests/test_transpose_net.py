@@ -157,13 +157,13 @@ ALIAS_CHAIN = LinearNetwork(
     [0, 1], [7, 8])
 
 
-def walk_and_program(net, x):
-    """Bytes of ``net.eval(x)`` from the Python walk and from the program."""
+def codelet_and_program(net, x):
+    """Bytes of ``net.eval(x)`` from the codelet and from the program."""
     with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", len(net.edges) + 1):
-        walk = np.array(net.eval(x)).tobytes()
+        codelet = np.array(net.eval(x)).tobytes()
     with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", 0):
         program = np.array(net.eval(x)).tobytes()
-    return walk, program
+    return codelet, program
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,10 +179,10 @@ def test_transpose_random_dag_property(net, seed):
     lhs = y @ np.array(net.eval(list(x)))
     rhs = np.array(tnet.eval(list(y))) @ x
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
-    walk, program = walk_and_program(net, list(x))
-    assert walk == program
-    walk, program = walk_and_program(tnet, list(y))
-    assert walk == program
+    codelet, program = codelet_and_program(net, list(x))
+    assert codelet == program
+    codelet, program = codelet_and_program(tnet, list(y))
+    assert codelet == program
 
 
 def test_transpose_collapses_alias_chain():
@@ -193,21 +193,21 @@ def test_transpose_collapses_alias_chain():
 
 
 @pytest.mark.parametrize("n", [128, 1024])
-def test_program_matches_walk_on_spectrum_net(n):
+def test_program_matches_codelet_on_spectrum_net(n):
     net = _transposed_spectrum_net(n)
     assert len(net.edges) >= transpose_net.PROGRAM_MIN_EDGES
     x = rng(58, n).standard_normal(n)
     x[::5] = 0.0
     x[1::7] = -0.0
     for xs in (list(x), [-0.0] * n, [0.0] * n):
-        walk, program = walk_and_program(net, xs)
-        assert walk == program
+        codelet, program = codelet_and_program(net, xs)
+        assert codelet == program
     y = net.eval(list(x))
     assert all(type(v) is float for v in y)
 
 
 def test_recording_a_program_sized_network():
-    # TraceScalar inputs take the walk even above the program threshold
+    # TraceScalar inputs run the codelet even above the program threshold
     net = _transposed_spectrum_net(128)
     assert len(net.edges) >= transpose_net.PROGRAM_MIN_EDGES
     rec = record(net.eval, 128)
