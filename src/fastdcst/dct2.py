@@ -11,11 +11,18 @@ the output-stage constants, which removes half of M_S(N) flops;
 positive diagonal, trading N more multiplications away (the generalized
 form of the classic scaled 8-point DCT used by JPEG quantizers).
 
-At N <= :data:`PLAN_MAX_SIZE` a configuration (kernel, normalization,
-table set) that has been called :data:`PLAN_AFTER_CALLS` times records
-the whole kernel once as a linear network, its *plan*, and runs every
-later call as that network's compiled codelet, with the same output
-bits and the same ledger.
+Repeated calls run on networks recorded from the kernels themselves, with
+the same output bits and the same ledger.  At N <= :data:`PLAN_MAX_SIZE`
+a configuration (kernel, normalization, table set) that has been called
+:data:`PLAN_AFTER_CALLS` times records the whole kernel once as a linear
+network, its *plan*, and runs every later call as that network's
+compiled codelet.  At N >= :data:`NET_MIN_SIZE` the forward kernels run
+every call of a configuration after its first with their real DFT as a
+recorded network, a levelized numpy program: the rescaled one for
+``dct2_new``, ``dct2_scaled`` and ``dst2_new`` (the same recording whose
+transpose the DCT-III runs), one per table set, and the plain one for
+``dct2_classic``, one per size.  The even/odd reorder and the output
+stage stay Python.
 """
 
 from __future__ import annotations
@@ -23,9 +30,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import scale_factors as sf
-from .fft_real import _rfft_scaled_lanes, _rfft_std_lanes
+from .fft_real import _rfft_scaled_lanes, _rfft_std_lanes, pack_lanes, unpack_lanes
 from .flops import FlopLedger, checked_log2
 from .scale_factors import ScaleTables, unit_root
 from .transpose_net import record
@@ -78,6 +86,13 @@ def reorder_even_odd(x):
 
 
 @lru_cache(maxsize=sf.CACHED_SIZES)
+def _classic_state(n):
+    # where dct2_classic keeps its call marks and plain spectrum network from
+    # NET_MIN_SIZE on: a table set would cost a build it never reads
+    return SimpleNamespace(size=n, plans={})
+
+
+@lru_cache(maxsize=sf.CACHED_SIZES)
 def _classic_stage(n):
     # output-stage constants 2*unit_root(k, 4N) folded per normalization
     return sf.dct_stage(n, [2.0 * unit_root(k, 4 * n) for k in range(n // 2)])
@@ -103,22 +118,32 @@ def _stage_outputs(stage, rr, ri, n, led):
     return out
 
 
-def _dct2_classic_lanes(xs, norm_key, led):
+def _spectrum(x, tab, led, net=None):
+    # the real DFT of x as (re, im) bins 0..N/2: the rescaled one from the
+    # constants of tab, or the plain one if tab is None; run as net if given
+    if net is not None:
+        return unpack_lanes(net.eval(x, led))
+    if tab is None:
+        return _rfft_std_lanes(x, led)
+    return _rfft_scaled_lanes(1, x, tab, led)
+
+
+def _dct2_classic_lanes(xs, norm_key, led, net=None):
     n = len(xs)
-    rr, ri = _rfft_std_lanes(reorder_even_odd(xs), led)
+    rr, ri = _spectrum(reorder_even_odd(xs), None, led, net)
     return _stage_outputs(_classic_stage(n)[norm_key], rr, ri, n, led)
 
 
-def _dct2_new_lanes(xs, norm_key, tab, led):
+def _dct2_new_lanes(xs, norm_key, tab, led, net=None):
     n = len(xs)
-    rr, ri = _rfft_scaled_lanes(1, reorder_even_odd(xs), tab, led)
+    rr, ri = _spectrum(reorder_even_odd(xs), tab, led, net)
     return _stage_outputs(tab.dct_stage(norm_key), rr, ri, n, led)
 
 
-def _dct2_scaled_lanes(xs, tab, led):
+def _dct2_scaled_lanes(xs, tab, led, net=None):
     n = len(xs)
     h = n // 2
-    rr, ri = _rfft_scaled_lanes(1, reorder_even_odd(xs), tab, led)
+    rr, ri = _spectrum(reorder_even_odd(xs), tab, led, net)
     out = [None] * n
     out[0] = rr[0]
     out[h] = rr[h]
@@ -140,6 +165,13 @@ def _dct2_scaled_lanes(xs, tab, led):
 PLAN_MAX_SIZE = 16
 PLAN_AFTER_CALLS = 128
 
+# From this size on, the real DFT of the forward kernels runs as a network
+# from a configuration's second call on.  It is the first size whose
+# spectrum networks reach transpose_net.PROGRAM_MIN_EDGES, so they run as
+# levelized programs and never compile a codelet.  The first call stays
+# scalar, so a one-shot call pays no record.
+NET_MIN_SIZE = 128
+
 
 def _counted(net, led, what):
     # a network's structural count must equal the ledger of the kernel it records
@@ -151,17 +183,46 @@ def _counted(net, led, what):
     return net
 
 
-def _planned(tab, key, xs, led, lanes, *args):
-    """``lanes(xs, *args, led)``, or the plan it becomes for ``tab.plans[key]``.
+def _spectrum_net(tab, scaled):
+    """The real DFT of size ``tab.size`` as a network, kept in ``tab.plans``.
 
-    ``tab.plans[key]`` counts the calls until the PLAN_AFTER_CALLS-th,
-    which records the plan from the constants of ``tab`` itself.  Threads
-    that race here may lose a count or record the same plan twice, but a
-    plan is stored only once it is complete.
+    Rescaled (:func:`fastdcst.fft_real.half_spectrum_lanes`) from the
+    constants of the table set ``tab`` when ``scaled``, else the plain
+    split-radix one (``tab`` is then a :func:`_classic_state`); lanes as
+    in :func:`fastdcst.fft_real.pack_lanes`.  Recorded on first use, its
+    structural count checked against the kernel's ledger.
+    """
+    key = ("spectrum", scaled)
+    net = tab.plans.get(key)
+    if net is None:
+        rec = FlopLedger()
+        dft = tab if scaled else None
+        net = record(lambda ins: pack_lanes(*_spectrum(ins, dft, rec)), tab.size)
+        net = tab.plans[key] = _counted(
+            net, rec, f"of the {'rescaled' if scaled else 'plain'} real DFT at size {tab.size}")
+    return net
+
+
+def _planned(tab, key, xs, led, lanes, *args, scaled=None):
+    """``lanes(xs, *args, led)``, or what repeated calls make of it.
+
+    At N <= PLAN_MAX_SIZE, ``tab.plans[key]`` counts the calls until the
+    PLAN_AFTER_CALLS-th, which records the plan from the constants of
+    ``tab`` itself.  A forward kernel names the real DFT it runs with
+    ``scaled``; at N >= NET_MIN_SIZE its first call marks ``key`` in
+    ``tab.plans`` and every later call passes that DFT's network of
+    :func:`_spectrum_net` as ``net``.  Threads that race here may lose a
+    count or record the same network twice, but a network is stored only
+    once it is complete.
     """
     n = len(xs)
     if n > PLAN_MAX_SIZE:
-        return lanes(xs, *args, led)
+        if scaled is None or n < NET_MIN_SIZE:
+            return lanes(xs, *args, led)
+        if key not in tab.plans:
+            tab.plans[key] = 0
+            return lanes(xs, *args, led)
+        return lanes(xs, *args, led, net=_spectrum_net(tab, scaled))
     plan = tab.plans.get(key, 0)
     if type(plan) is int:
         if plan + 1 < PLAN_AFTER_CALLS:
@@ -189,10 +250,15 @@ def dct2_classic(
     xs = _check_input(x)
     led = ledger if ledger is not None else FlopLedger()
     key = norm.value
-    if len(xs) > PLAN_MAX_SIZE:  # no plan, so no tables to keep one on
+    n = len(xs)
+    if n <= PLAN_MAX_SIZE:
+        tab = sf.build_tables(n)
+    elif n >= NET_MIN_SIZE:
+        tab = _classic_state(n)
+    else:  # neither plan nor network to keep
         return _dct2_classic_lanes(xs, key, led)
-    return _planned(sf.build_tables(len(xs)), ("dct2_classic", key), xs, led,
-                    _dct2_classic_lanes, key)
+    return _planned(tab, ("dct2_classic", key), xs, led, _dct2_classic_lanes, key,
+                    scaled=False)
 
 
 def _prep(x, tables):
@@ -216,7 +282,7 @@ def dct2_new(
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
     key = norm.value
-    return _planned(tab, ("dct2_new", key), xs, led, _dct2_new_lanes, key, tab)
+    return _planned(tab, ("dct2_new", key), xs, led, _dct2_new_lanes, key, tab, scaled=True)
 
 
 def dct2_scaled(
@@ -231,5 +297,5 @@ def dct2_scaled(
     """
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
-    values = _planned(tab, ("dct2_scaled",), xs, led, _dct2_scaled_lanes, tab)
+    values = _planned(tab, ("dct2_scaled",), xs, led, _dct2_scaled_lanes, tab, scaled=True)
     return ScaledDctOutput(values=values, scales=list(tab.dct_scales))

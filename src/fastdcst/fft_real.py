@@ -237,21 +237,34 @@ def _to_half_spectrum(res) -> HalfSpectrum:
     )
 
 
+def pack_lanes(outr, outi):
+    """Half-spectrum lanes (bins 0..N/2) packed into N real lanes:
+    [re0, re1, im1, ..., re(N/2-1), im(N/2-1), reN/2]."""
+    n = max(2 * (len(outr) - 1), 1)
+    lanes = [None] * n
+    lanes[1:n - 1:2] = outr[1:-1]
+    lanes[2:n - 1:2] = outi[1:-1]
+    lanes[0] = outr[0]
+    lanes[n - 1] = outr[-1]
+    return lanes
+
+
+def unpack_lanes(lanes):
+    """Inverse of :func:`pack_lanes` for N >= 2: (re, im) bins 0..N/2, with
+    the structurally real bins 0 and N/2 given an imaginary lane of None."""
+    n = len(lanes)
+    outr = [lanes[0]] + lanes[1:n - 1:2] + [lanes[n - 1]]
+    outi = [None] + lanes[2:n - 1:2] + [None]
+    return outr, outi
+
+
 def half_spectrum_lanes(xs, tables, led):
     """Lane-level entry point (used when recording as a linear network).
 
-    Packs the half spectrum (bin k over ``scale(N, k)``) into N real lanes:
-    [re0, re1, im1, ..., re(N/2-1), im(N/2-1), reN/2].
+    Packs the half spectrum (bin k over ``scale(N, k)``) into N real lanes
+    (see :func:`pack_lanes`).
     """
-    outr, outi = _rfft_scaled_lanes(1, list(xs), tables, led)
-    h = len(outr) - 1
-    lanes = [outr[0]]
-    for k in range(1, h):
-        lanes.append(outr[k])
-        lanes.append(outi[k])
-    if h >= 1:
-        lanes.append(outr[h])
-    return lanes
+    return pack_lanes(*_rfft_scaled_lanes(1, list(xs), tables, led))
 
 
 def rfft_conjpair(x, ledger: FlopLedger | None = None) -> HalfSpectrum:

@@ -19,24 +19,30 @@ bit-identical results.  Below :data:`PROGRAM_MIN_EDGES` edges, and on
 :class:`TraceScalar` inputs, it is a codelet: straight-line Python
 source generated from the network, one statement per vertex, compiled
 once and kept with the network.  At or above it, floats run through a
-levelized program: the edges are sorted once into levels of independent
-steps, and each level is a few numpy gathers, multiplies and scatters.
+levelized program: the edges are sorted once, by a vectorized wavefront,
+into levels of independent steps, and each level is a few numpy gathers,
+multiplies and scatters.  The program's level-ordered columns then replace
+the edge array as the network's one copy of its edges; ``edges`` rebuilds
+the evaluation order from them when it is asked for.
 
 Kernels are recorded by running them on :class:`TraceScalar` values whose
 arithmetic builds the graph: every scalar add/sub creates a two-input
 vertex, every multiplication by a constant creates a weighted edge into a
 pass-through vertex, and negation is a free -1 edge.  Each new vertex
-takes its edges when it is created, so a recording is in evaluation order.
-The DCT-III kernel evaluates one of these networks directly, which is how
-it inherits the DCT-II flop count without a hand-derived
-decimation-in-frequency FFT, and the small public transforms are recorded
-whole as networks (plans) that run as codelets.
+takes its edges when it is created, so a recording is in evaluation order;
+the recorder appends them to typed columns, with no Python object per
+edge.  The DCT-III kernel evaluates one of these networks directly, which
+is how it inherits the DCT-II flop count without a hand-derived
+decimation-in-frequency FFT; the forward DCT-II/DST-II kernels run the
+network it transposes; and the small public transforms are recorded whole
+as networks (plans) that run as codelets.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from array import array
 
 import numpy as np
 
@@ -64,16 +70,31 @@ class TraceError(TypeError):
 
 
 class _Trace:
-    __slots__ = ("n_vertices", "edges")
+    # the edges so far as three typed columns, in the order they were made
+    __slots__ = ("n_vertices", "src", "dst", "w")
 
     def __init__(self):
         self.n_vertices = 0
-        self.edges = []
+        self.src = array("q")
+        self.dst = array("q")
+        self.w = array("d")
 
     def new_vertex(self):
         v = self.n_vertices
         self.n_vertices += 1
         return v
+
+    def edge(self, s, d, w):
+        self.src.append(s)
+        self.dst.append(d)
+        self.w.append(w)
+
+    def edges(self):
+        edges = np.empty(len(self.w), dtype=EDGE_DTYPE)
+        edges["src"] = np.frombuffer(self.src, dtype=np.int64)
+        edges["dst"] = np.frombuffer(self.dst, dtype=np.int64)
+        edges["w"] = np.frombuffer(self.w, dtype=np.float64)
+        return edges
 
 
 class TraceScalar:
@@ -92,8 +113,14 @@ class TraceScalar:
             )
         tr = self.trace
         u = tr.new_vertex()
-        tr.edges.append((self.v, u, 1.0))
-        tr.edges.append((other.v, u, w_other))
+        # the hot path of a recording, so the two edges are appended inline
+        src, dst, w = tr.src, tr.dst, tr.w
+        src.append(self.v)
+        dst.append(u)
+        w.append(1.0)
+        src.append(other.v)
+        dst.append(u)
+        w.append(w_other)
         return TraceScalar(tr, u)
 
     def __add__(self, other):
@@ -114,7 +141,7 @@ class TraceScalar:
             raise TraceError(f"cannot scale a traced value by {type(c).__name__}")
         tr = self.trace
         u = tr.new_vertex()
-        tr.edges.append((self.v, u, float(c)))
+        tr.edge(self.v, u, float(c))
         return TraceScalar(tr, u)
 
     __rmul__ = __mul__
@@ -122,7 +149,7 @@ class TraceScalar:
     def __neg__(self):
         tr = self.trace
         u = tr.new_vertex()
-        tr.edges.append((self.v, u, -1.0))
+        tr.edge(self.v, u, -1.0)
         return TraceScalar(tr, u)
 
     def __pos__(self):
@@ -143,14 +170,13 @@ class LinearNetwork:
     that breaks either raises ``ValueError`` here, before any value is
     computed.  Edges and vertices are not to be changed afterwards: the
     codelet and the levelized program are built from them once, on first
-    use, and held on the network.
+    use, and held on the network (the program in place of the edge array).
     """
 
     def __init__(self, n_vertices, edges, inputs, outputs):
         self.n_vertices = n_vertices
         if not (isinstance(edges, np.ndarray) and edges.dtype == EDGE_DTYPE):
             edges = np.fromiter(edges, dtype=EDGE_DTYPE)
-        self.edges = edges
         self.inputs = list(inputs)
         self.outputs = list(outputs)
         self._in_ids = np.array(self.inputs, dtype=np.intp)
@@ -180,8 +206,30 @@ class LinearNetwork:
                 f"vertex {np.argmin(summed)} is neither an input nor a sum")
         mults = int(np.count_nonzero((w != 1.0) & (w != -1.0)))
         self._flops = (len(self.inputs) + len(edges) - n_vertices, mults)
+        self._n_edges = len(edges)
         self._codelet = None
-        self._levels = None
+        # the edge array, until the levelized program (src, dst, w, levels)
+        # is built and replaces it with the same edges in level order
+        self._program = None
+        self._edges = edges
+
+    @property
+    def edges(self):
+        """The edges in evaluation order, as an array of :data:`EDGE_DTYPE`.
+
+        A levelized network holds its edges in level order only and builds
+        this array anew on each access: the steps of one vertex keep their
+        order across levels, so a stable sort by destination gives back
+        the evaluation order exactly.
+        """
+        edges = self._edges
+        if edges is not None:
+            return edges
+        src, dst, w, _ = self._program
+        order = np.argsort(dst, kind="stable")
+        edges = np.empty(self._n_edges, dtype=EDGE_DTYPE)
+        edges["src"], edges["dst"], edges["w"] = src[order], dst[order], w[order]
+        return edges
 
     def structural_flops(self) -> tuple[int, int]:
         """(additions, multiplications) determined by the graph shape alone."""
@@ -206,7 +254,8 @@ class LinearNetwork:
         structural counts intact.
         """
         n = self.n_vertices
-        src, dst, w = self.edges["src"], self.edges["dst"], self.edges["w"]
+        edges = self.edges
+        src, dst, w = edges["src"], edges["dst"], edges["w"]
         # a vertex with one unit-weight out-edge that is neither an input nor
         # an output points at that edge's end and is collapsed into it
         alias = (np.bincount(src, minlength=n)[src] == 1) & (w == 1.0)
@@ -223,11 +272,11 @@ class LinearNetwork:
         new_id = new_id[ptr]
         order = np.argsort(-src, kind="stable")
         order = order[kept[src[order]]]
-        edges = np.empty(len(order), dtype=EDGE_DTYPE)
-        edges["src"] = new_id[dst[order]]
-        edges["dst"] = new_id[src[order]]
-        edges["w"] = w[order]
-        return LinearNetwork(count, edges, new_id[self._out_ids].tolist(),
+        rev = np.empty(len(order), dtype=EDGE_DTYPE)
+        rev["src"] = new_id[dst[order]]
+        rev["dst"] = new_id[src[order]]
+        rev["w"] = w[order]
+        return LinearNetwork(count, rev, new_id[self._out_ids].tolist(),
                              new_id[self._in_ids].tolist())
 
     def eval(self, x, ledger=None):
@@ -246,7 +295,7 @@ class LinearNetwork:
         if ledger is not None:
             ledger.adds += self._flops[0]
             ledger.mults += self._flops[1]
-        if len(self.edges) >= PROGRAM_MIN_EDGES:
+        if self._n_edges >= PROGRAM_MIN_EDGES:
             xs = np.asarray(x)
             if xs.dtype == np.float64:
                 return self._run(xs)
@@ -255,11 +304,11 @@ class LinearNetwork:
         return self._codelet(x)
 
     def _run(self, xs):
-        if self._levels is None:
-            self._levels = self._levelize()
+        program = self._program
+        levels = program[3] if program is not None else self._levelize()
         vals = np.empty(self.n_vertices)
         vals[self._in_ids] = xs
-        for accumulate, src, dst, w in self._levels:
+        for accumulate, src, dst, w in levels:
             if accumulate:
                 vals[dst] += w * vals[src]
             else:
@@ -274,31 +323,60 @@ class LinearNetwork:
         so every sum keeps the codelet's order and rounding (multiplying by
         +-1 is exact).  A step runs one level after both its source and
         the partial sum it extends are complete, so no level reads what it
-        writes or writes one vertex twice.
+        writes or writes one vertex twice.  Step ``j`` of a vertex whose
+        steps read sources of levels ``l_0 .. l_j`` therefore runs at level
+        ``j + max(l_i + 1 - i)``, a running maximum over the vertex's
+        steps, and the vertex's level is that of its last step.
+
+        The levels are found a wavefront at a time: a vertex is levelled
+        once all of its sources are, so each pass handles only the edges
+        into the vertices just completed.  The program's level-ordered
+        columns then replace the edge array as the network's one copy of
+        its edges.
         """
-        src, dst, w = self.edges["src"], self.edges["dst"], self.edges["w"]
-        level = [0] * self.n_vertices
-        step_level = []
-        append = step_level.append
-        last = lv = -1
-        for s, d in zip(src.tolist(), dst.tolist()):
-            ls = level[s]
-            if d != last:
-                lv, last = ls + 1, d
-            elif ls >= lv:
-                lv = ls + 1
-            else:
-                lv += 1
-            level[d] = lv
-            append(lv)
-        accumulate = np.zeros(len(dst), dtype=bool)
-        accumulate[1:] = dst[1:] == dst[:-1]
-        key = 2 * np.array(step_level, dtype=np.intp) + accumulate
-        order = np.argsort(key, kind="stable")
-        key, src, dst, w = key[order], src[order], dst[order], w[order]
+        edges = self.edges
+        src, dst, w = edges["src"], edges["dst"], edges["w"]
+        n, m = self.n_vertices, self._n_edges
+        # int32 bookkeeping (ids and levels stay below the edge count) keeps
+        # the build's peak memory near that of the columns it writes
+        first = _offsets(dst, n)  # the in-edges of v are first[v]:first[v+1]
+        by_src = np.argsort(src).astype(np.int32)
+        out_first = _offsets(src, n)  # and its out-edges by_src[out_first[v]:...]
+        pending = np.diff(first)  # sources not yet levelled, per vertex
+        level = np.zeros(n, dtype=np.int32)
+        step = np.empty(m, dtype=np.int32)
+        span = 2 * m + 2  # exceeds the spread of l_i + 1 - i over all edges
+        done = np.flatnonzero(pending == 0)
+        while done.size:
+            starts = out_first[done]
+            touched, hits = np.unique(dst[by_src[_ranges(starts, out_first[done + 1] - starts)]],
+                                      return_counts=True)
+            pending[touched] -= hits
+            done = touched[pending[touched] == 0]
+            starts = first[done]
+            sizes = first[done + 1] - starts
+            e = _ranges(starts, sizes)
+            pos = e - np.repeat(starts, sizes)  # of each edge among its vertex's in-edges
+            # running maximum within each vertex: offset vertex g by g * span
+            offset = np.repeat(np.arange(len(done)) * span, sizes)
+            run = np.maximum.accumulate(level[src[e]] + 1 - pos + offset)
+            step[e] = run - offset + pos
+            level[done] = step[first[done + 1] - 1]
+        del by_src, out_first, pending, level, first
+        # the sort key: level, then whether the step adds to a partial sum
+        step *= 2
+        step[1:] += dst[1:] == dst[:-1]
+        key = step.astype(np.int16) if m and step.max() < 2**15 else step
+        del step
+        order = np.argsort(key, kind="stable")  # by radix for 16-bit keys
+        key = key[order]
         cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
-        return [(bool(key[a] & 1), src[a:b], dst[a:b], w[a:b])
-                for a, b in zip([0] + cuts, cuts + [len(key)])]
+        src, dst, w = src[order], dst[order], w[order]
+        levels = [(bool(key[a] & 1), src[a:b], dst[a:b], w[a:b])
+                  for a, b in zip([0] + cuts, cuts + [m])]
+        self._program = (src, dst, w, levels)
+        self._edges = None
+        return levels
 
     def dumps(self) -> str:
         """Debug dump: one ``from to weight`` line per edge."""
@@ -313,8 +391,21 @@ class LinearNetwork:
         a, m = self._flops
         return (
             f"LinearNetwork({len(self.inputs)}->{len(self.outputs)}, "
-            f"|V|={self.n_vertices}, |E|={len(self.edges)}, adds={a}, mults={m})"
+            f"|V|={self.n_vertices}, |E|={self._n_edges}, adds={a}, mults={m})"
         )
+
+
+def _offsets(ids, n):
+    # first[v] = number of entries of ids below v, for v = 0 .. n
+    first = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(ids, minlength=n), out=first[1:], dtype=np.int32)
+    return first
+
+
+def _ranges(starts, sizes):
+    # the index ranges starts[i] .. starts[i]+sizes[i]-1, concatenated
+    total = int(sizes.sum())
+    return np.arange(total) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
 
 def _term(w, e):
@@ -337,9 +428,10 @@ def _codelet(net):
     has the network's structural counts.
     """
     n = net.n_vertices
-    src, dst, w = (net.edges[f].tolist() for f in ("src", "dst", "w"))
-    indeg = np.bincount(net.edges["dst"], minlength=n).tolist()
-    uses = np.bincount(net.edges["src"], minlength=n)
+    edges = net.edges
+    src, dst, w = (edges[f].tolist() for f in ("src", "dst", "w"))
+    indeg = np.bincount(edges["dst"], minlength=n).tolist()
+    uses = np.bincount(edges["src"], minlength=n)
     np.add.at(uses, net._out_ids, 1)
     uses = uses.tolist()
     expr = [f"v{v}" for v in range(n)]  # a name, or an inlined "(...)" term
@@ -390,6 +482,6 @@ def record(kernel, n_inputs: int) -> LinearNetwork:
         if not isinstance(o, TraceScalar) or o.trace is not tr:
             raise TraceError("kernel returned a value that was not traced")
         ov = tr.new_vertex()
-        tr.edges.append((o.v, ov, 1.0))
+        tr.edge(o.v, ov, 1.0)
         out_ids.append(ov)
-    return LinearNetwork(tr.n_vertices, tr.edges, list(range(n_inputs)), out_ids)
+    return LinearNetwork(tr.n_vertices, tr.edges(), list(range(n_inputs)), out_ids)

@@ -6,16 +6,20 @@ stage (a complex rotation folded with the scale factors, applied to input
 pairs x[k], x[N-k]), then the *transposed* rescaled real DFT, then the
 even/odd de-interleave.  The middle stage is obtained mechanically: the
 real-input rescaled DFT is recorded as a linear network over real lanes
-and transposed edge-by-edge.  Both networks keep their vertices in
-evaluation order (every edge runs to a higher vertex id) with their edges
-in one numpy array.  From N=128 on the transposed network has more than
+and transposed edge-by-edge.  The forward network is the one the DCT-II
+and DST-II kernels run from a configuration's second call on at N >=
+``dct2.NET_MIN_SIZE``, kept on the size's shared tables, so one recording
+serves both directions.  Both networks keep their vertices in evaluation
+order (every edge runs to a higher vertex id) with their edges in numpy
+columns.  From N=128 on the transposed network has more than
 ``transpose_net.PROGRAM_MIN_EDGES`` edges and runs as a levelized numpy
-program, built on its first evaluation and cached with the network;
-smaller ones run as a codelet, straight-line Python compiled from the
-network.  Edge reversal preserves both operation counts for square
-networks, which is what guarantees flop parity with the DCT-II without
-hand-deriving a decimation-in-frequency kernel.  Like the DCT-II kernels,
-all three public transforms run repeated calls at N <= 16 as plans (see
+program, built on its first evaluation; from then on the program's
+level-ordered columns are the network's only copy of its edges.  Smaller
+ones run as a codelet, straight-line Python compiled from the network.
+Edge reversal preserves both operation counts for square networks, which
+is what guarantees flop parity with the DCT-II without hand-deriving a
+decimation-in-frequency kernel.  Like the DCT-II kernels, all three
+public transforms run repeated calls at N <= 16 as plans (see
 :mod:`fastdcst.dct2`): a DCT-III plan records the spectrum network
 through its codelet, so the whole kernel is again one straight-line
 function.
@@ -36,11 +40,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import scale_factors as sf
-from .dct2 import Normalization, _counted, _dct2_new_lanes, _planned, _prep
-from .fft_real import half_spectrum_lanes
+from .dct2 import Normalization, _dct2_new_lanes, _planned, _prep, _spectrum_net
 from .flops import FlopLedger
 from .scale_factors import ScaleTables
-from .transpose_net import record
+
+# perfbench's span hooks look these two names up in this module
+from .fft_real import half_spectrum_lanes  # noqa: F401
+from .transpose_net import record  # noqa: F401
 
 __all__ = ["dct3_new", "dst2_new", "dst3_new"]
 
@@ -52,10 +58,7 @@ def _transposed_spectrum_net(n):
     Lane layout on the transposed inputs matches the forward outputs:
     [z0, re(z1), im(z1), ..., re(z_{N/2-1}), im(z_{N/2-1}), z_{N/2}].
     """
-    tab = sf.build_tables(n)
-    led = FlopLedger()
-    net = record(lambda xs: half_spectrum_lanes(xs, tab, led), n)
-    return _counted(net, led, f"at size {n}").transpose()
+    return _spectrum_net(sf.build_tables(n), True).transpose()
 
 
 def _dct3_new_lanes(xs, norm_key, tab, led):
@@ -84,10 +87,10 @@ def _dct3_new_lanes(xs, norm_key, tab, led):
     return out
 
 
-def _dst2_new_lanes(xs, norm_key, tab, led):
+def _dst2_new_lanes(xs, norm_key, tab, led, net=None):
     n = len(xs)
     flipped = [xs[i] if i % 2 == 0 else -xs[i] for i in range(n)]
-    c = _dct2_new_lanes(flipped, norm_key, tab, led)
+    c = _dct2_new_lanes(flipped, norm_key, tab, led, net)
     return c[::-1]
 
 
@@ -123,7 +126,7 @@ def dst2_new(
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
     key = norm.value
-    return _planned(tab, ("dst2_new", key), xs, led, _dst2_new_lanes, key, tab)
+    return _planned(tab, ("dst2_new", key), xs, led, _dst2_new_lanes, key, tab, scaled=True)
 
 
 def dst3_new(

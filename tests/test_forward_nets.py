@@ -1,0 +1,201 @@
+"""Forward kernels at N >= NET_MIN_SIZE: the real DFT as a recorded network."""
+
+import gc
+import weakref
+from functools import lru_cache
+from unittest import mock
+
+import numpy as np
+import pytest
+from conftest import rng
+
+from fastdcst import (
+    FlopLedger,
+    LinearNetwork,
+    Normalization,
+    ScaleTables,
+    build_tables,
+    dct2,
+    dct2_classic,
+    dct2_new,
+    dct2_scaled,
+    dst2_new,
+    record,
+    scale_factors,
+)
+from fastdcst.cli import _corrupted_tables
+from fastdcst.fft_real import half_spectrum_lanes
+from fastdcst.trig_family import _transposed_spectrum_net
+
+NORMS = list(Normalization)
+SIZES = [dct2.NET_MIN_SIZE * 2**i for i in range(6)]  # 128 .. 4096
+RESCALED = [dct2_new, dst2_new]
+
+
+def _signed_zeros(n, seed):
+    x = rng(93, n, seed).standard_normal(n)
+    x[::3] = 0.0
+    x[1::4] = -0.0
+    return x.tolist()
+
+
+def _forward_calls(tab):
+    """(name, call) for every forward kernel and norm; call(x) -> (bytes, ledger)."""
+
+    def wrap(fn, *args):
+        def call(x):
+            led = FlopLedger()
+            out = fn(x, *args, ledger=led)
+            if isinstance(out, dct2.ScaledDctOutput):
+                out = out.values + out.scales
+            return np.array(out).tobytes(), led.as_tuple()
+        return call
+
+    calls = [(f"dct2_classic-{nm.value}", wrap(dct2_classic, nm)) for nm in NORMS]
+    calls += [(f"{fn.__name__}-{nm.value}", wrap(fn, nm, tab)) for fn in RESCALED for nm in NORMS]
+    calls.append(("dct2_scaled", wrap(dct2_scaled, tab)))
+    return calls
+
+
+def _forget_classic(n):
+    # dct2_classic keeps its call marks and network per size, not per table set
+    dct2._classic_state(n).plans.clear()
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_later_calls_match_the_first_bitwise(n):
+    tab = ScaleTables(n)
+    _forget_classic(n)
+    for seed in (0, 1):
+        x = _signed_zeros(n, seed)
+        for name, call in _forward_calls(tab):
+            first = call(x)
+            assert call(x) == first, name
+            assert call(x) == first, name
+    assert isinstance(tab.plans[("spectrum", True)], LinearNetwork)
+    assert isinstance(dct2._classic_state(n).plans[("spectrum", False)], LinearNetwork)
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_signed_zero_inputs_keep_their_bits(n):
+    for x in ([-0.0] * n, [0.0] * n, [(-0.0, 0.0)[i % 2] for i in range(n)]):
+        tab = ScaleTables(n)
+        _forget_classic(n)
+        for name, call in _forward_calls(tab):
+            assert call(x) == call(x) == call(x), name
+
+
+def test_first_call_records_no_forward_network():
+    n = 256
+    tab = ScaleTables(n)
+    _forget_classic(n)
+    x = _signed_zeros(n, 2)
+    calls = _forward_calls(tab)
+    with mock.patch.object(dct2, "record", wraps=record) as rec:
+        for _, call in calls:
+            call(x)
+        assert rec.call_count == 0
+        assert ("spectrum", True) not in tab.plans
+        assert ("spectrum", False) not in dct2._classic_state(n).plans
+        for _, call in calls:
+            call(x)
+        assert rec.call_count == 2  # one rescaled and one plain real DFT
+
+
+def test_below_the_net_size_nothing_is_recorded():
+    n = dct2.NET_MIN_SIZE // 2
+    tab = ScaleTables(n)
+    x = _signed_zeros(n, 3)
+    with mock.patch.object(dct2, "record", wraps=record) as rec:
+        for _ in range(3):
+            for _, call in _forward_calls(tab):
+                call(x)
+    assert rec.call_count == 0 and tab.plans == {}
+
+
+@pytest.mark.parametrize("make", [ScaleTables, _corrupted_tables], ids=["fresh", "bent"])
+@pytest.mark.parametrize("fn", RESCALED + [dct2_scaled])
+def test_own_tables_get_their_own_network(make, fn):
+    n = 128
+    tab = make(n)
+    x = rng(94).standard_normal(n).tolist()  # no zero hides the bent constant
+    args = () if fn is dct2_scaled else (Normalization.UNITARY,)
+
+    def run(t):
+        out = fn(x, *args, t)
+        return np.array(out.values if fn is dct2_scaled else out).tobytes()
+
+    scalar = run(tab)
+    assert run(tab) == run(tab) == scalar
+    net = tab.plans[("spectrum", True)]
+    assert net is not build_tables(n).plans.get(("spectrum", True))
+    assert net.dumps() == _rescaled_recording(n).dumps()
+    if make is _corrupted_tables and fn is not dct2_scaled:
+        assert scalar != run(ScaleTables(n))
+
+
+def _rescaled_recording(n):
+    tab = build_tables(n)
+    return record(lambda xs: half_spectrum_lanes(xs, tab, FlopLedger()), n)
+
+
+def test_transposed_net_is_the_transpose_of_the_forward_one():
+    n = 256
+    net = dct2._spectrum_net(build_tables(n), True)
+    assert net.dumps() == _rescaled_recording(n).dumps()
+    assert _transposed_spectrum_net(n).dumps() == _rescaled_recording(n).transpose().dumps()
+
+
+def test_spectrum_networks_are_counted_at_record():
+    tab = ScaleTables(128)
+    with mock.patch.object(dct2, "_counted", wraps=dct2._counted) as counted:
+        dct2._spectrum_net(tab, True)
+        dct2._spectrum_net(tab, False)
+        dct2._spectrum_net(tab, True)
+    assert counted.call_count == 2
+
+
+def test_spectrum_caches_hold_at_most_cached_sizes():
+    keep = 2
+    alive = []
+    with mock.patch.object(scale_factors, "_cached_tables",
+                           lru_cache(maxsize=keep)(ScaleTables)), \
+         mock.patch.object(dct2, "_classic_state",
+                           lru_cache(maxsize=keep)(dct2._classic_state.__wrapped__)):
+        for n in (128, 256, 512):
+            x = _signed_zeros(n, 5)
+            for _ in range(2):
+                dct2_new(x)
+                dct2_classic(x)
+            alive.append(weakref.ref(build_tables(n).plans[("spectrum", True)]))
+            alive.append(weakref.ref(dct2._classic_state(n).plans[("spectrum", False)]))
+    gc.collect()
+    assert sum(r() is not None for r in alive) <= 2 * keep
+    for cache in (scale_factors._cached_tables, dct2._classic_state):
+        assert cache.cache_info().maxsize == scale_factors.CACHED_SIZES
+
+
+def test_classic_kernel_builds_no_tables_above_the_plan_size():
+    n = dct2.NET_MIN_SIZE
+    x = _signed_zeros(n, 6)
+    with mock.patch.object(scale_factors, "ScaleTables", wraps=ScaleTables) as built, \
+         mock.patch.object(scale_factors, "_cached_tables",
+                           lru_cache(maxsize=2)(scale_factors.ScaleTables)):
+        for _ in range(3):
+            dct2_classic(x)
+    assert built.call_count == 0
+
+
+@pytest.mark.parametrize("n", [128, 1024])
+def test_levelizing_keeps_the_edges_bytes(n):
+    net = dct2._spectrum_net(ScaleTables(n), True)
+    edges, dump, tdump = net.edges.tobytes(), net.dumps(), net.transpose().dumps()
+    x = rng(95, n).standard_normal(n).tolist()
+    y = net.eval(x)
+    src, _, _, levels = net._program
+    # the program's steps are slices of the network's one copy of its edges
+    assert levels and all(np.shares_memory(step[1], src) for step in levels)
+    assert net.edges.tobytes() == edges
+    assert net.dumps() == dump
+    assert net.transpose().dumps() == tdump
+    assert net.eval(x) == y

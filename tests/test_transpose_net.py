@@ -185,6 +185,44 @@ def test_transpose_random_dag_property(net, seed):
     assert codelet == program
 
 
+def _reference_program(net):
+    """The levelized program by its definition, one edge at a time: a
+    vertex's first step runs one level after its source, each later step
+    after both its source and the step before it; steps sort stably by
+    (level, whether they add to a partial sum)."""
+    level = [0] * net.n_vertices
+    keys = []
+    last = lv = -1
+    for s, d, _ in net.edges.tolist():
+        if d != last:
+            lv, last = level[s] + 1, d
+            keys.append(2 * lv)
+        else:
+            lv = max(level[s] + 1, lv + 1)
+            keys.append(2 * lv + 1)
+        level[d] = lv
+    keys = np.array(keys)
+    order = np.argsort(keys, kind="stable")
+    keys, edges = keys[order], net.edges[order]
+    cuts = (np.flatnonzero(np.diff(keys)) + 1).tolist()
+    return [(bool(keys[a] & 1), edges[a:b].tolist())
+            for a, b in zip([0] + cuts, cuts + [len(keys)])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_dags())
+@example(ALIAS_CHAIN)
+def test_levelizer_matches_its_definition(net):
+    want = _reference_program(net)
+    edges = net.edges.tobytes()
+    with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", 0):
+        net.eval([0.0] * len(net.inputs))
+    got = [(accumulate, list(zip(src.tolist(), dst.tolist(), w.tolist())))
+           for accumulate, src, dst, w in net._program[3]]
+    assert got == want
+    assert net.edges.tobytes() == edges
+
+
 def test_transpose_collapses_alias_chain():
     assert ALIAS_CHAIN.transpose().dumps() == (
         "# inputs: 1 0\n# outputs: 4 3\n"
