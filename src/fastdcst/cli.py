@@ -317,12 +317,11 @@ def cmd_flops(max_size, fmt="csv", out=None):
 def _corrupted_tables(n):
     # test hook: a fresh table set with one dct2/new stage constant bent
     tab = sf.ScaleTables(n)
-    for key, (c0, ch, pairs) in list(tab._stage.items()):
-        pairs = list(pairs)
-        if len(pairs) > 1:
-            a, b = pairs[1]
-            pairs[1] = (a * 1.001, b)
-            tab._stage[key] = (c0, ch, pairs)
+    for key, (c0, ch, re, im) in list(tab._stage.items()):
+        if len(re) > 1:
+            re = re.copy()
+            re[1] *= 1.001
+            tab._stage[key] = (c0, ch, re, im)
     return tab
 
 

@@ -21,19 +21,27 @@ every call of a configuration after its first with their real DFT as a
 recorded network, a levelized numpy program: the rescaled one for
 ``dct2_new``, ``dct2_scaled`` and ``dst2_new`` (the same recording whose
 transpose the DCT-III runs), one per table set, and the plain one for
-``dct2_classic``, one per size.  The even/odd reorder and the output
-stage stay Python.
+``dct2_classic``, one per size.
+
+Every call that is not a plan runs array-in, array-out: one float64
+array from the input, numpy indexing for the even/odd reorder, and an
+output stage of elementwise expressions that keep the scalar formula's
+float operations in its order, so no bit changes; the caller gets a list.
+Recording runs the same code on object arrays of ``TraceScalar``; plans
+run their codelets on Python floats.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import SimpleNamespace
 
+import numpy as np
+
 from . import scale_factors as sf
-from .fft_real import _rfft_scaled_lanes, _rfft_std_lanes, pack_lanes, unpack_lanes
+from .fft_real import _rfft_scaled_lanes, _rfft_std_lanes, pack_lanes
 from .flops import FlopLedger, checked_log2
 from .scale_factors import ScaleTables, unit_root
 from .transpose_net import record
@@ -75,14 +83,15 @@ class ScaledDctOutput:
 def reorder_even_odd(x):
     """Even-indexed entries, then the odd-indexed entries reversed.
 
-    Pure data movement (zero flops).  Length must be even.
+    Pure data movement (zero flops).  Length must be even.  An array
+    gives an array, any other sequence a list.
     """
     n = len(x)
     if n % 2:
         raise ValueError(f"length must be even, got {n}")
-    out = list(x[0::2])
-    out.extend(x[1::2][::-1])
-    return out
+    xs = np.asarray(x)
+    out = np.concatenate((xs[0::2], xs[::-2]))
+    return out if xs is x else out.tolist()
 
 
 @lru_cache(maxsize=sf.CACHED_SIZES)
@@ -98,62 +107,66 @@ def _classic_stage(n):
     return sf.dct_stage(n, [2.0 * unit_root(k, 4 * n) for k in range(n // 2)])
 
 
-def _stage_outputs(stage, rr, ri, n, led):
-    h = n // 2
-    out = [None] * n
-    c0, ch, pairs = stage
-    if c0 is None:
-        out[0] = rr[0]
-        out[h] = rr[h]
-    else:
+def _rotate(stage, led, u0, uh, u, v):
+    # the DCT-II output stage on bins 0 and N/2 (u0, uh) and on the pairs
+    # (u[k-1], v[k-1]) of bins k = 1 .. N/2-1; the DCT-III runs it on its
+    # input pairs x[k], x[N-k], as the transpose
+    c0, ch, a, b = stage
+    a, b = a[1:], b[1:]
+    if c0 is not None:
         led.mults += 2
-        out[0] = c0 * rr[0]
-        out[h] = ch * rr[h]
-    for k in range(1, h):
-        a, b = pairs[k]
-        led.mults += 4
-        led.adds += 2
-        out[k] = a * rr[k] - b * ri[k]
-        out[n - k] = -(b * rr[k] + a * ri[k])
+        u0, uh = c0 * u0, ch * uh
+    led.mults += 4 * len(u)
+    led.adds += 2 * len(u)
+    return u0, uh, a * u - b * v, -(b * u + a * v)
+
+
+def _stage_outputs(stage, z, led):
+    # DCT-II outputs from the spectrum lanes z of pack_lanes
+    n = len(z)
+    h = n // 2
+    out = np.empty_like(z)
+    out[0], out[h], out[1:h], out[n - 1:h:-1] = _rotate(
+        stage, led, z[0], z[n - 1], z[1:n - 1:2], z[2:n - 1:2])
     return out
 
 
 def _spectrum(x, tab, led, net=None):
-    # the real DFT of x as (re, im) bins 0..N/2: the rescaled one from the
-    # constants of tab, or the plain one if tab is None; run as net if given
+    # the real DFT of the array x in the lanes of pack_lanes, as an array of
+    # its dtype: the rescaled one from the constants of tab, or the plain one
+    # if tab is None; run as net if given
     if net is not None:
-        return unpack_lanes(net.eval(x, led))
+        return net.eval(x, led)
+    xs = x.tolist()
     if tab is None:
-        return _rfft_std_lanes(x, led)
-    return _rfft_scaled_lanes(1, x, tab, led)
+        lanes = pack_lanes(*_rfft_std_lanes(xs, led))
+    else:
+        lanes = pack_lanes(*_rfft_scaled_lanes(1, xs, tab, led))
+    return np.fromiter(lanes, x.dtype, len(lanes))
 
 
 def _dct2_classic_lanes(xs, norm_key, led, net=None):
-    n = len(xs)
-    rr, ri = _spectrum(reorder_even_odd(xs), None, led, net)
-    return _stage_outputs(_classic_stage(n)[norm_key], rr, ri, n, led)
+    z = _spectrum(reorder_even_odd(xs), None, led, net)
+    return _stage_outputs(_classic_stage(len(xs))[norm_key], z, led)
 
 
 def _dct2_new_lanes(xs, norm_key, tab, led, net=None):
-    n = len(xs)
-    rr, ri = _spectrum(reorder_even_odd(xs), tab, led, net)
-    return _stage_outputs(tab.dct_stage(norm_key), rr, ri, n, led)
+    z = _spectrum(reorder_even_odd(xs), tab, led, net)
+    return _stage_outputs(tab.dct_stage(norm_key), z, led)
 
 
 def _dct2_scaled_lanes(xs, tab, led, net=None):
-    n = len(xs)
+    z = _spectrum(reorder_even_odd(xs), tab, led, net)
+    n = len(z)
     h = n // 2
-    rr, ri = _spectrum(reorder_even_odd(xs), tab, led, net)
-    out = [None] * n
-    out[0] = rr[0]
-    out[h] = rr[h]
-    taus = tab.scaled_stage_tan
-    for k in range(1, h):
-        t = taus[k]
-        led.mults += 2
-        led.adds += 2
-        out[k] = rr[k] + t * ri[k]
-        out[n - k] = t * rr[k] - ri[k]
+    rr, ri = z[1:n - 1:2], z[2:n - 1:2]
+    t = tab.scaled_stage_tan[1:]
+    led.mults += 2 * len(t)
+    led.adds += 2 * len(t)
+    out = np.empty_like(z)
+    out[0], out[h] = z[0], z[n - 1]
+    out[1:h] = rr + t * ri
+    out[n - 1:h:-1] = t * rr - ri
     return out
 
 
@@ -197,42 +210,44 @@ def _spectrum_net(tab, scaled):
     if net is None:
         rec = FlopLedger()
         dft = tab if scaled else None
-        net = record(lambda ins: pack_lanes(*_spectrum(ins, dft, rec)), tab.size)
+        net = record(lambda ins: _spectrum(ins, dft, rec), tab.size)
         net = tab.plans[key] = _counted(
             net, rec, f"of the {'rescaled' if scaled else 'plain'} real DFT at size {tab.size}")
     return net
 
 
 def _planned(tab, key, xs, led, lanes, *args, scaled=None):
-    """``lanes(xs, *args, led)``, or what repeated calls make of it.
+    """``lanes(xs, *args, led)``, or what repeated calls make of it, as a list.
 
-    At N <= PLAN_MAX_SIZE, ``tab.plans[key]`` counts the calls until the
-    PLAN_AFTER_CALLS-th, which records the plan from the constants of
-    ``tab`` itself.  A forward kernel names the real DFT it runs with
-    ``scaled``; at N >= NET_MIN_SIZE its first call marks ``key`` in
+    ``lanes`` runs on ``xs`` as a float64 array.  At N <= PLAN_MAX_SIZE,
+    ``tab.plans[key]`` counts the calls until the PLAN_AFTER_CALLS-th,
+    which records the plan from the constants of ``tab`` itself; a plan
+    runs on the list ``xs``.  A forward kernel names the real DFT it runs
+    with ``scaled``; at N >= NET_MIN_SIZE its first call marks ``key`` in
     ``tab.plans`` and every later call passes that DFT's network of
     :func:`_spectrum_net` as ``net``.  Threads that race here may lose a
     count or record the same network twice, but a network is stored only
     once it is complete.
     """
     n = len(xs)
-    if n > PLAN_MAX_SIZE:
-        if scaled is None or n < NET_MIN_SIZE:
-            return lanes(xs, *args, led)
-        if key not in tab.plans:
+    if n <= PLAN_MAX_SIZE:
+        plan = tab.plans.get(key, 0)
+        if type(plan) is not int:
+            return plan.eval(xs, led)
+        if plan + 1 >= PLAN_AFTER_CALLS:
+            rec = FlopLedger()
+            plan = tab.plans[key] = _counted(
+                record(lambda ins: lanes(ins, *args, rec), n), rec, f"of {key} at size {n}")
+            return plan.eval(xs, led)
+        tab.plans[key] = plan + 1
+    elif scaled is not None and n >= NET_MIN_SIZE:
+        if key in tab.plans:
+            lanes = partial(lanes, net=_spectrum_net(tab, scaled))
+        else:
             tab.plans[key] = 0
-            return lanes(xs, *args, led)
-        return lanes(xs, *args, led, net=_spectrum_net(tab, scaled))
-    plan = tab.plans.get(key, 0)
-    if type(plan) is int:
-        if plan + 1 < PLAN_AFTER_CALLS:
-            tab.plans[key] = plan + 1
-            return lanes(xs, *args, led)
-        rec = FlopLedger()
-        plan = _counted(record(lambda ins: lanes(ins, *args, rec), n), rec,
-                        f"of {key} at size {n}")
-        tab.plans[key] = plan
-    return plan.eval(xs, led)
+    # as on Python floats, an overflow or inf - inf gives its IEEE result silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        return lanes(np.fromiter(xs, np.float64, n), *args, led).tolist()
 
 
 def _check_input(x):
@@ -253,10 +268,8 @@ def dct2_classic(
     n = len(xs)
     if n <= PLAN_MAX_SIZE:
         tab = sf.build_tables(n)
-    elif n >= NET_MIN_SIZE:
-        tab = _classic_state(n)
-    else:  # neither plan nor network to keep
-        return _dct2_classic_lanes(xs, key, led)
+    else:  # between the two sizes there is neither plan nor network to keep
+        tab = _classic_state(n) if n >= NET_MIN_SIZE else None
     return _planned(tab, ("dct2_classic", key), xs, led, _dct2_classic_lanes, key,
                     scaled=False)
 
@@ -278,7 +291,18 @@ def dct2_new(
     tables: ScaleTables | None = None,
     ledger: FlopLedger | None = None,
 ):
-    """DCT-II via the rescaled real-input DFT (record flop count)."""
+    """DCT-II via the rescaled real-input DFT (record flop count).
+
+    ``x`` is a sequence whose length is a power of two, at least 2;
+    otherwise ``ValueError``.  Each sample goes through ``float()``, so
+    bools and numeric strings are read as their float values, a complex
+    sample, ``None``, a nested list or the rows of a 2-D array raise
+    ``TypeError``, and a non-numeric string ``ValueError``.  Sample values
+    are not checked: NaN and infinities give their IEEE results, with no
+    warning (a NaN anywhere makes every output NaN, an infinity makes
+    every output infinite or NaN).  The other cosine/sine transforms
+    answer bad input the same way.
+    """
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
     key = norm.value

@@ -249,15 +249,6 @@ def pack_lanes(outr, outi):
     return lanes
 
 
-def unpack_lanes(lanes):
-    """Inverse of :func:`pack_lanes` for N >= 2: (re, im) bins 0..N/2, with
-    the structurally real bins 0 and N/2 given an imaginary lane of None."""
-    n = len(lanes)
-    outr = [lanes[0]] + lanes[1:n - 1:2] + [lanes[n - 1]]
-    outi = [None] + lanes[2:n - 1:2] + [None]
-    return outr, outi
-
-
 def half_spectrum_lanes(xs, tables, led):
     """Lane-level entry point (used when recording as a linear network).
 

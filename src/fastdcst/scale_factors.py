@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from .flops import checked_log2
 
 __all__ = ["scale", "t_factor", "build_tables", "ScaleTables", "unit_root"]
@@ -182,12 +184,12 @@ class ScaleTables:
         # stored as (True, 1.0, -tan), and every output k carries the known
         # diagonal 2*s(4n, k)
         if size >= 2:
-            self.scaled_stage_tan = [0.0] + [
+            self.scaled_stage_tan = np.array([0.0] + [
                 -self._tstruct[4 * size][k][0][2] for k in range(1, h)
-            ]
+            ])
             self.dct_scales = [2.0 * self.s(4 * size, k) for k in range(size)]
         else:
-            self.scaled_stage_tan = []
+            self.scaled_stage_tan = np.array([])
             self.dct_scales = [2.0 * self.s(4, 0)]
 
         self.validate()
@@ -261,21 +263,23 @@ class ScaleTables:
 
 
 def dct_stage(size: int, twiddles) -> dict:
-    """DCT-II output-stage constants ``{norm_key: (c0, cN/2, pairs)}``.
+    """DCT-II output-stage constants ``{norm_key: (c0, cN/2, re, im)}``.
 
-    ``pairs[k]`` is ``twiddles[k]`` as (re, im) times the normalization's
-    factor.  The factors ``sqrt(2/size)/2`` and ``sqrt(0.5)`` are ``sqrt(2/size)``
-    and ``sqrt(2)`` over a power of two, so on ``2*unit_root`` twiddles the
+    ``re[k]`` and ``im[k]`` are the parts of ``twiddles[k]`` times the
+    normalization's factor, as float64 arrays.  The factors
+    ``sqrt(2/size)/2`` and ``sqrt(0.5)`` are ``sqrt(2/size)`` and
+    ``sqrt(2)`` over a power of two, so on ``2*unit_root`` twiddles the
     products round exactly like those factors times the unit root.
     """
-    pairs = [(c.real, c.imag) for c in twiddles]
+    re = np.array([c.real for c in twiddles])
+    im = np.array([c.imag for c in twiddles])
     u = math.sqrt(2.0 / size) / 2.0
     r = math.sqrt(0.5)
     c0 = 1.0 / math.sqrt(size)
     return {
-        NORM_TWO_SIDED: (2.0, math.sqrt(2.0), pairs),
-        NORM_UNITARY: (c0, c0, [(a * u, b * u) for a, b in pairs]),
-        NORM_UNITARY_SQRT_N: (None, None, [(a * r, b * r) for a, b in pairs]),
+        NORM_TWO_SIDED: (2.0, math.sqrt(2.0), re, im),
+        NORM_UNITARY: (c0, c0, re * u, im * u),
+        NORM_UNITARY_SQRT_N: (None, None, re * r, im * r),
     }
 
 

@@ -23,10 +23,12 @@ levelized program: the edges are sorted once, by a vectorized wavefront,
 into levels of independent steps, and each level is a few numpy gathers,
 multiplies and scatters.  The program's level-ordered columns then replace
 the edge array as the network's one copy of its edges; ``edges`` rebuilds
-the evaluation order from them when it is asked for.
+the evaluation order from them when it is asked for.  A float64 array
+goes into the program and its output array comes back as it is; a
+codelet always runs on Python scalars.
 
-Kernels are recorded by running them on :class:`TraceScalar` values whose
-arithmetic builds the graph: every scalar add/sub creates a two-input
+Kernels are recorded by running them on :class:`TraceScalar` values (in
+an object array) whose arithmetic builds the graph: every scalar add/sub creates a two-input
 vertex, every multiplication by a constant creates a weighted edge into a
 pass-through vertex, and negation is a free -1 edge.  Each new vertex
 takes its edges when it is created, so a recording is in evaluation order;
@@ -285,10 +287,12 @@ class LinearNetwork:
         Each vertex adds its incoming terms in their listed order.  A
         network of at least :data:`PROGRAM_MIN_EDGES` edges evaluated on
         float64 values runs its levelized program, built on the first such
-        call, and returns Python floats.  Any other network or input,
-        including :class:`TraceScalar` values (so a kernel that embeds a
-        network can itself be recorded), runs the network's codelet,
-        compiled on first use.  Both executors give bit-identical floats.
+        call.  Any other network or input, including :class:`TraceScalar`
+        values (so a kernel that embeds a network can itself be recorded),
+        runs the network's codelet, compiled on first use, on Python
+        scalars.  Both executors give bit-identical floats.  An array in
+        gives an array out (of objects for objects, else of float64), any
+        other sequence a list.
         """
         if len(x) != len(self.inputs):
             raise ValueError(f"expected {len(self.inputs)} inputs, got {len(x)}")
@@ -298,9 +302,13 @@ class LinearNetwork:
         if self._n_edges >= PROGRAM_MIN_EDGES:
             xs = np.asarray(x)
             if xs.dtype == np.float64:
-                return self._run(xs)
+                y = self._run(xs)
+                return y if xs is x else y.tolist()
         if self._codelet is None:
             self._codelet = _codelet(self)
+        if type(x) is not list and isinstance(x, np.ndarray):  # a list is the plans' hot path
+            dtype = object if x.dtype == object else np.float64
+            return np.fromiter(self._codelet(x.tolist()), dtype, len(self.outputs))
         return self._codelet(x)
 
     def _run(self, xs):
@@ -313,7 +321,7 @@ class LinearNetwork:
                 vals[dst] += w * vals[src]
             else:
                 vals[dst] = w * vals[src]
-        return vals[self._out_ids].tolist()
+        return vals[self._out_ids]
 
     def _levelize(self):
         """Cut the edges into steps that numpy can run a level at a time.
@@ -469,13 +477,13 @@ def _codelet(net):
 def record(kernel, n_inputs: int) -> LinearNetwork:
     """Run ``kernel`` on symbolic scalars and capture it as a network.
 
-    ``kernel`` takes a list of ``n_inputs`` scalars and returns a list of
-    scalars; it must be linear and fixed-size.  Every output is attached
-    through an explicit unit pass-through edge so the vertex/edge
+    ``kernel`` takes an object array of ``n_inputs`` scalars and returns
+    a sequence of scalars; it must be linear and fixed-size.  Every output
+    is attached through an explicit unit pass-through edge so the vertex/edge
     bookkeeping matches the structural count formulas.
     """
     tr = _Trace()
-    ins = [TraceScalar(tr, tr.new_vertex()) for _ in range(n_inputs)]
+    ins = np.array([TraceScalar(tr, tr.new_vertex()) for _ in range(n_inputs)], dtype=object)
     outs = kernel(ins)
     out_ids = []
     for o in outs:

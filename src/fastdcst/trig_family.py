@@ -2,9 +2,9 @@
 
 The DCT-III matrix is the transpose of the DCT-II matrix, so the fast
 DCT-III runs the DCT-II algorithm backwards: first the transposed output
-stage (a complex rotation folded with the scale factors, applied to input
-pairs x[k], x[N-k]), then the *transposed* rescaled real DFT, then the
-even/odd de-interleave.  The middle stage is obtained mechanically: the
+stage (the DCT-II's rotation, folded with the scale factors, applied to
+input pairs x[k], x[N-k]), then the *transposed* rescaled real DFT, then
+the even/odd de-interleave.  The middle stage is obtained mechanically: the
 real-input rescaled DFT is recorded as a linear network over real lanes
 and transposed edge-by-edge.  The forward network is the one the DCT-II
 and DST-II kernels run from a configuration's second call on at N >=
@@ -16,6 +16,8 @@ columns.  From N=128 on the transposed network has more than
 program, built on its first evaluation; from then on the program's
 level-ordered columns are the network's only copy of its edges.  Smaller
 ones run as a codelet, straight-line Python compiled from the network.
+These kernels run on arrays too (see :mod:`fastdcst.dct2`); from N=128
+on the array goes through the transposed program and back as it is.
 Edge reversal preserves both operation counts for square networks, which
 is what guarantees flop parity with the DCT-II without hand-deriving a
 decimation-in-frequency kernel.  Like the DCT-II kernels, all three
@@ -39,8 +41,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from . import scale_factors as sf
-from .dct2 import Normalization, _dct2_new_lanes, _planned, _prep, _spectrum_net
+from .dct2 import Normalization, _dct2_new_lanes, _planned, _prep, _rotate, _spectrum_net
 from .flops import FlopLedger
 from .scale_factors import ScaleTables
 
@@ -64,39 +68,26 @@ def _transposed_spectrum_net(n):
 def _dct3_new_lanes(xs, norm_key, tab, led):
     n = len(xs)
     h = n // 2
-    c0, ch, pairs = tab.dct_stage(norm_key)
-    z = [None] * n
-    if c0 is None:
-        z[0] = xs[0]
-        z[n - 1] = xs[h]
-    else:
-        led.mults += 2
-        z[0] = c0 * xs[0]
-        z[n - 1] = ch * xs[h]
-    for k in range(1, h):
-        a, b = pairs[k]
-        led.mults += 4
-        led.adds += 2
-        z[2 * k - 1] = a * xs[k] - b * xs[n - k]
-        z[2 * k] = -(b * xs[k] + a * xs[n - k])
+    z = np.empty_like(xs)
+    z[0], z[n - 1], z[1:n - 1:2], z[2:n - 1:2] = _rotate(
+        tab.dct_stage(norm_key), led, xs[0], xs[h], xs[1:h], xs[n - 1:h:-1])
     y = _transposed_spectrum_net(n).eval(z, ledger=led)
-    out = [None] * n
-    for k in range(h):
-        out[2 * k] = y[k]
-        out[2 * k + 1] = y[n - 1 - k]
+    out = np.empty_like(y)
+    out[0::2] = y[:h]
+    out[1::2] = y[n - 1:h - 1:-1]
     return out
 
 
 def _dst2_new_lanes(xs, norm_key, tab, led, net=None):
-    n = len(xs)
-    flipped = [xs[i] if i % 2 == 0 else -xs[i] for i in range(n)]
-    c = _dct2_new_lanes(flipped, norm_key, tab, led, net)
-    return c[::-1]
+    flipped = xs.copy()
+    flipped[1::2] = -xs[1::2]
+    return _dct2_new_lanes(flipped, norm_key, tab, led, net)[::-1]
 
 
 def _dst3_new_lanes(xs, norm_key, tab, led):
-    c = _dct3_new_lanes(list(xs)[::-1], norm_key, tab, led)
-    return [c[k] if k % 2 == 0 else -c[k] for k in range(len(c))]
+    c = _dct3_new_lanes(xs[::-1], norm_key, tab, led)
+    c[1::2] = -c[1::2]
+    return c
 
 
 def dct3_new(

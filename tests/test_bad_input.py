@@ -1,0 +1,101 @@
+"""How the public cosine/sine transforms answer bad input, on every path.
+
+Each sample goes through ``float()``: what it accepts is read as that
+float, what it rejects raises its exception before any arithmetic.  NaN
+and infinities are not checked; they give their IEEE results, with no
+warning.  Each response is pinned on the scalar path (N=4) and on the
+array path (N=256) on a configuration's first and later calls.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from fastdcst import (
+    Normalization,
+    ScaleTables,
+    ScaledDctOutput,
+    dct2,
+    dct2_classic,
+    dct2_new,
+    dct2_scaled,
+    dct3_new,
+    dst2_new,
+    dst3_new,
+)
+
+FUNCS = [dct2_classic, dct2_new, dct2_scaled, dct3_new, dst2_new, dst3_new]
+SIZES = [4, 256]
+
+
+def _calls(fn, n):
+    """fn on fresh tables: call 1 is a configuration's first, call 2 a later one."""
+    dct2._classic_state(n).plans.clear()
+    tab = ScaleTables(n)
+
+    def call(x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if fn is dct2_classic:
+                out = fn(x, Normalization.UNITARY)
+            elif fn is dct2_scaled:
+                out = fn(x, tab)
+            else:
+                out = fn(x, Normalization.UNITARY, tab)
+        return np.array(out.values if isinstance(out, ScaledDctOutput) else out)
+
+    return call
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("fn", FUNCS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("make,error", [
+    (lambda n: [[0.5, -0.5]] * n, TypeError),
+    (lambda n: np.full((n, 2), 0.5), TypeError),
+    (lambda n: [0.5] * (n - 1) + [0.5 + 1j], TypeError),
+    (lambda n: [0.5] * (n - 1) + [None], TypeError),
+    (lambda n: ["0.5"] * (n - 1) + ["half"], ValueError),
+    (lambda n: [0.5] * (n - 1), ValueError),
+], ids=["nested-list", "2d-array", "complex", "none", "non-numeric-string", "length"])
+def test_rejected_input_raises_on_every_call(fn, n, make, error):
+    call = _calls(fn, n)
+    for _ in range(2):
+        with pytest.raises(error):
+            call(make(n))
+
+
+def _floats(n):
+    return [0.5 * (-1) ** i + i / n for i in range(n)]
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("fn", FUNCS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("spelled,floats", [
+    (lambda n: [i % 3 == 0 for i in range(n)], lambda n: [float(i % 3 == 0) for i in range(n)]),
+    (lambda n: [repr(v) for v in _floats(n)], _floats),
+], ids=["bool", "numeric-string"])
+def test_what_float_accepts_is_read_as_that_float(fn, n, spelled, floats):
+    call = _calls(fn, n)
+    for _ in range(2):
+        assert call(spelled(n)).tobytes() == call(floats(n)).tobytes()
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("fn", FUNCS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("value,at", [
+    (math.nan, 0), (math.nan, -1), (math.inf, 0), (-math.inf, -1), (math.inf, 1),
+], ids=["nan-first", "nan-last", "inf-first", "-inf-last", "inf-second"])
+def test_non_finite_samples_propagate_silently(fn, n, value, at):
+    x = _floats(n)
+    x[at] = value
+    call = _calls(fn, n)
+    first, later = call(x), call(x)
+    # every output depends on every sample: a NaN reaches all of them, an
+    # infinity makes each one infinite or NaN (inf - inf)
+    if math.isnan(value):
+        assert np.isnan(first).all()
+    else:
+        assert not np.isfinite(first).any()
+    assert np.array_equal(first, later, equal_nan=True)

@@ -188,7 +188,8 @@ def test_classic_stage_matches_definition():
              (1.0 / math.sqrt(n), 1.0 / math.sqrt(n))),
             (Normalization.UNITARY_SQRT_N, math.sqrt(2.0), (None, None)),
         ):
-            c0, ch, pairs = stages[norm.value]
+            c0, ch, re, im = stages[norm.value]
+            pairs = list(zip(re.tolist(), im.tolist()))
             assert (c0, ch) == ends
             assert len(pairs) == n // 2
             for k in range(1, n // 2):

@@ -19,7 +19,9 @@ from fastdcst import (
     dct2_classic,
     dct2_new,
     dct2_scaled,
+    dct3_new,
     dst2_new,
+    dst3_new,
     record,
     scale_factors,
 )
@@ -57,6 +59,19 @@ def _forward_calls(tab):
     return calls
 
 
+def _all_calls(tab):
+    """:func:`_forward_calls` and the DCT-III/DST-III under every norm."""
+
+    def wrap(fn, nm):
+        def call(x):
+            led = FlopLedger()
+            return np.array(fn(x, nm, tab, led)).tobytes(), led.as_tuple()
+        return call
+
+    return _forward_calls(tab) + [(f"{fn.__name__}-{nm.value}", wrap(fn, nm))
+                                  for fn in (dct3_new, dst3_new) for nm in NORMS]
+
+
 def _forget_classic(n):
     # dct2_classic keeps its call marks and network per size, not per table set
     dct2._classic_state(n).plans.clear()
@@ -68,7 +83,7 @@ def test_later_calls_match_the_first_bitwise(n):
     _forget_classic(n)
     for seed in (0, 1):
         x = _signed_zeros(n, seed)
-        for name, call in _forward_calls(tab):
+        for name, call in _all_calls(tab):
             first = call(x)
             assert call(x) == first, name
             assert call(x) == first, name

@@ -1,12 +1,13 @@
 """Plans: whole-kernel networks that run repeated small transforms."""
 
+import contextlib
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import rng
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from fastdcst import (
@@ -196,9 +197,11 @@ def signal_pairs(draw):
 @given(signal_pairs())
 def test_linearity_and_value_free_ledger(kernel, norm_name, path, pair):
     x, y, a, b = pair
-    n = len(x)
-    tab = ScaleTables(n)
-    with _on_path(path):
+    _assert_linear(kernel, norm_name, ScaleTables(len(x)), _on_path(path), x, y, a, b)
+
+
+def _assert_linear(kernel, norm_name, tab, path, x, y, a, b):
+    with path:
         fx, lx = _apply(kernel, norm_name, x, tab)
         fy, ly = _apply(kernel, norm_name, y, tab)
         mixed = [a * u + b * v for u, v in zip(x, y)]
@@ -216,8 +219,80 @@ def test_linearity_and_value_free_ledger(kernel, norm_name, path, pair):
 @given(st.sampled_from([2, 4, 8, 16, 32]).flatmap(
     lambda n: st.lists(finite, min_size=n, max_size=n)))
 def test_unitary_round_trip(forward, inverse, path, x):
-    tab = ScaleTables(len(x))
+    _assert_round_trip(forward, inverse, ScaleTables(len(x)), _on_path(path), x)
+
+
+def _assert_round_trip(forward, inverse, tab, path, x):
     u = Normalization.UNITARY
-    with _on_path(path):
+    with path:
         back = inverse(forward(x, u, tab), u, tab)
     assert np.max(np.abs(np.array(back) - x)) <= 1e-12 * max(np.max(np.abs(x)), 1e-300)
+
+
+# ------------------------------------------- properties at the program sizes
+
+PROGRAM_SIZES = [128, 256]
+PROGRAM_PATHS = ["first", "later"]
+# a failing example is reported as found: shrinking lists of 256 floats takes minutes
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
+
+def _program_path(path, first_call):
+    """A context in which the calls of one configuration take ``path``.
+
+    "first": no forward network, as on a configuration's first call (the
+    scalar real DFT, its lanes wrapped in an array).  "later": after
+    ``first_call()``, so the forward kernels run their real DFT as a
+    levelized program.  The DCT-III/DST-III run their transposed program
+    on both.
+    """
+    if path == "first":
+        return mock.patch.object(dct2, "NET_MIN_SIZE", 1 << 62)
+    first_call()
+    return contextlib.nullcontext()
+
+
+def _program_signals(count):
+    # count signals of one program size
+    return st.sampled_from(PROGRAM_SIZES).flatmap(
+        lambda n: st.tuples(*[st.lists(finite, min_size=n, max_size=n)] * count))
+
+
+@pytest.mark.parametrize("path", PROGRAM_PATHS)
+@pytest.mark.parametrize("kernel,norm_name", CONFIGS)
+@settings(max_examples=4, deadline=None, phases=NO_SHRINK)
+@given(_program_signals(2), finite, finite)
+def test_linearity_and_value_free_ledger_at_program_sizes(kernel, norm_name, path, xy, a, b):
+    x, y = xy
+    tab = ScaleTables(len(x))
+    on_path = _program_path(path, lambda: _apply(kernel, norm_name, [0.0] * len(x), tab))
+    _assert_linear(kernel, norm_name, tab, on_path, x, y, a, b)
+
+
+@pytest.mark.parametrize("path", PROGRAM_PATHS)
+@pytest.mark.parametrize("forward,inverse", [(dct2_new, dct3_new), (dst2_new, dst3_new)],
+                         ids=["dct", "dst"])
+@settings(max_examples=6, deadline=None, phases=NO_SHRINK)
+@given(_program_signals(1))
+def test_unitary_round_trip_at_program_sizes(forward, inverse, path, signals):
+    (x,) = signals
+    tab = ScaleTables(len(x))
+    on_path = _program_path(path, lambda: forward([0.0] * len(x), Normalization.UNITARY, tab))
+    _assert_round_trip(forward, inverse, tab, on_path, x)
+
+
+@pytest.mark.parametrize("n", PROGRAM_SIZES)
+@pytest.mark.parametrize("fn", [dct3_new, dst3_new])
+def test_inverse_program_matches_its_codelet_bitwise(fn, n):
+    x = _signed_zeros(n, 5)
+
+    def outputs():
+        res = []
+        for norm in Normalization:
+            led = FlopLedger()
+            res.append((np.array(fn(x, norm, ledger=led)).tobytes(), led.as_tuple()))
+        return res
+
+    program = outputs()
+    with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", 1 << 62):
+        assert outputs() == program

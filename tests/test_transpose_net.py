@@ -242,6 +242,11 @@ def test_program_matches_codelet_on_spectrum_net(n):
         assert codelet == program
     y = net.eval(list(x))
     assert all(type(v) is float for v in y)
+    # an array in gives a float64 array out, from the program and the codelet
+    for edges in (transpose_net.PROGRAM_MIN_EDGES, len(net.edges) + 1):
+        with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", edges):
+            ya = net.eval(x)
+        assert type(ya) is np.ndarray and ya.tobytes() == np.array(y).tobytes()
 
 
 def test_recording_a_program_sized_network():
@@ -298,7 +303,7 @@ def test_ledger_equals_structural_count(n, name, lane_kernel):
     assert net.structural_flops() == led.as_tuple(), name
     # and the recorded network reproduces the float kernel
     x = list(rng(56, n).standard_normal(n))
-    direct = lane_kernel(list(x), FlopLedger())
+    direct = lane_kernel(np.array(x), FlopLedger())
     assert np.allclose(net.eval(x), direct, rtol=0, atol=1e-12)
 
 
