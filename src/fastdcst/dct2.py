@@ -18,7 +18,7 @@ a configuration (kernel, normalization, table set) that has been called
 network, its *plan*, and runs every later call as that network's
 compiled codelet.  At N >= :data:`NET_MIN_SIZE` the forward kernels run
 every call of a configuration after its first with their real DFT as a
-recorded network, a levelized numpy program: the rescaled one for
+recorded network, a vertex-major numpy program: the rescaled one for
 ``dct2_new``, ``dct2_scaled`` and ``dst2_new`` (the same recording whose
 transpose the DCT-III runs), one per table set, and the plain one for
 ``dct2_classic``, one per size.
@@ -34,6 +34,7 @@ run their codelets on Python floats.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import SimpleNamespace
@@ -177,11 +178,12 @@ def _dct2_scaled_lanes(xs, tab, led, net=None):
 # after a `verify --max-size 64` sweep cost about 10% more peak memory.
 PLAN_MAX_SIZE = 16
 PLAN_AFTER_CALLS = 128
+_COUNT_LOCK = threading.Lock()
 
 # From this size on, the real DFT of the forward kernels runs as a network
 # from a configuration's second call on.  It is the first size whose
 # spectrum networks reach transpose_net.PROGRAM_MIN_EDGES, so they run as
-# levelized programs and never compile a codelet.  The first call stays
+# vertex-major programs and never compile a codelet.  The first call stays
 # scalar, so a one-shot call pays no record.
 NET_MIN_SIZE = 128
 
@@ -225,21 +227,25 @@ def _planned(tab, key, xs, led, lanes, *args, scaled=None):
     runs on the list ``xs``.  A forward kernel names the real DFT it runs
     with ``scaled``; at N >= NET_MIN_SIZE its first call marks ``key`` in
     ``tab.plans`` and every later call passes that DFT's network of
-    :func:`_spectrum_net` as ``net``.  Threads that race here may lose a
-    count or record the same network twice, but a network is stored only
-    once it is complete.
+    :func:`_spectrum_net` as ``net``.  The count is kept under a lock,
+    taken only while the entry is still a count, so a plan's calls take
+    none.  Threads that race on a spectrum network may record it twice,
+    but a network is stored only once it is complete.
     """
     n = len(xs)
     if n <= PLAN_MAX_SIZE:
         plan = tab.plans.get(key, 0)
+        if type(plan) is int:
+            with _COUNT_LOCK:
+                plan = tab.plans.get(key, 0)
+                if type(plan) is int and plan + 1 < PLAN_AFTER_CALLS:
+                    tab.plans[key] = plan + 1
+                elif type(plan) is int:
+                    rec = FlopLedger()
+                    plan = tab.plans[key] = _counted(
+                        record(lambda ins: lanes(ins, *args, rec), n), rec, f"of {key} at size {n}")
         if type(plan) is not int:
             return plan.eval(xs, led)
-        if plan + 1 >= PLAN_AFTER_CALLS:
-            rec = FlopLedger()
-            plan = tab.plans[key] = _counted(
-                record(lambda ins: lanes(ins, *args, rec), n), rec, f"of {key} at size {n}")
-            return plan.eval(xs, led)
-        tab.plans[key] = plan + 1
     elif scaled is not None and n >= NET_MIN_SIZE:
         if key in tab.plans:
             lanes = partial(lanes, net=_spectrum_net(tab, scaled))
@@ -251,6 +257,10 @@ def _planned(tab, key, xs, led, lanes, *args, scaled=None):
 
 
 def _check_input(x):
+    # float() would only warn on the elements of a complex array, and drop
+    # their imaginary parts
+    if isinstance(x, np.ndarray) and x.dtype.kind == "c":
+        raise TypeError(f"samples must be real numbers, not {x.dtype}")
     xs = list(map(float, x))
     checked_log2(len(xs), lowest=2)
     return xs
@@ -296,8 +306,8 @@ def dct2_new(
     ``x`` is a sequence whose length is a power of two, at least 2;
     otherwise ``ValueError``.  Each sample goes through ``float()``, so
     bools and numeric strings are read as their float values, a complex
-    sample, ``None``, a nested list or the rows of a 2-D array raise
-    ``TypeError``, and a non-numeric string ``ValueError``.  Sample values
+    sample or array, ``None``, a nested list or the rows of a 2-D array
+    raise ``TypeError``, and a non-numeric string ``ValueError``.  Sample values
     are not checked: NaN and infinities give their IEEE results, with no
     warning (a NaN anywhere makes every output NaN, an infinity makes
     every output infinite or NaN).  The other cosine/sine transforms

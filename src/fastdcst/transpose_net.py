@@ -19,12 +19,14 @@ bit-identical results.  Below :data:`PROGRAM_MIN_EDGES` edges, and on
 :class:`TraceScalar` inputs, it is a codelet: straight-line Python
 source generated from the network, one statement per vertex, compiled
 once and kept with the network.  At or above it, floats run through a
-levelized program: the edges are sorted once, by a vectorized wavefront,
-into levels of independent steps, and each level is a few numpy gathers,
-multiplies and scatters.  The program's level-ordered columns then replace
-the edge array as the network's one copy of its edges; ``edges`` rebuilds
-the evaluation order from them when it is asked for.  A float64 array
-goes into the program and its output array comes back as it is; a
+vertex-major program: a vectorized wavefront sorts the vertices once into
+levels of independent vertices and numbers them anew, level by level, so
+that each step of a level (one per in-edge rank, usually two) is one
+numpy gather and multiply whose result sets or adds to one contiguous
+slice of the values, with no scatter.  The program's columns then replace
+the edge array as the network's one copy of its edges; ``edges``
+rebuilds the evaluation order from them when it is asked for.  A float64
+array goes into the program and its output array comes back as it is; a
 codelet always runs on Python scalars.
 
 Kernels are recorded by running them on :class:`TraceScalar` values (in
@@ -52,12 +54,14 @@ __all__ = ["LinearNetwork", "TraceError", "record"]
 
 EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", np.float64)])
 
-# Networks with at least this many edges evaluate floats as a levelized
-# numpy program; smaller ones run their codelet.  The threshold was set on
-# the transposed spectrum networks against the Python edge walk that the
-# codelet replaced (level near 900 edges, N=64).  Warm, the codelet is
-# still ahead at 2,217 edges (N=128: 33 against 61 us) and draws level
-# near 5,000 (N=256), but compiling it costs about 10 us per edge.
+# Networks with at least this many edges evaluate floats as a vertex-major
+# numpy program; smaller ones run their codelet.  Warm, on the transposed
+# spectrum networks with an array in and out (2-CPU Xeon, best of 9x200
+# calls, three runs), the codelet is ahead at 910 edges (N=64: 18-25
+# against 41-71 us) and at 2,217 (N=128: 41-58 against 52-83 us), and
+# behind from 5,228 (N=256: 114-168 against 57-107 us).  Compiling the
+# codelet costs 16 ms at N=128 and building the program 3 ms, so the
+# threshold stays below N=128, where the forward spectrum networks start.
 PROGRAM_MIN_EDGES = 2048
 
 # Inlined single-edge terms nest at most this deep in one codelet
@@ -171,7 +175,7 @@ class LinearNetwork:
     docstring) and every id must lie in ``0 .. n_vertices-1``; a network
     that breaks either raises ``ValueError`` here, before any value is
     computed.  Edges and vertices are not to be changed afterwards: the
-    codelet and the levelized program are built from them once, on first
+    codelet and the program are built from them once, on first
     use, and held on the network (the program in place of the edge array).
     """
 
@@ -210,8 +214,8 @@ class LinearNetwork:
         self._flops = (len(self.inputs) + len(edges) - n_vertices, mults)
         self._n_edges = len(edges)
         self._codelet = None
-        # the edge array, until the levelized program (src, dst, w, levels)
-        # is built and replaces it with the same edges in level order
+        # the edge array, until the program (order, src, w, steps, outputs)
+        # is built and replaces it with the same edges in step order
         self._program = None
         self._edges = edges
 
@@ -219,18 +223,23 @@ class LinearNetwork:
     def edges(self):
         """The edges in evaluation order, as an array of :data:`EDGE_DTYPE`.
 
-        A levelized network holds its edges in level order only and builds
-        this array anew on each access: the steps of one vertex keep their
-        order across levels, so a stable sort by destination gives back
-        the evaluation order exactly.
+        A network with a program holds its edges in the program's columns
+        only and builds this array anew on each access: step ``k`` of a
+        vertex is its ``k``-th in-edge, so each step's terms go back to
+        their places in evaluation order exactly.
         """
         edges = self._edges
         if edges is not None:
             return edges
-        src, dst, w, _ = self._program
-        order = np.argsort(dst, kind="stable")
+        order, _, _, steps, _ = self._program
+        indeg = np.zeros(self.n_vertices, dtype=np.int64)
+        for _, a, b, _, _ in steps:
+            indeg[order[a:b]] += 1
+        first = np.cumsum(indeg) - indeg  # the place of each vertex's first in-edge
         edges = np.empty(self._n_edges, dtype=EDGE_DTYPE)
-        edges["src"], edges["dst"], edges["w"] = src[order], dst[order], w[order]
+        for k, a, b, src, w in steps:
+            e = first[order[a:b]] + k
+            edges["src"][e], edges["dst"][e], edges["w"][e] = order[src], order[a:b], w
         return edges
 
     def structural_flops(self) -> tuple[int, int]:
@@ -286,7 +295,7 @@ class LinearNetwork:
 
         Each vertex adds its incoming terms in their listed order.  A
         network of at least :data:`PROGRAM_MIN_EDGES` edges evaluated on
-        float64 values runs its levelized program, built on the first such
+        float64 values runs its vertex-major program, built on the first such
         call.  Any other network or input, including :class:`TraceScalar`
         values (so a kernel that embeds a network can itself be recorded),
         runs the network's codelet, compiled on first use, on Python
@@ -312,79 +321,82 @@ class LinearNetwork:
         return self._codelet(x)
 
     def _run(self, xs):
-        program = self._program
-        levels = program[3] if program is not None else self._levelize()
+        program = self._program if self._program is not None else self._compile()
         vals = np.empty(self.n_vertices)
-        vals[self._in_ids] = xs
-        for accumulate, src, dst, w in levels:
-            if accumulate:
-                vals[dst] += w * vals[src]
+        vals[:len(xs)] = xs
+        for k, a, b, src, w in program[3]:
+            terms = vals[src]
+            terms *= w
+            if k:
+                vals[a:b] += terms
             else:
-                vals[dst] = w * vals[src]
-        return vals[self._out_ids]
+                vals[a:b] = terms
+        return vals[program[4]]
 
-    def _levelize(self):
-        """Cut the edges into steps that numpy can run a level at a time.
+    def _compile(self):
+        """Build the vertex-major program: a few numpy steps per level.
 
-        Each edge is one step: a vertex's first edge sets it to
-        ``w * vals[src]`` and each later edge adds ``w * vals[src]`` to it,
-        so every sum keeps the codelet's order and rounding (multiplying by
-        +-1 is exact).  A step runs one level after both its source and
-        the partial sum it extends are complete, so no level reads what it
-        writes or writes one vertex twice.  Step ``j`` of a vertex whose
-        steps read sources of levels ``l_0 .. l_j`` therefore runs at level
-        ``j + max(l_i + 1 - i)``, a running maximum over the vertex's
-        steps, and the vertex's level is that of its last step.
+        A vertex of level ``l`` (one more than the highest level among its
+        sources; the inputs are level 0) is set to ``w0 * vals[s0]``, and
+        its second and later in-edges then add ``w * vals[s]`` to it in
+        their listed order, so every sum keeps the codelet's order and
+        rounding (multiplying by +-1 is exact).  The vertices are numbered
+        anew, level by level, the inputs first in their listed order and
+        each later level by descending in-degree, so the ``k``-th terms of
+        a level go to a prefix of its vertices: every step reads its
+        sources with one gather and writes one contiguous slice.
 
-        The levels are found a wavefront at a time: a vertex is levelled
-        once all of its sources are, so each pass handles only the edges
-        into the vertices just completed.  The program's level-ordered
-        columns then replace the edge array as the network's one copy of
-        its edges.
+        The levels are found a wavefront at a time: a vertex is complete
+        once all of its sources are, so wave ``l`` completes exactly the
+        vertices of level ``l``.  The program's columns, the sources in the
+        new numbering and the weights in step order, then replace the edge
+        array as the network's one copy of its edges.
         """
         edges = self.edges
         src, dst, w = edges["src"], edges["dst"], edges["w"]
-        n, m = self.n_vertices, self._n_edges
-        # int32 bookkeeping (ids and levels stay below the edge count) keeps
-        # the build's peak memory near that of the columns it writes
+        n = self.n_vertices
+        # int32 bookkeeping keeps the build's peak memory below that of the
+        # edge array it replaces
         first = _offsets(dst, n)  # the in-edges of v are first[v]:first[v+1]
+        indeg = np.diff(first)
         by_src = np.argsort(src).astype(np.int32)
         out_first = _offsets(src, n)  # and its out-edges by_src[out_first[v]:...]
-        pending = np.diff(first)  # sources not yet levelled, per vertex
-        level = np.zeros(n, dtype=np.int32)
-        step = np.empty(m, dtype=np.int32)
-        span = 2 * m + 2  # exceeds the spread of l_i + 1 - i over all edges
-        done = np.flatnonzero(pending == 0)
+        pending = indeg.copy()  # sources not yet complete, per vertex
+        done = self._in_ids
+        levels = [done.astype(np.int32)]
         while done.size:
             starts = out_first[done]
             touched, hits = np.unique(dst[by_src[_ranges(starts, out_first[done + 1] - starts)]],
                                       return_counts=True)
             pending[touched] -= hits
             done = touched[pending[touched] == 0]
-            starts = first[done]
-            sizes = first[done + 1] - starts
-            e = _ranges(starts, sizes)
-            pos = e - np.repeat(starts, sizes)  # of each edge among its vertex's in-edges
-            # running maximum within each vertex: offset vertex g by g * span
-            offset = np.repeat(np.arange(len(done)) * span, sizes)
-            run = np.maximum.accumulate(level[src[e]] + 1 - pos + offset)
-            step[e] = run - offset + pos
-            level[done] = step[first[done + 1] - 1]
-        del by_src, out_first, pending, level, first
-        # the sort key: level, then whether the step adds to a partial sum
-        step *= 2
-        step[1:] += dst[1:] == dst[:-1]
-        key = step.astype(np.int16) if m and step.max() < 2**15 else step
-        del step
-        order = np.argsort(key, kind="stable")  # by radix for 16-bit keys
-        key = key[order]
-        cuts = (np.flatnonzero(key[1:] != key[:-1]) + 1).tolist()
-        src, dst, w = src[order], dst[order], w[order]
-        levels = [(bool(key[a] & 1), src[a:b], dst[a:b], w[a:b])
-                  for a, b in zip([0] + cuts, cuts + [m])]
-        self._program = (src, dst, w, levels)
+            done = done[np.argsort(-indeg[done], kind="stable")]
+            levels.append(done.astype(np.int32))
+        del by_src, out_first, pending
+        sizes = list(map(len, levels))
+        order = np.concatenate(levels)  # the old id of each new vertex
+        del levels
+        new_id = np.empty(n, dtype=np.int32)
+        new_id[order] = np.arange(n, dtype=np.int32)
+        # the k-th terms of a level: the k-th in-edges of its vertices with
+        # more than k, sources in the new numbering
+        src_col = np.empty(self._n_edges, dtype=np.intp)
+        w_col = np.empty(self._n_edges)
+        steps, a, i = [], sizes[0], 0
+        for size in sizes[1:-1]:  # the last wave found no vertex
+            vs = order[a:a + size]
+            deg = indeg[vs]
+            for k in range(deg[0]):
+                b = a + int(np.count_nonzero(deg > k))
+                e = first[vs[:b - a]] + k
+                s, ws = src_col[i:i + b - a], w_col[i:i + b - a]
+                s[:], ws[:] = new_id[src[e]], w[e]
+                steps.append((k, a, b, s, ws))
+                i += b - a
+            a += size
+        self._program = (order, src_col, w_col, steps, new_id[self._out_ids].astype(np.intp))
         self._edges = None
-        return levels
+        return self._program
 
     def dumps(self) -> str:
         """Debug dump: one ``from to weight`` line per edge."""

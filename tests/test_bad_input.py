@@ -55,10 +55,12 @@ def _calls(fn, n):
     (lambda n: [[0.5, -0.5]] * n, TypeError),
     (lambda n: np.full((n, 2), 0.5), TypeError),
     (lambda n: [0.5] * (n - 1) + [0.5 + 1j], TypeError),
+    (lambda n: np.full(n, 0.5 + 1j), TypeError),
     (lambda n: [0.5] * (n - 1) + [None], TypeError),
     (lambda n: ["0.5"] * (n - 1) + ["half"], ValueError),
     (lambda n: [0.5] * (n - 1), ValueError),
-], ids=["nested-list", "2d-array", "complex", "none", "non-numeric-string", "length"])
+], ids=["nested-list", "2d-array", "complex", "complex-array", "none", "non-numeric-string",
+     "length"])
 def test_rejected_input_raises_on_every_call(fn, n, make, error):
     call = _calls(fn, n)
     for _ in range(2):

@@ -203,14 +203,29 @@ def test_classic_kernel_builds_no_tables_above_the_plan_size():
 
 @pytest.mark.parametrize("n", [128, 1024])
 def test_levelizing_keeps_the_edges_bytes(n):
-    net = dct2._spectrum_net(ScaleTables(n), True)
-    edges, dump, tdump = net.edges.tobytes(), net.dumps(), net.transpose().dumps()
-    x = rng(95, n).standard_normal(n).tolist()
-    y = net.eval(x)
-    src, _, _, levels = net._program
-    # the program's steps are slices of the network's one copy of its edges
-    assert levels and all(np.shares_memory(step[1], src) for step in levels)
-    assert net.edges.tobytes() == edges
-    assert net.dumps() == dump
-    assert net.transpose().dumps() == tdump
-    assert net.eval(x) == y
+    forward = dct2._spectrum_net(ScaleTables(n), True)
+    classic = dct2._spectrum_net(dct2._classic_state(n), False)
+    for net in (forward, classic, forward.transpose()):
+        edges, dump, tdump = net.edges.tobytes(), net.dumps(), net.transpose().dumps()
+        x = rng(95, n).standard_normal(n).tolist()
+        y = net.eval(x)
+        # each level's first step writes one contiguous slice, the levels
+        # one after another from the inputs on; its later steps a prefix
+        order, src, w, steps, _ = net._program
+        level = (0, len(net.inputs))
+        for k, a, b, s, ws in steps:
+            if k == 0:
+                assert a == level[1] and b > a
+                level = (a, b)
+            else:
+                assert a == level[0] and b <= level[1]
+            assert np.shares_memory(s, src) and np.shares_memory(ws, w)
+            assert len(s) == len(ws) == b - a
+        assert level[1] == net.n_vertices
+        # the program's arrays are the network's one copy of its edges
+        assert net._edges is None
+        assert order.nbytes + src.nbytes + w.nbytes <= len(edges)
+        assert net.edges.tobytes() == edges
+        assert net.dumps() == dump
+        assert net.transpose().dumps() == tdump
+        assert net.eval(x) == y

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -124,6 +125,28 @@ def test_plans_built_under_threads_agree():
         outs = list(pool.map(lambda _: dct3_new(x, Normalization.UNITARY, tab),
                              range(2 * K)))
     assert {np.array(o).tobytes() for o in outs} == {want}
+    assert isinstance(tab.plans[("dct3_new", "unitary")], LinearNetwork)
+
+
+class _YieldingDict(dict):
+    # hands the interpreter to another thread after every read, so an
+    # unlocked read-modify-write of a call count loses counts every time
+    def get(self, *args):
+        value = dict.get(self, *args)
+        time.sleep(0)
+        return value
+
+
+def test_no_call_is_lost_from_the_count_under_threads():
+    from concurrent.futures import ThreadPoolExecutor
+
+    tab = ScaleTables(8)
+    tab.plans = _YieldingDict()
+    x = _signed_zeros(8, 5)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        list(pool.map(lambda _: dct3_new(x, Normalization.UNITARY, tab), range(K - 1)))
+    assert tab.plans[("dct3_new", "unitary")] == K - 1
+    dct3_new(x, Normalization.UNITARY, tab)
     assert isinstance(tab.plans[("dct3_new", "unitary")], LinearNetwork)
 
 

@@ -186,41 +186,45 @@ def test_transpose_random_dag_property(net, seed):
 
 
 def _reference_program(net):
-    """The levelized program by its definition, one edge at a time: a
-    vertex's first step runs one level after its source, each later step
-    after both its source and the step before it; steps sort stably by
-    (level, whether they add to a partial sum)."""
-    level = [0] * net.n_vertices
-    keys = []
-    last = lv = -1
-    for s, d, _ in net.edges.tolist():
-        if d != last:
-            lv, last = level[s] + 1, d
-            keys.append(2 * lv)
-        else:
-            lv = max(level[s] + 1, lv + 1)
-            keys.append(2 * lv + 1)
-        level[d] = lv
-    keys = np.array(keys)
-    order = np.argsort(keys, kind="stable")
-    keys, edges = keys[order], net.edges[order]
-    cuts = (np.flatnonzero(np.diff(keys)) + 1).tolist()
-    return [(bool(keys[a] & 1), edges[a:b].tolist())
-            for a, b in zip([0] + cuts, cuts + [len(keys)])]
+    """The vertex-major program by its definition, one vertex at a time: a
+    vertex's level is one more than the highest level among its sources
+    (the inputs are level 0); the vertices are numbered anew by level, the
+    inputs in their listed order and each later level by descending
+    in-degree, then by id; step ``k`` of a level takes the ``k``-th in-edge
+    of each of its vertices that has one."""
+    ins = {}
+    for s, d, w in net.edges.tolist():
+        ins.setdefault(d, []).append((s, w))
+    level = dict.fromkeys(net.inputs, 0)
+    for d in sorted(ins):
+        level[d] = 1 + max(level[s] for s, _ in ins[d])
+    order = list(net.inputs) + sorted(ins, key=lambda v: (level[v], -len(ins[v]), v))
+    steps = []
+    for lv in range(1, max(level.values()) + 1):
+        vs = [v for v in order if level[v] == lv]
+        for k in range(len(ins[vs[0]])):
+            steps.append((k, [(v,) + ins[v][k] for v in vs if len(ins[v]) > k]))
+    return order, steps
 
 
 @settings(max_examples=150, deadline=None)
 @given(square_dags())
 @example(ALIAS_CHAIN)
+@example(LinearNetwork(2, [], [1, 0], [1, 0]))  # inputs only: a program of no steps
 def test_levelizer_matches_its_definition(net):
-    want = _reference_program(net)
-    edges = net.edges.tobytes()
-    with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", 0):
-        net.eval([0.0] * len(net.inputs))
-    got = [(accumulate, list(zip(src.tolist(), dst.tolist(), w.tolist())))
-           for accumulate, src, dst, w in net._program[3]]
-    assert got == want
-    assert net.edges.tobytes() == edges
+    for net in (net, net.transpose()):
+        want_order, want_steps = _reference_program(net)
+        edges = net.edges.tobytes()
+        with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", 0):
+            net.eval([0.0] * len(net.inputs))
+        order, _, _, steps, outs = net._program
+        order = order.tolist()
+        got = [(k, list(zip([order[v] for v in range(a, b)],
+                            [order[s] for s in src.tolist()], w.tolist())))
+               for k, a, b, src, w in steps]
+        assert (order, got) == (want_order, want_steps)
+        assert [order[v] for v in outs.tolist()] == net.outputs
+        assert net.edges.tobytes() == edges
 
 
 def test_transpose_collapses_alias_chain():
