@@ -16,12 +16,15 @@ the same output bits and the same ledger.  At N <= :data:`PLAN_MAX_SIZE`
 a configuration (kernel, normalization, table set) that has been called
 :data:`PLAN_AFTER_CALLS` times records the whole kernel once as a linear
 network, its *plan*, and runs every later call as that network's
-compiled codelet.  At N >= :data:`NET_MIN_SIZE` the forward kernels run
-every call of a configuration after its first with their real DFT as a
-recorded network, a vertex-major numpy program: the rescaled one for
-``dct2_new``, ``dct2_scaled`` and ``dst2_new`` (the same recording whose
-transpose the DCT-III runs), one per table set, and the plain one for
-``dct2_classic``, one per size.
+compiled codelet.  Above :data:`PLAN_MAX_SIZE`, from a configuration's
+second call on, the forward kernels run their real DFT as a recorded
+network (a codelet or a vertex-major numpy program, by edge count): the
+rescaled one for ``dct2_new``, ``dct2_scaled`` and ``dst2_new`` (the same
+recording whose transpose the DCT-III runs), one per table set, and the
+plain one for ``dct2_classic``, one per size.  ``dct2_classic`` runs
+``dct2_new``'s kernel on its per-size state (:func:`_classic_state`) in
+place of a table set: the plain real DFT and the stage constants
+2*unit_root(k, 4N).
 
 Every call that is not a plan runs array-in, array-out: one float64
 array from the input, numpy indexing for the even/odd reorder, and an
@@ -97,15 +100,12 @@ def reorder_even_odd(x):
 
 @lru_cache(maxsize=sf.CACHED_SIZES)
 def _classic_state(n):
-    # where dct2_classic keeps its call marks and plain spectrum network from
-    # NET_MIN_SIZE on: a table set would cost a build it never reads
-    return SimpleNamespace(size=n, plans={})
-
-
-@lru_cache(maxsize=sf.CACHED_SIZES)
-def _classic_stage(n):
-    # output-stage constants 2*unit_root(k, 4N) folded per normalization
-    return sf.dct_stage(n, [2.0 * unit_root(k, 4 * n) for k in range(n // 2)])
+    # what dct2_classic keeps per size in place of a table set, which would
+    # cost a build it never reads: its output-stage constants 2*unit_root(k,
+    # 4N) folded per normalization, and its call counts, plans and plain
+    # spectrum network
+    stage = sf.dct_stage(n, [2.0 * unit_root(k, 4 * n) for k in range(n // 2)])
+    return SimpleNamespace(size=n, plans={}, dct_stage=stage.__getitem__)
 
 
 def _rotate(stage, led, u0, uh, u, v):
@@ -134,21 +134,16 @@ def _stage_outputs(stage, z, led):
 
 def _spectrum(x, tab, led, net=None):
     # the real DFT of the array x in the lanes of pack_lanes, as an array of
-    # its dtype: the rescaled one from the constants of tab, or the plain one
-    # if tab is None; run as net if given
+    # its dtype: the rescaled one from the constants of a table set tab, or
+    # the plain one if tab is a _classic_state; run as net if given
     if net is not None:
         return net.eval(x, led)
     xs = x.tolist()
-    if tab is None:
-        lanes = pack_lanes(*_rfft_std_lanes(xs, led))
-    else:
+    if isinstance(tab, ScaleTables):
         lanes = pack_lanes(*_rfft_scaled_lanes(1, xs, tab, led))
+    else:
+        lanes = pack_lanes(*_rfft_std_lanes(xs, led))
     return np.fromiter(lanes, x.dtype, len(lanes))
-
-
-def _dct2_classic_lanes(xs, norm_key, led, net=None):
-    z = _spectrum(reorder_even_odd(xs), None, led, net)
-    return _stage_outputs(_classic_stage(len(xs))[norm_key], z, led)
 
 
 def _dct2_new_lanes(xs, norm_key, tab, led, net=None):
@@ -176,16 +171,12 @@ def _dct2_scaled_lanes(xs, tab, led, net=None):
 # calls, so a configuration called only a few times (one `fastdcst verify`
 # calls each twice) never pays for it; and plans for N=32 and N=64 held
 # after a `verify --max-size 64` sweep cost about 10% more peak memory.
+# Above PLAN_MAX_SIZE the forward kernels run their real DFT as a network
+# from a configuration's second call on; the first call stays scalar, so a
+# one-shot call pays no record.
 PLAN_MAX_SIZE = 16
 PLAN_AFTER_CALLS = 128
 _COUNT_LOCK = threading.Lock()
-
-# From this size on, the real DFT of the forward kernels runs as a network
-# from a configuration's second call on.  It is the first size whose
-# spectrum networks reach transpose_net.PROGRAM_MIN_EDGES, so they run as
-# vertex-major programs and never compile a codelet.  The first call stays
-# scalar, so a one-shot call pays no record.
-NET_MIN_SIZE = 128
 
 
 def _counted(net, led, what):
@@ -198,36 +189,34 @@ def _counted(net, led, what):
     return net
 
 
-def _spectrum_net(tab, scaled):
+def _spectrum_net(tab):
     """The real DFT of size ``tab.size`` as a network, kept in ``tab.plans``.
 
     Rescaled (:func:`fastdcst.fft_real.half_spectrum_lanes`) from the
-    constants of the table set ``tab`` when ``scaled``, else the plain
-    split-radix one (``tab`` is then a :func:`_classic_state`); lanes as
-    in :func:`fastdcst.fft_real.pack_lanes`.  Recorded on first use, its
+    constants of a table set ``tab``, or the plain split-radix one if
+    ``tab`` is a :func:`_classic_state`; lanes as in
+    :func:`fastdcst.fft_real.pack_lanes`.  Recorded on first use, its
     structural count checked against the kernel's ledger.
     """
-    key = ("spectrum", scaled)
-    net = tab.plans.get(key)
+    net = tab.plans.get("spectrum")
     if net is None:
         rec = FlopLedger()
-        dft = tab if scaled else None
-        net = record(lambda ins: _spectrum(ins, dft, rec), tab.size)
-        net = tab.plans[key] = _counted(
-            net, rec, f"of the {'rescaled' if scaled else 'plain'} real DFT at size {tab.size}")
+        net = record(lambda ins: _spectrum(ins, tab, rec), tab.size)
+        what = "rescaled" if isinstance(tab, ScaleTables) else "plain"
+        net = tab.plans["spectrum"] = _counted(net, rec, f"of the {what} real DFT at size {tab.size}")
     return net
 
 
-def _planned(tab, key, xs, led, lanes, *args, scaled=None):
+def _planned(tab, key, xs, led, lanes, *args, forward=False):
     """``lanes(xs, *args, led)``, or what repeated calls make of it, as a list.
 
     ``lanes`` runs on ``xs`` as a float64 array.  At N <= PLAN_MAX_SIZE,
     ``tab.plans[key]`` counts the calls until the PLAN_AFTER_CALLS-th,
     which records the plan from the constants of ``tab`` itself; a plan
-    runs on the list ``xs``.  A forward kernel names the real DFT it runs
-    with ``scaled``; at N >= NET_MIN_SIZE its first call marks ``key`` in
-    ``tab.plans`` and every later call passes that DFT's network of
-    :func:`_spectrum_net` as ``net``.  The count is kept under a lock,
+    runs on the list ``xs``.  Above PLAN_MAX_SIZE the first call of a
+    ``forward`` kernel marks ``key`` in ``tab.plans``, and from the second
+    call on ``lanes`` gets the real DFT of ``tab`` as the network of
+    :func:`_spectrum_net`, in ``net``.  The count is kept under a lock,
     taken only while the entry is still a count, so a plan's calls take
     none.  Threads that race on a spectrum network may record it twice,
     but a network is stored only once it is complete.
@@ -246,9 +235,9 @@ def _planned(tab, key, xs, led, lanes, *args, scaled=None):
                         record(lambda ins: lanes(ins, *args, rec), n), rec, f"of {key} at size {n}")
         if type(plan) is not int:
             return plan.eval(xs, led)
-    elif scaled is not None and n >= NET_MIN_SIZE:
+    elif forward:
         if key in tab.plans:
-            lanes = partial(lanes, net=_spectrum_net(tab, scaled))
+            lanes = partial(lanes, net=_spectrum_net(tab))
         else:
             tab.plans[key] = 0
     # as on Python floats, an overflow or inf - inf gives its IEEE result silently
@@ -275,13 +264,8 @@ def dct2_classic(
     xs = _check_input(x)
     led = ledger if ledger is not None else FlopLedger()
     key = norm.value
-    n = len(xs)
-    if n <= PLAN_MAX_SIZE:
-        tab = sf.build_tables(n)
-    else:  # between the two sizes there is neither plan nor network to keep
-        tab = _classic_state(n) if n >= NET_MIN_SIZE else None
-    return _planned(tab, ("dct2_classic", key), xs, led, _dct2_classic_lanes, key,
-                    scaled=False)
+    tab = _classic_state(len(xs))
+    return _planned(tab, ("dct2_classic", key), xs, led, _dct2_new_lanes, key, tab, forward=True)
 
 
 def _prep(x, tables):
@@ -316,7 +300,7 @@ def dct2_new(
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
     key = norm.value
-    return _planned(tab, ("dct2_new", key), xs, led, _dct2_new_lanes, key, tab, scaled=True)
+    return _planned(tab, ("dct2_new", key), xs, led, _dct2_new_lanes, key, tab, forward=True)
 
 
 def dct2_scaled(
@@ -331,5 +315,5 @@ def dct2_scaled(
     """
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
-    values = _planned(tab, ("dct2_scaled",), xs, led, _dct2_scaled_lanes, tab, scaled=True)
+    values = _planned(tab, ("dct2_scaled",), xs, led, _dct2_scaled_lanes, tab, forward=True)
     return ScaledDctOutput(values=values, scales=list(tab.dct_scales))

@@ -55,13 +55,16 @@ __all__ = ["LinearNetwork", "TraceError", "record"]
 EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", np.float64)])
 
 # Networks with at least this many edges evaluate floats as a vertex-major
-# numpy program; smaller ones run their codelet.  Warm, on the transposed
-# spectrum networks with an array in and out (2-CPU Xeon, best of 9x200
-# calls, three runs), the codelet is ahead at 910 edges (N=64: 18-25
-# against 41-71 us) and at 2,217 (N=128: 41-58 against 52-83 us), and
-# behind from 5,228 (N=256: 114-168 against 57-107 us).  Compiling the
-# codelet costs 16 ms at N=128 and building the program 3 ms, so the
-# threshold stays below N=128, where the forward spectrum networks start.
+# numpy program; smaller ones run their codelet.  Warm, on the forward,
+# plain and transposed spectrum networks with an array in and out (2-CPU
+# Xeon, best of 9x200 calls, three runs on a shared host), the codelet is
+# ahead at N=64 (910-1,020 edges: 20-23 against 39-61 us), level at N=128
+# (2,217-2,469 edges: 36-56 against 38-74 us) and behind at N=256
+# (5,228-5,804 edges: 105-152 against 65-101 us).  At N=128 compiling a
+# codelet costs 10-18 ms and building the program 1.4-2.3 ms, paid once per
+# network on a configuration's second call, so the threshold sits between
+# N=64 and N=128: spectrum networks run as codelets at N=32 and 64 and as
+# programs from N=128 on.
 PROGRAM_MIN_EDGES = 2048
 
 # Inlined single-edge terms nest at most this deep in one codelet
@@ -203,9 +206,10 @@ class LinearNetwork:
             raise ValueError(f"incoming edges of vertex {dst[bad.argmax() + 1]} are not contiguous")
         summed = np.zeros(n_vertices, dtype=bool)
         summed[dst] = True
-        for v in self.inputs:
+        for i, v in enumerate(self.inputs):
             if summed[v]:
-                raise ValueError(f"input vertex {v} has incoming edges")
+                what = "is repeated" if v in self.inputs[:i] else "has incoming edges"
+                raise ValueError(f"input vertex {v} {what}")
             summed[v] = True
         if not summed.all():
             raise ValueError(
@@ -262,8 +266,14 @@ class LinearNetwork:
         get a single unit-weight incoming edge are collapsed (a pure
         renaming, resolved along alias chains by pointer jumping), which
         changes |V| and |E| by the same amount and therefore leaves both
-        structural counts intact.
+        structural counts intact.  A vertex repeated among the outputs would
+        be repeated among the inputs of the result, so it is refused with
+        ``ValueError``.
         """
+        ids, counts = np.unique(self._out_ids, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"output vertex {ids[counts > 1][0]} is repeated, so the "
+                             "transpose would take it as an input twice")
         n = self.n_vertices
         edges = self.edges
         src, dst, w = edges["src"], edges["dst"], edges["w"]

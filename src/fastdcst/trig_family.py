@@ -7,8 +7,8 @@ input pairs x[k], x[N-k]), then the *transposed* rescaled real DFT, then
 the even/odd de-interleave.  The middle stage is obtained mechanically: the
 real-input rescaled DFT is recorded as a linear network over real lanes
 and transposed edge-by-edge.  The forward network is the one the DCT-II
-and DST-II kernels run from a configuration's second call on at N >=
-``dct2.NET_MIN_SIZE``, kept on the size's shared tables, so one recording
+and DST-II kernels run from a configuration's second call on above
+``dct2.PLAN_MAX_SIZE``, kept on the size's shared tables, so one recording
 serves both directions.  Both networks keep their vertices in evaluation
 order (every edge runs to a higher vertex id) with their edges in numpy
 columns.  From N=128 on the transposed network has more than
@@ -62,7 +62,7 @@ def _transposed_spectrum_net(n):
     Lane layout on the transposed inputs matches the forward outputs:
     [z0, re(z1), im(z1), ..., re(z_{N/2-1}), im(z_{N/2-1}), z_{N/2}].
     """
-    return _spectrum_net(sf.build_tables(n), True).transpose()
+    return _spectrum_net(sf.build_tables(n)).transpose()
 
 
 def _dct3_new_lanes(xs, norm_key, tab, led):
@@ -117,7 +117,7 @@ def dst2_new(
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
     key = norm.value
-    return _planned(tab, ("dst2_new", key), xs, led, _dst2_new_lanes, key, tab, scaled=True)
+    return _planned(tab, ("dst2_new", key), xs, led, _dst2_new_lanes, key, tab, forward=True)
 
 
 def dst3_new(

@@ -20,7 +20,7 @@ from fastdcst import (
     reorder_even_odd,
     unit_root,
 )
-from fastdcst.dct2 import _classic_stage
+from fastdcst.dct2 import _classic_state
 
 NORMS = list(Normalization)
 
@@ -181,14 +181,14 @@ def test_classic_stage_matches_definition():
     # ones; they must still be exactly factor * unit_root(k, 4N), zero
     # signs included.  Slot 0 is never read: bins 0 and N/2 take the ends.
     for n in (1 << e for e in range(1, 13)):
-        stages = _classic_stage(n)
+        state = _classic_state(n)
         for norm, factor, ends in (
             (Normalization.TWO_SIDED, 2.0, (2.0, math.sqrt(2.0))),
             (Normalization.UNITARY, math.sqrt(2.0 / n),
              (1.0 / math.sqrt(n), 1.0 / math.sqrt(n))),
             (Normalization.UNITARY_SQRT_N, math.sqrt(2.0), (None, None)),
         ):
-            c0, ch, re, im = stages[norm.value]
+            c0, ch, re, im = state.dct_stage(norm.value)
             pairs = list(zip(re.tolist(), im.tolist()))
             assert (c0, ch) == ends
             assert len(pairs) == n // 2

@@ -1,4 +1,4 @@
-"""Forward kernels at N >= NET_MIN_SIZE: the real DFT as a recorded network."""
+"""Forward kernels above PLAN_MAX_SIZE: the real DFT as a recorded network."""
 
 import gc
 import weakref
@@ -30,7 +30,8 @@ from fastdcst.fft_real import half_spectrum_lanes
 from fastdcst.trig_family import _transposed_spectrum_net
 
 NORMS = list(Normalization)
-SIZES = [dct2.NET_MIN_SIZE * 2**i for i in range(6)]  # 128 .. 4096
+SIZES = [2 * dct2.PLAN_MAX_SIZE * 2**i for i in range(8)]  # 32 .. 4096
+K = dct2.PLAN_AFTER_CALLS
 RESCALED = [dct2_new, dst2_new]
 
 
@@ -87,8 +88,8 @@ def test_later_calls_match_the_first_bitwise(n):
             first = call(x)
             assert call(x) == first, name
             assert call(x) == first, name
-    assert isinstance(tab.plans[("spectrum", True)], LinearNetwork)
-    assert isinstance(dct2._classic_state(n).plans[("spectrum", False)], LinearNetwork)
+    assert isinstance(tab.plans["spectrum"], LinearNetwork)
+    assert isinstance(dct2._classic_state(n).plans["spectrum"], LinearNetwork)
 
 
 @pytest.mark.parametrize("n", [128, 512])
@@ -110,22 +111,47 @@ def test_first_call_records_no_forward_network():
         for _, call in calls:
             call(x)
         assert rec.call_count == 0
-        assert ("spectrum", True) not in tab.plans
-        assert ("spectrum", False) not in dct2._classic_state(n).plans
+        assert "spectrum" not in tab.plans
+        assert "spectrum" not in dct2._classic_state(n).plans
         for _, call in calls:
             call(x)
         assert rec.call_count == 2  # one rescaled and one plain real DFT
 
 
-def test_below_the_net_size_nothing_is_recorded():
-    n = dct2.NET_MIN_SIZE // 2
+def test_plans_up_to_the_plan_size_and_spectrum_networks_above_it():
+    # at PLAN_MAX_SIZE every configuration records its plan on the K-th
+    # call and no spectrum network
+    n = dct2.PLAN_MAX_SIZE
     tab = ScaleTables(n)
+    _forget_classic(n)
     x = _signed_zeros(n, 3)
+    calls = _forward_calls(tab)
     with mock.patch.object(dct2, "record", wraps=record) as rec:
-        for _ in range(3):
-            for _, call in _forward_calls(tab):
+        for _ in range(K + 1):
+            for _, call in calls:
                 call(x)
-    assert rec.call_count == 0 and tab.plans == {}
+    assert rec.call_count == len(calls)
+    for plans in (tab.plans, dct2._classic_state(n).plans):
+        assert "spectrum" not in plans
+        assert all(isinstance(p, LinearNetwork) for p in plans.values())
+    # one size up the second call records one network per real DFT, and
+    # no call records a plan
+    n = 2 * dct2.PLAN_MAX_SIZE
+    tab = ScaleTables(n)
+    _forget_classic(n)
+    x = _signed_zeros(n, 3)
+    calls = _forward_calls(tab)
+    with mock.patch.object(dct2, "record", wraps=record) as rec:
+        for _, call in calls:
+            call(x)
+        assert rec.call_count == 0
+        for _ in range(K + 1):
+            for _, call in calls:
+                call(x)
+    assert rec.call_count == 2  # one rescaled and one plain real DFT
+    for plans in (tab.plans, dct2._classic_state(n).plans):
+        assert isinstance(plans.pop("spectrum"), LinearNetwork)
+        assert set(plans.values()) == {0}
 
 
 @pytest.mark.parametrize("make", [ScaleTables, _corrupted_tables], ids=["fresh", "bent"])
@@ -142,8 +168,8 @@ def test_own_tables_get_their_own_network(make, fn):
 
     scalar = run(tab)
     assert run(tab) == run(tab) == scalar
-    net = tab.plans[("spectrum", True)]
-    assert net is not build_tables(n).plans.get(("spectrum", True))
+    net = tab.plans["spectrum"]
+    assert net is not build_tables(n).plans.get("spectrum")
     assert net.dumps() == _rescaled_recording(n).dumps()
     if make is _corrupted_tables and fn is not dct2_scaled:
         assert scalar != run(ScaleTables(n))
@@ -156,17 +182,18 @@ def _rescaled_recording(n):
 
 def test_transposed_net_is_the_transpose_of_the_forward_one():
     n = 256
-    net = dct2._spectrum_net(build_tables(n), True)
+    net = dct2._spectrum_net(build_tables(n))
     assert net.dumps() == _rescaled_recording(n).dumps()
     assert _transposed_spectrum_net(n).dumps() == _rescaled_recording(n).transpose().dumps()
 
 
 def test_spectrum_networks_are_counted_at_record():
-    tab = ScaleTables(128)
+    tab, classic = ScaleTables(128), dct2._classic_state.__wrapped__(128)
     with mock.patch.object(dct2, "_counted", wraps=dct2._counted) as counted:
-        dct2._spectrum_net(tab, True)
-        dct2._spectrum_net(tab, False)
-        dct2._spectrum_net(tab, True)
+        dct2._spectrum_net(tab)
+        dct2._spectrum_net(classic)
+        dct2._spectrum_net(tab)
+        dct2._spectrum_net(classic)
     assert counted.call_count == 2
 
 
@@ -182,8 +209,8 @@ def test_spectrum_caches_hold_at_most_cached_sizes():
             for _ in range(2):
                 dct2_new(x)
                 dct2_classic(x)
-            alive.append(weakref.ref(build_tables(n).plans[("spectrum", True)]))
-            alive.append(weakref.ref(dct2._classic_state(n).plans[("spectrum", False)]))
+            alive.append(weakref.ref(build_tables(n).plans["spectrum"]))
+            alive.append(weakref.ref(dct2._classic_state(n).plans["spectrum"]))
     gc.collect()
     assert sum(r() is not None for r in alive) <= 2 * keep
     for cache in (scale_factors._cached_tables, dct2._classic_state):
@@ -191,20 +218,22 @@ def test_spectrum_caches_hold_at_most_cached_sizes():
 
 
 def test_classic_kernel_builds_no_tables_above_the_plan_size():
-    n = dct2.NET_MIN_SIZE
-    x = _signed_zeros(n, 6)
+    # nor at or below it: plans, like the spectrum network, are kept on
+    # the classic kernel's own per-size state
     with mock.patch.object(scale_factors, "ScaleTables", wraps=ScaleTables) as built, \
          mock.patch.object(scale_factors, "_cached_tables",
                            lru_cache(maxsize=2)(scale_factors.ScaleTables)):
-        for _ in range(3):
-            dct2_classic(x)
+        for n in [2**e for e in range(1, 13)]:
+            x = _signed_zeros(n, 6)
+            for _ in range(3 if n > dct2.PLAN_MAX_SIZE else K + 1):
+                dct2_classic(x)
     assert built.call_count == 0
 
 
 @pytest.mark.parametrize("n", [128, 1024])
 def test_levelizing_keeps_the_edges_bytes(n):
-    forward = dct2._spectrum_net(ScaleTables(n), True)
-    classic = dct2._spectrum_net(dct2._classic_state(n), False)
+    forward = dct2._spectrum_net(ScaleTables(n))
+    classic = dct2._spectrum_net(dct2._classic_state(n))
     for net in (forward, classic, forward.transpose()):
         edges, dump, tdump = net.edges.tobytes(), net.dumps(), net.transpose().dumps()
         x = rng(95, n).standard_normal(n).tolist()

@@ -16,7 +16,6 @@ from fastdcst import (
     LinearNetwork,
     Normalization,
     ScaleTables,
-    build_tables,
     dct2,
     dct2_new,
     dct3_new,
@@ -47,9 +46,9 @@ def _run(kernel, x, norm_name, tab):
 
 
 def _tables_for(kernel, n):
-    # dct2_classic keeps its plans on the shared tables of its size
+    # dct2_classic keeps its plans on its own state for the size
     if kernel.algo == "classic":
-        tab = build_tables(n)
+        tab = dct2._classic_state(n)
         tab.plans.clear()
         return tab
     return ScaleTables(n)
@@ -88,16 +87,6 @@ def test_plan_recorded_on_the_kth_call_only(kernel):
     (plan,) = tab.plans.values()
     assert isinstance(plan, LinearNetwork)
     assert plan.structural_flops() == _run(kernel, x, norm_name, tab)[1]
-
-
-def test_no_plans_above_the_size_cap():
-    n = 2 * dct2.PLAN_MAX_SIZE
-    tab = ScaleTables(n)
-    x = _signed_zeros(n, 2)
-    with mock.patch.object(dct2, "record", wraps=record) as rec:
-        for _ in range(K + 1):
-            dct2_new(x, Normalization.UNITARY, tab)
-    assert rec.call_count == 0 and tab.plans == {}
 
 
 @pytest.mark.parametrize("fn", [dct2_new, dct3_new, dst2_new, dst3_new])
@@ -188,6 +177,8 @@ def test_non_finite_weights_compile():
 
 # --------------------------------------------------- properties, both paths
 
+# "scalar": no plans, so each configuration's first call runs the scalar
+# kernel and the forward kernels' later calls their spectrum network
 PATHS = {
     "scalar": ("PLAN_MAX_SIZE", 0),
     "plan": ("PLAN_AFTER_CALLS", 1),
@@ -220,15 +211,17 @@ def signal_pairs(draw):
 @given(signal_pairs())
 def test_linearity_and_value_free_ledger(kernel, norm_name, path, pair):
     x, y, a, b = pair
-    _assert_linear(kernel, norm_name, ScaleTables(len(x)), _on_path(path), x, y, a, b)
+    tab = ScaleTables(len(x))
+    _assert_linear(kernel, norm_name, lambda: tab, _on_path(path), x, y, a, b)
 
 
-def _assert_linear(kernel, norm_name, tab, path, x, y, a, b):
+def _assert_linear(kernel, norm_name, tables, path, x, y, a, b):
+    # tables() gives the table set of each call
     with path:
-        fx, lx = _apply(kernel, norm_name, x, tab)
-        fy, ly = _apply(kernel, norm_name, y, tab)
+        fx, lx = _apply(kernel, norm_name, x, tables())
+        fy, ly = _apply(kernel, norm_name, y, tables())
         mixed = [a * u + b * v for u, v in zip(x, y)]
-        fm, lm = _apply(kernel, norm_name, mixed, tab)
+        fm, lm = _apply(kernel, norm_name, mixed, tables())
     assert lx == ly == lm
     scale = max(np.max(np.abs(a * fx)), np.max(np.abs(b * fy)),
                 np.max(np.abs(fm)))
@@ -242,13 +235,14 @@ def _assert_linear(kernel, norm_name, tab, path, x, y, a, b):
 @given(st.sampled_from([2, 4, 8, 16, 32]).flatmap(
     lambda n: st.lists(finite, min_size=n, max_size=n)))
 def test_unitary_round_trip(forward, inverse, path, x):
-    _assert_round_trip(forward, inverse, ScaleTables(len(x)), _on_path(path), x)
+    tab = ScaleTables(len(x))
+    _assert_round_trip(forward, inverse, lambda: tab, _on_path(path), x)
 
 
-def _assert_round_trip(forward, inverse, tab, path, x):
+def _assert_round_trip(forward, inverse, tables, path, x):
     u = Normalization.UNITARY
     with path:
-        back = inverse(forward(x, u, tab), u, tab)
+        back = inverse(forward(x, u, tables()), u, tables())
     assert np.max(np.abs(np.array(back) - x)) <= 1e-12 * max(np.max(np.abs(x)), 1e-300)
 
 
@@ -260,19 +254,23 @@ PROGRAM_PATHS = ["first", "later"]
 NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
 
 
-def _program_path(path, first_call):
-    """A context in which the calls of one configuration take ``path``.
+def _program_path(path, n, first_call):
+    """``(tables, context)``: calls of one configuration at size ``n`` take
+    ``path`` on the table set ``tables()`` inside ``context``.
 
-    "first": no forward network, as on a configuration's first call (the
-    scalar real DFT, its lanes wrapped in an array).  "later": after
-    ``first_call()``, so the forward kernels run their real DFT as a
+    "first": every call is a configuration's first, on fresh state (new
+    tables each call, and a new ``dct2_classic`` state), so it runs the
+    scalar real DFT, its lanes wrapped in an array.  "later": after
+    ``first_call(tab)``, so the forward kernels run their real DFT as a
     levelized program.  The DCT-III/DST-III run their transposed program
     on both.
     """
     if path == "first":
-        return mock.patch.object(dct2, "NET_MIN_SIZE", 1 << 62)
-    first_call()
-    return contextlib.nullcontext()
+        return (lambda: ScaleTables(n),
+                mock.patch.object(dct2, "_classic_state", dct2._classic_state.__wrapped__))
+    tab = ScaleTables(n)
+    first_call(tab)
+    return (lambda: tab), contextlib.nullcontext()
 
 
 def _program_signals(count):
@@ -287,9 +285,9 @@ def _program_signals(count):
 @given(_program_signals(2), finite, finite)
 def test_linearity_and_value_free_ledger_at_program_sizes(kernel, norm_name, path, xy, a, b):
     x, y = xy
-    tab = ScaleTables(len(x))
-    on_path = _program_path(path, lambda: _apply(kernel, norm_name, [0.0] * len(x), tab))
-    _assert_linear(kernel, norm_name, tab, on_path, x, y, a, b)
+    tables, on_path = _program_path(
+        path, len(x), lambda tab: _apply(kernel, norm_name, [0.0] * len(x), tab))
+    _assert_linear(kernel, norm_name, tables, on_path, x, y, a, b)
 
 
 @pytest.mark.parametrize("path", PROGRAM_PATHS)
@@ -299,9 +297,9 @@ def test_linearity_and_value_free_ledger_at_program_sizes(kernel, norm_name, pat
 @given(_program_signals(1))
 def test_unitary_round_trip_at_program_sizes(forward, inverse, path, signals):
     (x,) = signals
-    tab = ScaleTables(len(x))
-    on_path = _program_path(path, lambda: forward([0.0] * len(x), Normalization.UNITARY, tab))
-    _assert_round_trip(forward, inverse, tab, on_path, x)
+    tables, on_path = _program_path(
+        path, len(x), lambda tab: forward([0.0] * len(x), Normalization.UNITARY, tab))
+    _assert_round_trip(forward, inverse, tables, on_path, x)
 
 
 @pytest.mark.parametrize("n", PROGRAM_SIZES)

@@ -16,7 +16,7 @@ from fastdcst import (
     record,
     transpose_net,
 )
-from fastdcst.dct2 import _dct2_classic_lanes, _dct2_new_lanes, _dct2_scaled_lanes
+from fastdcst.dct2 import _classic_state, _dct2_new_lanes, _dct2_scaled_lanes
 from fastdcst.fft_complex import _fft_scaled_lanes, _fft_std_lanes
 from fastdcst.fft_real import half_spectrum_lanes
 from fastdcst.trig_family import (
@@ -277,7 +277,7 @@ for n in (4, 16, 32):
     tab_n = build_tables(n)
     KERNEL_CASES += [
         pytest.param(n, "dct2_classic",
-                     lambda xs, led, t=tab_n: _dct2_classic_lanes(xs, "two-sided", led),
+                     lambda xs, led, t=_classic_state(n): _dct2_new_lanes(xs, "two-sided", t, led),
                      id=f"dct2_classic-{n}"),
         pytest.param(n, "dct2_new",
                      lambda xs, led, t=tab_n: _dct2_new_lanes(xs, "two-sided", t, led),
@@ -359,17 +359,28 @@ def test_input_with_incoming_edge_rejected():
     (2, [(1, 1, 1.0)], [0], [1], "does not run to a higher id"),
     (2, [(-1, 1, 1.0)], [0], [1], "does not run to a higher id"),
     (2, [(0, 1, 1.0)], [0, 1], [1], "input vertex 1 has incoming edges"),
+    (3, [(0, 2, 1.0), (1, 2, 1.0)], [0, 0, 1], [2], "input vertex 0 is repeated"),
     (3, [(0, 2, 1.0)], [0], [2], "vertex 1 is neither an input nor a sum"),
     (4, [(0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0)], [0, 1], [3],
      "incoming edges of vertex 2 are not contiguous"),
     (2, [(0, 5, 1.0)], [0], [1], "edge 0->5 ends past the last vertex 1"),
     (2, [(0, 1, 1.0)], [7], [1], "input vertex 7 is not among the 2 vertices"),
     (2, [(0, 1, 1.0)], [0], [-1], "output vertex -1 is not among the 2 vertices"),
-], ids=["edge-to-equal-id", "edge-from-negative-id", "input-with-edge", "no-edges",
+], ids=["edge-to-equal-id", "edge-from-negative-id", "input-with-edge", "repeated-input",
+        "no-edges",
         "not-contiguous", "edge-past-end", "input-out-of-range", "negative-output"])
 def test_evaluation_order_violations_rejected(n_vertices, edges, inputs, outputs, message):
     with pytest.raises(ValueError, match=message):
         LinearNetwork(n_vertices, edges, inputs, outputs)
+
+
+def test_transpose_rejects_a_repeated_output():
+    net = LinearNetwork(3, [(0, 2, 1.0), (1, 2, 1.0)], [0, 1], [2, 2])
+    assert net.eval([1.0, 2.0]) == [3.0, 3.0]
+    with mock.patch.object(transpose_net, "LinearNetwork") as built, \
+         pytest.raises(ValueError, match="output vertex 2 is repeated"):
+        net.transpose()
+    assert built.call_count == 0
 
 
 def test_dumps_edge_list():
