@@ -118,6 +118,22 @@ def test_first_call_records_no_forward_network():
         assert rec.call_count == 2  # one rescaled and one plain real DFT
 
 
+def test_below_the_net_size_nothing_is_recorded():
+    # the spectrum networks start one size above PLAN_MAX_SIZE; below that
+    # no call builds one, whatever its count
+    for n in (2, 4, 8, dct2.PLAN_MAX_SIZE):
+        tab = ScaleTables(n)
+        _forget_classic(n)
+        x = _signed_zeros(n, 3)
+        with mock.patch.object(dct2, "_spectrum_net", wraps=dct2._spectrum_net) as net:
+            for _ in range(K + 1):
+                for _, call in _forward_calls(tab):
+                    call(x)
+        assert net.call_count == 0, n
+        assert "spectrum" not in tab.plans, n
+        assert "spectrum" not in dct2._classic_state(n).plans, n
+
+
 def test_plans_up_to_the_plan_size_and_spectrum_networks_above_it():
     # at PLAN_MAX_SIZE every configuration records its plan on the K-th
     # call and no spectrum network

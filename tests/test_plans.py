@@ -89,6 +89,20 @@ def test_plan_recorded_on_the_kth_call_only(kernel):
     assert plan.structural_flops() == _run(kernel, x, norm_name, tab)[1]
 
 
+def test_no_plans_above_the_size_cap():
+    # above PLAN_MAX_SIZE the one record is the real DFT's network, on the
+    # second call
+    n = 2 * dct2.PLAN_MAX_SIZE
+    tab = ScaleTables(n)
+    x = _signed_zeros(n, 2)
+    with mock.patch.object(dct2, "record", wraps=record) as rec:
+        for _ in range(K + 1):
+            dct2_new(x, Normalization.UNITARY, tab)
+    assert rec.call_count == 1
+    assert isinstance(tab.plans.pop("spectrum"), LinearNetwork)
+    assert set(tab.plans.values()) == {0}
+
+
 @pytest.mark.parametrize("fn", [dct2_new, dct3_new, dst2_new, dst3_new])
 def test_plan_on_bent_tables_uses_their_constants(fn):
     n = 8
