@@ -132,17 +132,21 @@ def _stage_outputs(stage, z, led):
     return out
 
 
+def _real_dft(tab):
+    # (name, lanes(xs, led)) of tab's real DFT: the rescaled one from the
+    # constants of a table set (as fft_real.half_spectrum_lanes), the plain
+    # split-radix one for a _classic_state
+    if isinstance(tab, ScaleTables):
+        return "rescaled", lambda xs, led: _rfft_scaled_lanes(1, xs, tab, led)
+    return "plain", _rfft_std_lanes
+
+
 def _spectrum(x, tab, led, net=None):
-    # the real DFT of the array x in the lanes of pack_lanes, as an array of
-    # its dtype: the rescaled one from the constants of a table set tab, or
-    # the plain one if tab is a _classic_state; run as net if given
+    # the real DFT of tab (see _real_dft) on the array x, in the lanes of
+    # pack_lanes, as an array of its dtype; run as net if given
     if net is not None:
         return net.eval(x, led)
-    xs = x.tolist()
-    if isinstance(tab, ScaleTables):
-        lanes = pack_lanes(*_rfft_scaled_lanes(1, xs, tab, led))
-    else:
-        lanes = pack_lanes(*_rfft_std_lanes(xs, led))
+    lanes = pack_lanes(*_real_dft(tab)[1](x.tolist(), led))
     return np.fromiter(lanes, x.dtype, len(lanes))
 
 
@@ -190,20 +194,17 @@ def _counted(net, led, what):
 
 
 def _spectrum_net(tab):
-    """The real DFT of size ``tab.size`` as a network, kept in ``tab.plans``.
-
-    Rescaled (:func:`fastdcst.fft_real.half_spectrum_lanes`) from the
-    constants of a table set ``tab``, or the plain split-radix one if
-    ``tab`` is a :func:`_classic_state`; lanes as in
-    :func:`fastdcst.fft_real.pack_lanes`.  Recorded on first use, its
-    structural count checked against the kernel's ledger.
+    """The real DFT of ``tab`` (see :func:`_real_dft`) as a network, kept
+    in ``tab.plans``; lanes as in :func:`fastdcst.fft_real.pack_lanes`.
+    Recorded on first use, its structural count checked against the
+    kernel's ledger.
     """
     net = tab.plans.get("spectrum")
     if net is None:
         rec = FlopLedger()
         net = record(lambda ins: _spectrum(ins, tab, rec), tab.size)
-        what = "rescaled" if isinstance(tab, ScaleTables) else "plain"
-        net = tab.plans["spectrum"] = _counted(net, rec, f"of the {what} real DFT at size {tab.size}")
+        what = f"of the {_real_dft(tab)[0]} real DFT at size {tab.size}"
+        net = tab.plans["spectrum"] = _counted(net, rec, what)
     return net
 
 

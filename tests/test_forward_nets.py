@@ -102,20 +102,29 @@ def test_signed_zero_inputs_keep_their_bits(n):
 
 
 def test_first_call_records_no_forward_network():
-    n = 256
-    tab = ScaleTables(n)
-    _forget_classic(n)
-    x = _signed_zeros(n, 2)
-    calls = _forward_calls(tab)
-    with mock.patch.object(dct2, "record", wraps=record) as rec:
-        for _, call in calls:
-            call(x)
-        assert rec.call_count == 0
-        assert "spectrum" not in tab.plans
-        assert "spectrum" not in dct2._classic_state(n).plans
-        for _, call in calls:
-            call(x)
-        assert rec.call_count == 2  # one rescaled and one plain real DFT
+    # the second call records one network per real DFT, and no later call
+    # records a plan
+    for n in (2 * dct2.PLAN_MAX_SIZE, 256):
+        tab = ScaleTables(n)
+        _forget_classic(n)
+        x = _signed_zeros(n, 2)
+        calls = _forward_calls(tab)
+        with mock.patch.object(dct2, "record", wraps=record) as rec:
+            for _, call in calls:
+                call(x)
+            assert rec.call_count == 0, n
+            assert "spectrum" not in tab.plans, n
+            assert "spectrum" not in dct2._classic_state(n).plans, n
+            for _, call in calls:
+                call(x)
+            assert rec.call_count == 2, n  # one rescaled and one plain real DFT
+            for _ in range(K):
+                for _, call in calls:
+                    call(x)
+            assert rec.call_count == 2, n
+        for plans in (tab.plans, dct2._classic_state(n).plans):
+            assert isinstance(plans.pop("spectrum"), LinearNetwork), n
+            assert set(plans.values()) == {0}, n
 
 
 def test_below_the_net_size_nothing_is_recorded():
@@ -132,42 +141,6 @@ def test_below_the_net_size_nothing_is_recorded():
         assert net.call_count == 0, n
         assert "spectrum" not in tab.plans, n
         assert "spectrum" not in dct2._classic_state(n).plans, n
-
-
-def test_plans_up_to_the_plan_size_and_spectrum_networks_above_it():
-    # at PLAN_MAX_SIZE every configuration records its plan on the K-th
-    # call and no spectrum network
-    n = dct2.PLAN_MAX_SIZE
-    tab = ScaleTables(n)
-    _forget_classic(n)
-    x = _signed_zeros(n, 3)
-    calls = _forward_calls(tab)
-    with mock.patch.object(dct2, "record", wraps=record) as rec:
-        for _ in range(K + 1):
-            for _, call in calls:
-                call(x)
-    assert rec.call_count == len(calls)
-    for plans in (tab.plans, dct2._classic_state(n).plans):
-        assert "spectrum" not in plans
-        assert all(isinstance(p, LinearNetwork) for p in plans.values())
-    # one size up the second call records one network per real DFT, and
-    # no call records a plan
-    n = 2 * dct2.PLAN_MAX_SIZE
-    tab = ScaleTables(n)
-    _forget_classic(n)
-    x = _signed_zeros(n, 3)
-    calls = _forward_calls(tab)
-    with mock.patch.object(dct2, "record", wraps=record) as rec:
-        for _, call in calls:
-            call(x)
-        assert rec.call_count == 0
-        for _ in range(K + 1):
-            for _, call in calls:
-                call(x)
-    assert rec.call_count == 2  # one rescaled and one plain real DFT
-    for plans in (tab.plans, dct2._classic_state(n).plans):
-        assert isinstance(plans.pop("spectrum"), LinearNetwork)
-        assert set(plans.values()) == {0}
 
 
 @pytest.mark.parametrize("make", [ScaleTables, _corrupted_tables], ids=["fresh", "bent"])

@@ -191,20 +191,33 @@ def test_non_finite_weights_compile():
 
 # --------------------------------------------------- properties, both paths
 
-# "scalar": no plans, so each configuration's first call runs the scalar
-# kernel and the forward kernels' later calls their spectrum network
-PATHS = {
-    "scalar": ("PLAN_MAX_SIZE", 0),
-    "plan": ("PLAN_AFTER_CALLS", 1),
-}
+PATHS = ["plan", "scalar"]
 # signed zeros and magnitudes in [1e-3, 1e3]: products of two samples
 # neither underflow nor overflow
 finite = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1e3),
                    st.floats(-1e3, -1e-3))
 
 
-def _on_path(path):
-    return mock.patch.object(dct2, *PATHS[path])
+def _fresh_state(n):
+    """``(tables, context)`` in which every call at size ``n`` is its
+    configuration's first: new tables each call, and a new ``dct2_classic``
+    state, so each runs the scalar kernel, its real DFT included."""
+    return (lambda: ScaleTables(n),
+            mock.patch.object(dct2, "_classic_state", dct2._classic_state.__wrapped__))
+
+
+def _on_path(path, n):
+    """``(tables, context)``: calls at size ``n`` take ``path`` on the table
+    set ``tables()`` inside ``context``.
+
+    "scalar": see :func:`_fresh_state`.  "plan": at N <= PLAN_MAX_SIZE
+    every call runs its configuration's plan, recorded on its first call;
+    above it the forward kernels' later calls run their spectrum network.
+    """
+    if path == "scalar":
+        return _fresh_state(n)
+    tab = ScaleTables(n)
+    return (lambda: tab), mock.patch.object(dct2, "PLAN_AFTER_CALLS", 1)
 
 
 def _apply(kernel, norm_name, x, tab):
@@ -219,14 +232,13 @@ def signal_pairs(draw):
     return draw(vec), draw(vec), draw(finite), draw(finite)
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("kernel,norm_name", CONFIGS)
 @settings(max_examples=15, deadline=None)
 @given(signal_pairs())
 def test_linearity_and_value_free_ledger(kernel, norm_name, path, pair):
     x, y, a, b = pair
-    tab = ScaleTables(len(x))
-    _assert_linear(kernel, norm_name, lambda: tab, _on_path(path), x, y, a, b)
+    _assert_linear(kernel, norm_name, *_on_path(path, len(x)), x, y, a, b)
 
 
 def _assert_linear(kernel, norm_name, tables, path, x, y, a, b):
@@ -242,15 +254,14 @@ def _assert_linear(kernel, norm_name, tables, path, x, y, a, b):
     assert np.max(np.abs(fm - (a * fx + b * fy))) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("forward,inverse", [(dct2_new, dct3_new), (dst2_new, dst3_new)],
                          ids=["dct", "dst"])
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([2, 4, 8, 16, 32]).flatmap(
     lambda n: st.lists(finite, min_size=n, max_size=n)))
 def test_unitary_round_trip(forward, inverse, path, x):
-    tab = ScaleTables(len(x))
-    _assert_round_trip(forward, inverse, lambda: tab, _on_path(path), x)
+    _assert_round_trip(forward, inverse, *_on_path(path, len(x)), x)
 
 
 def _assert_round_trip(forward, inverse, tables, path, x):
@@ -272,16 +283,15 @@ def _program_path(path, n, first_call):
     """``(tables, context)``: calls of one configuration at size ``n`` take
     ``path`` on the table set ``tables()`` inside ``context``.
 
-    "first": every call is a configuration's first, on fresh state (new
-    tables each call, and a new ``dct2_classic`` state), so it runs the
-    scalar real DFT, its lanes wrapped in an array.  "later": after
+    "first": every call is its configuration's first (see
+    :func:`_fresh_state`), so it runs the scalar real DFT, its lanes
+    wrapped in an array.  "later": after
     ``first_call(tab)``, so the forward kernels run their real DFT as a
     levelized program.  The DCT-III/DST-III run their transposed program
     on both.
     """
     if path == "first":
-        return (lambda: ScaleTables(n),
-                mock.patch.object(dct2, "_classic_state", dct2._classic_state.__wrapped__))
+        return _fresh_state(n)
     tab = ScaleTables(n)
     first_call(tab)
     return (lambda: tab), contextlib.nullcontext()
