@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import SimpleNamespace
@@ -211,16 +212,18 @@ def _spectrum_net(tab):
 def _planned(tab, key, xs, led, lanes, *args, forward=False):
     """``lanes(xs, *args, led)``, or what repeated calls make of it, as a list.
 
-    ``lanes`` runs on ``xs`` as a float64 array.  At N <= PLAN_MAX_SIZE,
+    ``xs`` comes from :func:`_check_input`, and ``lanes`` runs on it as a
+    float64 array (a list is converted here).  At N <= PLAN_MAX_SIZE,
     ``tab.plans[key]`` counts the calls until the PLAN_AFTER_CALLS-th,
     which records the plan from the constants of ``tab`` itself; a plan
-    runs on the list ``xs``.  Above PLAN_MAX_SIZE the first call of a
-    ``forward`` kernel marks ``key`` in ``tab.plans``, and from the second
-    call on ``lanes`` gets the real DFT of ``tab`` as the network of
-    :func:`_spectrum_net`, in ``net``.  The count is kept under a lock,
-    taken only while the entry is still a count, so a plan's calls take
-    none.  Threads that race on a spectrum network may record it twice,
-    but a network is stored only once it is complete.
+    runs on the list ``xs``.  Above
+    PLAN_MAX_SIZE the first call of a ``forward`` kernel marks ``key`` in
+    ``tab.plans``, and from the second call on ``lanes`` gets the real DFT
+    of ``tab`` as the network of :func:`_spectrum_net`, in ``net``.  The
+    count is kept under a lock, taken only while the entry is still a
+    count, so a plan's calls take none.  Threads that race on a spectrum
+    network may record it twice, but a network is stored only once it is
+    complete.
     """
     n = len(xs)
     if n <= PLAN_MAX_SIZE:
@@ -241,17 +244,43 @@ def _planned(tab, key, xs, led, lanes, *args, forward=False):
             lanes = partial(lanes, net=_spectrum_net(tab))
         else:
             tab.plans[key] = 0
+    if type(xs) is list:
+        xs = np.fromiter(xs, np.float64, n)
     # as on Python floats, an overflow or inf - inf gives its IEEE result silently
     with np.errstate(over="ignore", invalid="ignore"):
-        return lanes(np.fromiter(xs, np.float64, n), *args, led).tolist()
+        return lanes(xs, *args, led).tolist()
 
 
 def _check_input(x):
-    # float() would only warn on the elements of a complex array, and drop
-    # their imaginary parts
-    if isinstance(x, np.ndarray) and x.dtype.kind == "c":
-        raise TypeError(f"samples must be real numbers, not {x.dtype}")
-    xs = list(map(float, x))
+    """The samples of ``x`` as by ``float()``, in a list or a float64 array.
+
+    At N <= PLAN_MAX_SIZE, where plans run on Python floats, each sample
+    goes through ``float()``.  Above it a list or tuple is converted in one
+    pass by ``array("d")``, which reads each sample as ``float()`` does
+    (but a float subclass by its value, not by an overriding
+    ``__float__``), and a 1-D array of bools, integers or floats by
+    ``astype``, which rounds each sample as ``float()`` does.  A sample that pass refuses with
+    ``TypeError`` (a string, ``None``, a complex number) sends the whole
+    input through ``float()``, which then accepts it or raises its own
+    exception.  Any other iterable, a generator too, goes through
+    ``float()`` once, into a list.
+    """
+    xs = None
+    if type(x) in (list, tuple):
+        if len(x) > PLAN_MAX_SIZE:
+            try:
+                xs = np.frombuffer(array("d", x))
+            except TypeError:
+                pass
+    elif isinstance(x, np.ndarray):
+        # float() would only warn on the elements of a complex array, and
+        # drop their imaginary parts
+        if x.dtype.kind == "c":
+            raise TypeError(f"samples must be real numbers, not {x.dtype}")
+        if x.ndim == 1 and x.dtype.kind in "biuf" and len(x) > PLAN_MAX_SIZE:
+            xs = x.astype(np.float64)
+    if xs is None:
+        xs = list(map(float, x))
     checked_log2(len(xs), lowest=2)
     return xs
 
@@ -289,14 +318,14 @@ def dct2_new(
     """DCT-II via the rescaled real-input DFT (record flop count).
 
     ``x`` is a sequence whose length is a power of two, at least 2;
-    otherwise ``ValueError``.  Each sample goes through ``float()``, so
-    bools and numeric strings are read as their float values, a complex
-    sample or array, ``None``, a nested list or the rows of a 2-D array
-    raise ``TypeError``, and a non-numeric string ``ValueError``.  Sample values
-    are not checked: NaN and infinities give their IEEE results, with no
-    warning (a NaN anywhere makes every output NaN, an infinity makes
-    every output infinite or NaN).  The other cosine/sine transforms
-    answer bad input the same way.
+    otherwise ``ValueError``.  Each sample is read as ``float()`` reads it
+    (see :func:`_check_input`), so bools and numeric strings are read as
+    their float values, a complex sample or array, ``None``, a nested list
+    or the rows of a 2-D array raise ``TypeError``, and a non-numeric
+    string ``ValueError``.  Sample values are not checked: NaN and
+    infinities give their IEEE results, with no warning (a NaN anywhere
+    makes every output NaN, an infinity makes every output infinite or
+    NaN).  The other cosine/sine transforms answer bad input the same way.
     """
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()

@@ -19,15 +19,23 @@ bit-identical results.  Below :data:`PROGRAM_MIN_EDGES` edges, and on
 :class:`TraceScalar` inputs, it is a codelet: straight-line Python
 source generated from the network, one statement per vertex, compiled
 once and kept with the network.  At or above it, floats run through a
-vertex-major program: a vectorized wavefront sorts the vertices once into
-levels of independent vertices and numbers them anew, level by level, so
-that each step of a level (one per in-edge rank, usually two) is one
+vertex-major program of the compacted network.  Compaction removes the
+interior vertices whose removal changes no float operation: unit aliases
+(renames), -1 vertices (their consumers' weights are negated) and
+multiplications read once through a +-1 edge (folded into that edge as
++-w), in the manner of the DAG simplification of FFTW's generator.  Each
+removal drops one vertex and one edge, so both counts above hold for the
+compacted graph too.  A vectorized wavefront then sorts the kept vertices
+into levels of independent vertices and numbers them anew, level by level,
+so that each step of a level (one per in-edge rank, usually two) is one
 numpy gather and multiply whose result sets or adds to one contiguous
-slice of the values, with no scatter.  The program's columns then replace
-the edge array as the network's one copy of its edges; ``edges``
-rebuilds the evaluation order from them when it is asked for.  A float64
-array goes into the program and its output array comes back as it is; a
-codelet always runs on Python scalars.
+slice of the values, with no scatter.  The program's columns and a record
+of the edges compaction removed or rerouted then replace the edge array as
+the network's one copy of its edges; ``edges`` rebuilds the recorded
+edges, in evaluation order, from them when it is asked for, and the
+recorded network stays what ``dumps()``, ``transpose()`` and the counts
+read.  A float64 array goes into the program and its output array comes
+back as it is; a codelet always runs on Python scalars.
 
 Kernels are recorded by running them on :class:`TraceScalar` values (in
 an object array) whose arithmetic builds the graph: every scalar add/sub creates a two-input
@@ -54,17 +62,20 @@ __all__ = ["LinearNetwork", "TraceError", "record"]
 
 EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", np.float64)])
 
-# Networks with at least this many edges evaluate floats as a vertex-major
-# numpy program; smaller ones run their codelet.  Warm, on the forward,
-# plain and transposed spectrum networks with an array in and out (2-CPU
-# Xeon, best of 9x200 calls, three runs on a shared host), the codelet is
-# ahead at N=64 (910-1,020 edges: 20-23 against 39-61 us), level at N=128
-# (2,217-2,469 edges: 36-56 against 38-74 us) and behind at N=256
-# (5,228-5,804 edges: 105-152 against 65-101 us).  At N=128 compiling a
-# codelet costs 10-18 ms and building the program 1.4-2.3 ms, paid once per
-# network on a configuration's second call, so the threshold sits between
-# N=64 and N=128: spectrum networks run as codelets at N=32 and 64 and as
-# programs from N=128 on.
+# Networks with at least this many recorded edges evaluate floats as a
+# vertex-major numpy program of the compacted network; smaller ones run
+# their codelet.  Warm, on the forward, plain and transposed spectrum
+# networks with an array in and out (2-CPU Xeon, medians of 15x200 calls,
+# three runs on a shared host), the codelet is ahead at N=64 (910-1,020
+# edges, 840-904 compacted: 16-28 against 24-50 us), level or behind at
+# N=128 (2,217-2,469 edges, 2,046-2,174 compacted: 37-64 against 29-61 us)
+# and behind at N=256 (5,228-5,804 edges: 107-145 against 37-61 us).  At
+# N=128 compiling a codelet costs 9-20 ms and compacting and building the
+# program 1.5-2.8 ms, paid once per network on a configuration's second
+# call, so the threshold stays between N=64 and N=128: spectrum networks
+# run as codelets at N=32 and 64 and as programs from N=128 on.  Counting
+# recorded edges keeps the N=128 transposed network (2,046 compacted) on
+# the program.
 PROGRAM_MIN_EDGES = 2048
 
 # Inlined single-edge terms nest at most this deep in one codelet
@@ -218,8 +229,9 @@ class LinearNetwork:
         self._flops = (len(self.inputs) + len(edges) - n_vertices, mults)
         self._n_edges = len(edges)
         self._codelet = None
-        # the edge array, until the program (order, src, w, steps, outputs)
-        # is built and replaces it with the same edges in step order
+        # the edge array, until the program (order, src, w, steps, outputs,
+        # removed, rerouted) is built and replaces it: the compacted edges
+        # in step order and a record of the recorded ones they differ from
         self._program = None
         self._edges = edges
 
@@ -228,22 +240,30 @@ class LinearNetwork:
         """The edges in evaluation order, as an array of :data:`EDGE_DTYPE`.
 
         A network with a program holds its edges in the program's columns
-        only and builds this array anew on each access: step ``k`` of a
-        vertex is its ``k``-th in-edge, so each step's terms go back to
-        their places in evaluation order exactly.
+        and the compaction's record only, and builds this array anew on
+        each access: step ``k`` of a vertex is its ``k``-th in-edge, so
+        each step's terms go back to their places in evaluation order
+        exactly, the removed vertices' in-edges to theirs, and the edges
+        that read a removed vertex get their recorded source and weight
+        back.
         """
         edges = self._edges
         if edges is not None:
             return edges
-        order, _, _, steps, _ = self._program
+        order, _, _, steps, _, removed, rerouted = self._program
         indeg = np.zeros(self.n_vertices, dtype=np.int64)
         for _, a, b, _, _ in steps:
             indeg[order[a:b]] += 1
+        indeg[removed["at"]] = 1
         first = np.cumsum(indeg) - indeg  # the place of each vertex's first in-edge
         edges = np.empty(self._n_edges, dtype=EDGE_DTYPE)
         for k, a, b, src, w in steps:
             e = first[order[a:b]] + k
             edges["src"][e], edges["dst"][e], edges["w"][e] = order[src], order[a:b], w
+        e = first[removed["at"]]
+        edges["src"][e], edges["dst"][e], edges["w"][e] = removed["src"], removed["at"], removed["w"]
+        e = rerouted["at"]
+        edges["src"][e], edges["w"][e] = rerouted["src"], rerouted["w"]
         return edges
 
     def structural_flops(self) -> tuple[int, int]:
@@ -332,7 +352,7 @@ class LinearNetwork:
 
     def _run(self, xs):
         program = self._program if self._program is not None else self._compile()
-        vals = np.empty(self.n_vertices)
+        vals = np.empty(len(program[0]))
         vals[:len(xs)] = xs
         for k, a, b, src, w in program[3]:
             terms = vals[src]
@@ -344,68 +364,77 @@ class LinearNetwork:
         return vals[program[4]]
 
     def _compile(self):
-        """Build the vertex-major program: a few numpy steps per level.
+        """Build the vertex-major program of the compacted network.
 
+        The program runs the network that :func:`_compact` leaves: the
+        same float operations in the same order, through fewer vertices.
         A vertex of level ``l`` (one more than the highest level among its
         sources; the inputs are level 0) is set to ``w0 * vals[s0]``, and
         its second and later in-edges then add ``w * vals[s]`` to it in
         their listed order, so every sum keeps the codelet's order and
-        rounding (multiplying by +-1 is exact).  The vertices are numbered
-        anew, level by level, the inputs first in their listed order and
-        each later level by descending in-degree, so the ``k``-th terms of
-        a level go to a prefix of its vertices: every step reads its
-        sources with one gather and writes one contiguous slice.
+        rounding (multiplying by +-1 is exact).  The kept vertices are
+        numbered anew, level by level, the inputs first in their listed
+        order and each later level by descending in-degree, so the ``k``-th
+        terms of a level go to a prefix of its vertices: every step reads
+        its sources with one gather and writes one contiguous slice.
 
         The levels are found a wavefront at a time: a vertex is complete
         once all of its sources are, so wave ``l`` completes exactly the
-        vertices of level ``l``.  The program's columns, the sources in the
-        new numbering and the weights in step order, then replace the edge
-        array as the network's one copy of its edges.
+        vertices of level ``l``.  The program's columns (the sources in the
+        new numbering and the weights in step order) and the compaction's
+        record of the recorded edges it removed or rerouted then replace
+        the edge array as the network's one copy of its edges.
         """
-        edges = self.edges
-        src, dst, w = edges["src"], edges["dst"], edges["w"]
         n = self.n_vertices
-        # int32 bookkeeping keeps the build's peak memory below that of the
-        # edge array it replaces
-        first = _offsets(dst, n)  # the in-edges of v are first[v]:first[v+1]
+        src, first, w, removed, rerouted = _compact(self.edges, n, self._out_ids)
+        self._edges = None  # these and the record hold every edge from here on
+        # int32 bookkeeping, and each array dropped once it is read, keep the
+        # build's peak memory down
         indeg = np.diff(first)
+        out_first = _offsets(src, n)  # the out-edges of v are out_first[v]:...
         by_src = np.argsort(src).astype(np.int32)
-        out_first = _offsets(src, n)  # and its out-edges by_src[out_first[v]:...]
+        succ = np.repeat(np.arange(n, dtype=np.int32), indeg)[by_src]  # of by_src
+        del by_src
         pending = indeg.copy()  # sources not yet complete, per vertex
         done = self._in_ids
         levels = [done.astype(np.int32)]
         while done.size:
             starts = out_first[done]
-            touched, hits = np.unique(dst[by_src[_ranges(starts, out_first[done + 1] - starts)]],
+            touched, hits = np.unique(succ[_ranges(starts, out_first[done + 1] - starts)],
                                       return_counts=True)
             pending[touched] -= hits
             done = touched[pending[touched] == 0]
             done = done[np.argsort(-indeg[done], kind="stable")]
             levels.append(done.astype(np.int32))
-        del by_src, out_first, pending
+        del out_first, pending, succ
         sizes = list(map(len, levels))
         order = np.concatenate(levels)  # the old id of each new vertex
         del levels
-        new_id = np.empty(n, dtype=np.int32)
-        new_id[order] = np.arange(n, dtype=np.int32)
+        new_id = np.empty(n, dtype=np.int32)  # removed vertices have none
+        new_id[order] = np.arange(len(order), dtype=np.int32)
         # the k-th terms of a level: the k-th in-edges of its vertices with
-        # more than k, sources in the new numbering
-        src_col = np.empty(self._n_edges, dtype=np.intp)
-        w_col = np.empty(self._n_edges)
+        # more than k, taken from the compacted columns at perm[i:j]
+        perm = np.empty(len(src), dtype=np.int32)
         steps, a, i = [], sizes[0], 0
         for size in sizes[1:-1]:  # the last wave found no vertex
             vs = order[a:a + size]
             deg = indeg[vs]
             for k in range(deg[0]):
                 b = a + int(np.count_nonzero(deg > k))
-                e = first[vs[:b - a]] + k
-                s, ws = src_col[i:i + b - a], w_col[i:i + b - a]
-                s[:], ws[:] = new_id[src[e]], w[e]
-                steps.append((k, a, b, s, ws))
+                perm[i:i + b - a] = first[vs[:b - a]] + k
+                steps.append((k, a, b, i, i + b - a))
                 i += b - a
             a += size
-        self._program = (order, src_col, w_col, steps, new_id[self._out_ids].astype(np.intp))
-        self._edges = None
+        # one column at a time, each dropped once it is read
+        del first, indeg
+        w_col = w[perm]
+        del w
+        src_col = np.empty(len(src), dtype=np.intp)  # sources in the new numbering
+        for _, _, _, i, j in steps:
+            src_col[i:j] = new_id[src[perm[i:j]]]
+        steps = [(k, a, b, src_col[i:j], w_col[i:j]) for k, a, b, i, j in steps]
+        self._program = (order, src_col, w_col, steps, new_id[self._out_ids].astype(np.intp),
+                         removed, rerouted)
         return self._program
 
     def dumps(self) -> str:
@@ -423,6 +452,86 @@ class LinearNetwork:
             f"LinearNetwork({len(self.inputs)}->{len(self.outputs)}, "
             f"|V|={self.n_vertices}, |E|={self._n_edges}, adds={a}, mults={m})"
         )
+
+
+def _compact(edges, n, out_ids):
+    """The network with the vertices removed whose removal keeps every
+    float operation exact: ``(src, first, w, removed, rerouted)``.
+
+    An interior vertex (neither an input nor an output) with one in-edge
+    goes if that edge weighs +-1 (an alias: its consumers read its source,
+    their weights negated for -1; chains resolve by pointer jumping), or
+    if it is a multiplication whose one consumer, after that, reads it
+    through a +-1 edge (the product moves onto that edge as +-w).  Both
+    change one product by a sign at most, which is exact, and each
+    removal drops one vertex and one edge, so both structural counts hold.
+    A multiplication read twice or through a weighted edge stays.
+
+    ``src`` (int32) and ``w`` are the kept edges in their recorded order,
+    read through the removals; the in-edges of vertex ``v`` are
+    ``first[v]:first[v + 1]`` of them (none for a removed vertex); the
+    bookkeeping is int32 and bool, for the peak memory.  ``removed`` holds
+    the recorded in-edge of each removed vertex (``at`` is that vertex) and
+    ``rerouted`` the recorded source and weight of each kept edge that
+    read a removed vertex (``at`` is its index in ``edges``), both as
+    :data:`_RECORD_DTYPE`: what the program does not hold of the edges.
+    """
+    src, dst, w = edges["src"], edges["dst"], edges["w"]
+    first = _offsets(dst, n)
+    single = np.diff(first) == 1  # inputs have no in-edge
+    single[out_ids] = False
+    v1 = np.flatnonzero(single).astype(np.int32)
+    unit = np.abs(w[first[v1]]) == 1.0
+    alias, mult = v1[unit], v1[~unit]
+    del single, v1, unit
+    ptr = np.arange(n, dtype=np.int32)  # to the kept vertex each one reads
+    neg = np.zeros(n, dtype=bool)  # and whether it reads it negated
+    ptr[alias], neg[alias] = src[first[alias]], w[first[alias]] < 0
+    while True:
+        up = ptr[ptr]
+        if np.array_equal(up, ptr):
+            break
+        neg ^= neg[ptr]
+        ptr = up
+    s = ptr[src]  # the source each edge reads, through the aliases
+    del ptr, up
+    gone = np.zeros(n, dtype=bool)
+    gone[alias] = True
+    # a multiplication read once, through a +-1 edge, folds into that edge
+    once = np.zeros(n, dtype=bool)
+    once[mult] = True
+    live = ~gone[dst]  # the edges into vertices that are not aliases
+    read, count = np.unique(s[once[s] & live], return_counts=True)
+    once[read[count > 1]] = False
+    fold = np.flatnonzero(once[s] & live & ((w == 1.0) | (w == -1.0)))
+    m = s[fold]
+    into = first[m]
+    s[fold] = s[into]
+    gone[m] = True
+    v = np.flatnonzero(gone)
+    removed = _edge_record(v, first[v], src, w)
+    kept = ~gone[dst]
+    at = np.flatnonzero(kept & gone[src])
+    rerouted = _edge_record(at, at, src, w)
+    s = s[kept]
+    cw = w[kept]
+    np.negative(cw, out=cw, where=neg[src][kept])
+    # each fold edge, now among the kept, takes its multiplication's weight
+    # (a product by +-1, so exact)
+    cw[np.cumsum(kept, dtype=np.int32)[fold] - 1] *= np.where(neg[src[into]], -w[into], w[into])
+    np.cumsum(np.diff(first) * ~gone, out=first[1:])
+    return s, first, cw, removed, rerouted
+
+
+# one recorded edge the program does not hold: the vertex it goes into, or
+# its index among the edges; its source; its weight
+_RECORD_DTYPE = np.dtype([("at", np.int32), ("src", np.int32), ("w", np.float64)])
+
+
+def _edge_record(at, e, src, w):
+    rec = np.empty(len(at), dtype=_RECORD_DTYPE)
+    rec["at"], rec["src"], rec["w"] = at, src[e], w[e]
+    return rec
 
 
 def _offsets(ids, n):

@@ -13,8 +13,9 @@ serves both directions.  Both networks keep their vertices in evaluation
 order (every edge runs to a higher vertex id) with their edges in numpy
 columns.  From N=128 on the transposed network has more than
 ``transpose_net.PROGRAM_MIN_EDGES`` edges and runs as a vertex-major
-numpy program, built on its first evaluation; from then on the program's
-columns are the network's only copy of its edges.  Smaller
+numpy program of the compacted network, built on its first evaluation;
+from then on the program's columns and the compaction's record of the
+edges it removed are the network's only copy of its edges.  Smaller
 ones run as a codelet, straight-line Python compiled from the network.
 These kernels run on arrays too (see :mod:`fastdcst.dct2`); from N=128
 on the array goes through the transposed program and back as it is.

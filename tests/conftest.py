@@ -27,6 +27,65 @@ def rms_rel(got, want):
     return float(np.linalg.norm(np.asarray(got) - want) / denom)
 
 
+def reference_compaction(net):
+    """The in-edges ``{v: [(src, w), ...]}`` of every vertex the compaction
+    keeps, inputs excepted, by its definition, one vertex at a time in
+    recorded ids: an interior vertex (neither an input nor an output) whose
+    one in-edge weighs +-1 is an alias, read as its source with the sign
+    of its chain; then an interior vertex whose one in-edge is a
+    multiplication, and which is read exactly once, through a +-1 edge,
+    moves into that edge as +-w."""
+    ins = {}
+    for s, d, w in net.edges.tolist():
+        ins.setdefault(d, []).append((s, w))
+    interior = set(ins) - set(net.outputs)
+    alias = {}  # v -> (the kept vertex it reads, sign)
+    for v in sorted(ins):
+        if v in interior and len(ins[v]) == 1 and ins[v][0][1] in (1.0, -1.0):
+            s, w = ins[v][0]
+            root, sign = alias.get(s, (s, 1.0))
+            alias[v] = (root, sign * w)
+    kept = {}
+    for v, terms in ins.items():
+        if v not in alias:
+            kept[v] = [(alias[s][0], alias[s][1] * w) if s in alias else (s, w)
+                       for s, w in terms]
+    uses = {}
+    for terms in kept.values():
+        for s, _ in terms:
+            uses[s] = uses.get(s, 0) + 1
+    folded = set()
+    for v, terms in kept.items():
+        for k, (s, w) in enumerate(terms):
+            if (s in interior and len(kept[s]) == 1 and kept[s][0][1] not in (1.0, -1.0)
+                    and uses[s] == 1 and w in (1.0, -1.0)):
+                terms[k] = (kept[s][0][0], w * kept[s][0][1])
+                folded.add(s)
+    return {v: terms for v, terms in kept.items() if v not in folded}
+
+
+def reference_program(net):
+    """The vertex-major program by its definition, one vertex at a time,
+    on :func:`reference_compaction`: a vertex's level is one more than the
+    highest level among its sources (the inputs are level 0); the vertices
+    are numbered anew by level, the inputs in their listed order and each
+    later level by descending in-degree, then by id; step ``k`` of a level
+    takes the ``k``-th in-edge of each of its vertices that has one.
+    Returns the recorded id of each new vertex, and the steps as
+    ``(k, [(vertex, source, weight), ...])`` in recorded ids."""
+    ins = reference_compaction(net)
+    level = dict.fromkeys(net.inputs, 0)
+    for d in sorted(ins):
+        level[d] = 1 + max(level[s] for s, _ in ins[d])
+    order = list(net.inputs) + sorted(ins, key=lambda v: (level[v], -len(ins[v]), v))
+    steps = []
+    for lv in range(1, max(level.values()) + 1):
+        vs = [v for v in order if level[v] == lv]
+        for k in range(len(ins[vs[0]])):
+            steps.append((k, [(v,) + ins[v][k] for v in vs if len(ins[v]) > k]))
+    return order, steps
+
+
 @pytest.fixture(scope="session")
 def tables1024():
     return build_tables(1024)

@@ -101,3 +101,24 @@ def test_non_finite_samples_propagate_silently(fn, n, value, at):
     else:
         assert not np.isfinite(first).any()
     assert np.array_equal(first, later, equal_nan=True)
+
+
+@pytest.mark.parametrize("fn", FUNCS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("spelled", [
+    list, tuple, lambda x: (v for v in x), lambda x: (repr(v) if i == 7 else v
+                                                      for i, v in enumerate(x)),
+    lambda x: np.array(x), lambda x: np.array(x, np.float32), lambda x: np.array(x, np.int64),
+    lambda x: np.array(x, bool), lambda x: np.array(x)[::-1][::-1],
+], ids=["list", "tuple", "generator", "generator-with-numeric-string", "float64-array",
+        "float32-array", "int64-array", "bool-array", "strided-array"])
+def test_every_input_kind_is_read_as_float_would(fn, spelled):
+    # above PLAN_MAX_SIZE lists, tuples and real arrays are converted in one
+    # pass, any other iterable through float(); each must read as float()
+    n = 256
+    x = [v * 1000.0 for v in _floats(n)]
+    x[::5] = [0.0] * len(x[::5])
+    x[1::7] = [-0.0] * len(x[1::7])
+    call = _calls(fn, n)
+    floats = list(map(float, spelled(x)))
+    for _ in range(2):
+        assert call(spelled(x)).tobytes() == call(floats).tobytes()

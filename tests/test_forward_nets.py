@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import rng
+from conftest import reference_compaction, rng
 
 from fastdcst import (
     FlopLedger,
@@ -219,6 +219,27 @@ def test_classic_kernel_builds_no_tables_above_the_plan_size():
     assert built.call_count == 0
 
 
+def _recorded_steps(net):
+    # the steps of a program of the recorded graph: per level, its largest in-degree
+    level, indeg = dict.fromkeys(net.inputs, 0), {}
+    for s, d, _ in net.edges.tolist():
+        level[d] = max(level.get(d, 0), level[s] + 1)
+        indeg[d] = indeg.get(d, 0) + 1
+    widest = {}
+    for v, deg in indeg.items():
+        widest[level[v]] = max(widest.get(level[v], 0), deg)
+    return sum(widest.values())
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_compaction_shortens_the_programs(n):
+    for net in (dct2._spectrum_net(build_tables(n)), dct2._spectrum_net(dct2._classic_state(n)),
+                _transposed_spectrum_net(n)):
+        recorded = _recorded_steps(net)
+        net.eval(np.zeros(n))
+        assert len(net._program[3]) < recorded
+
+
 @pytest.mark.parametrize("n", [128, 1024])
 def test_levelizing_keeps_the_edges_bytes(n):
     forward = dct2._spectrum_net(ScaleTables(n))
@@ -229,7 +250,7 @@ def test_levelizing_keeps_the_edges_bytes(n):
         y = net.eval(x)
         # each level's first step writes one contiguous slice, the levels
         # one after another from the inputs on; its later steps a prefix
-        order, src, w, steps, _ = net._program
+        order, src, w, steps, _, removed, rerouted = net._program
         level = (0, len(net.inputs))
         for k, a, b, s, ws in steps:
             if k == 0:
@@ -239,10 +260,12 @@ def test_levelizing_keeps_the_edges_bytes(n):
                 assert a == level[0] and b <= level[1]
             assert np.shares_memory(s, src) and np.shares_memory(ws, w)
             assert len(s) == len(ws) == b - a
-        assert level[1] == net.n_vertices
-        # the program's arrays are the network's one copy of its edges
+        assert level[1] == len(net.inputs) + len(reference_compaction(net))
+        # the program's arrays and the compaction's record of the edges it
+        # removed or rerouted are the network's one copy of its edges
         assert net._edges is None
-        assert order.nbytes + src.nbytes + w.nbytes <= len(edges)
+        assert order.nbytes + src.nbytes + w.nbytes + removed.nbytes + rerouted.nbytes \
+            <= len(edges)
         assert net.edges.tobytes() == edges
         assert net.dumps() == dump
         assert net.transpose().dumps() == tdump

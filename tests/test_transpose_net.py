@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import max_rel, rng
+from conftest import max_rel, reference_compaction, reference_program, rng
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -185,39 +185,17 @@ def test_transpose_random_dag_property(net, seed):
     assert codelet == program
 
 
-def _reference_program(net):
-    """The vertex-major program by its definition, one vertex at a time: a
-    vertex's level is one more than the highest level among its sources
-    (the inputs are level 0); the vertices are numbered anew by level, the
-    inputs in their listed order and each later level by descending
-    in-degree, then by id; step ``k`` of a level takes the ``k``-th in-edge
-    of each of its vertices that has one."""
-    ins = {}
-    for s, d, w in net.edges.tolist():
-        ins.setdefault(d, []).append((s, w))
-    level = dict.fromkeys(net.inputs, 0)
-    for d in sorted(ins):
-        level[d] = 1 + max(level[s] for s, _ in ins[d])
-    order = list(net.inputs) + sorted(ins, key=lambda v: (level[v], -len(ins[v]), v))
-    steps = []
-    for lv in range(1, max(level.values()) + 1):
-        vs = [v for v in order if level[v] == lv]
-        for k in range(len(ins[vs[0]])):
-            steps.append((k, [(v,) + ins[v][k] for v in vs if len(ins[v]) > k]))
-    return order, steps
-
-
 @settings(max_examples=150, deadline=None)
 @given(square_dags())
 @example(ALIAS_CHAIN)
 @example(LinearNetwork(2, [], [1, 0], [1, 0]))  # inputs only: a program of no steps
 def test_levelizer_matches_its_definition(net):
     for net in (net, net.transpose()):
-        want_order, want_steps = _reference_program(net)
+        want_order, want_steps = reference_program(net)
         edges = net.edges.tobytes()
         with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", 0):
             net.eval([0.0] * len(net.inputs))
-        order, _, _, steps, outs = net._program
+        order, _, _, steps, outs, _, _ = net._program
         order = order.tolist()
         got = [(k, list(zip([order[v] for v in range(a, b)],
                             [order[s] for s in src.tolist()], w.tolist())))
@@ -225,6 +203,66 @@ def test_levelizer_matches_its_definition(net):
         assert (order, got) == (want_order, want_steps)
         assert [order[v] for v in outs.tolist()] == net.outputs
         assert net.edges.tobytes() == edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_dags(), st.integers(0, 2**32 - 1))
+@example(ALIAS_CHAIN, 0)
+def test_compacted_program_keeps_the_network(net, seed):
+    for net in (net, net.transpose()):
+        flops = net.structural_flops()
+        edges, dump, tdump = net.edges.tobytes(), net.dumps(), net.transpose().dumps()
+        x = rng(60, seed).standard_normal(len(net.inputs))
+        x[::3] = -0.0
+        codelet, program = codelet_and_program(net, list(x))
+        assert codelet == program
+        # the graph the program runs has the recorded counts
+        order, src, w, _, _, removed, _ = net._program
+        assert len(order) + len(removed) == net.n_vertices
+        assert len(net.inputs) + len(src) - len(order) == flops[0]
+        assert np.count_nonzero(np.abs(w) != 1.0) == flops[1]
+        assert net.structural_flops() == flops
+        assert net.edges.tobytes() == edges
+        assert net.dumps() == dump
+        assert net.transpose().dumps() == tdump
+
+
+def _compacted(net):
+    """The in-edges ``{v: [(src, w), ...]}`` that the program of ``net``
+    runs, in recorded ids, once it has matched the codelet bitwise."""
+    edges = net.edges.tobytes()
+    codelet, program = codelet_and_program(net, [-0.0] + [0.5 + i for i in net.inputs[1:]])
+    assert codelet == program
+    assert net.edges.tobytes() == edges
+    order, _, _, steps, _, _, _ = net._program
+    ins = {}
+    for _, a, b, src, w in steps:
+        for v, s, wk in zip(order[a:b].tolist(), order[src].tolist(), w.tolist()):
+            ins.setdefault(v, []).append((s, wk))
+    assert ins == reference_compaction(net)
+    return ins
+
+
+@pytest.mark.parametrize("net,kept", [
+    (ALIAS_CHAIN,  # 3, 4 and 5 are renames of 2
+     {2: [(0, 1.0), (1, 0.5)], 6: [(2, 1.0), (0, -1.0)], 7: [(6, 1.0)],
+      8: [(6, 2.0), (1, 3.0)]}),
+    (LinearNetwork(5, [(0, 2, -1.0), (2, 3, -1.0), (3, 4, 0.5), (1, 4, -1.0)], [0, 1], [4]),
+     {4: [(0, 0.5), (1, -1.0)]}),  # x0 negated twice
+    (LinearNetwork(5, [(0, 2, -1.0), (2, 3, 3.0), (3, 4, 1.0), (1, 4, 1.0)], [0, 1], [4]),
+     {4: [(0, -3.0), (1, 1.0)]}),  # a -1 vertex into a multiply, folded into a sum
+    (LinearNetwork(5, [(0, 2, 0.5), (2, 3, 3.0), (3, 4, 1.0), (1, 4, 1.0)], [0, 1], [4]),
+     {2: [(0, 0.5)], 4: [(2, 3.0), (1, 1.0)]}),  # a multiply into a multiply stays
+    (LinearNetwork(5, [(0, 2, 0.5), (2, 3, 1.0), (1, 3, 1.0), (2, 4, 1.0), (1, 4, -1.0)],
+                   [0, 1], [3, 4]),
+     {2: [(0, 0.5)], 3: [(2, 1.0), (1, 1.0)], 4: [(2, 1.0), (1, -1.0)]}),  # read twice
+    (LinearNetwork(7, [(0, 2, 1.0), (1, 3, -1.0), (0, 4, 0.5), (4, 5, 1.0), (0, 6, 1.0)],
+                   [0, 1], [2, 3, 4, 5, 6]),
+     {2: [(0, 1.0)], 3: [(1, -1.0)], 4: [(0, 0.5)], 5: [(4, 1.0)], 6: [(0, 1.0)]}),  # outputs
+], ids=["alias-chain", "negated-twice", "negation-into-multiply", "multiply-into-multiply",
+        "multiply-read-twice", "outputs"])
+def test_compaction_removes_only_what_is_exact(net, kept):
+    assert _compacted(net) == kept
 
 
 def test_transpose_collapses_alias_chain():
