@@ -212,18 +212,17 @@ def _spectrum_net(tab):
 def _planned(tab, key, xs, led, lanes, *args, forward=False):
     """``lanes(xs, *args, led)``, or what repeated calls make of it, as a list.
 
-    ``xs`` comes from :func:`_check_input`, and ``lanes`` runs on it as a
-    float64 array (a list is converted here).  At N <= PLAN_MAX_SIZE,
-    ``tab.plans[key]`` counts the calls until the PLAN_AFTER_CALLS-th,
-    which records the plan from the constants of ``tab`` itself; a plan
-    runs on the list ``xs``.  Above
-    PLAN_MAX_SIZE the first call of a ``forward`` kernel marks ``key`` in
-    ``tab.plans``, and from the second call on ``lanes`` gets the real DFT
-    of ``tab`` as the network of :func:`_spectrum_net`, in ``net``.  The
-    count is kept under a lock, taken only while the entry is still a
-    count, so a plan's calls take none.  Threads that race on a spectrum
-    network may record it twice, but a network is stored only once it is
-    complete.
+    ``xs`` comes from :func:`_check_input`.  At N <= PLAN_MAX_SIZE it is
+    a list, and ``tab.plans[key]`` counts the calls until the
+    PLAN_AFTER_CALLS-th, which records the plan from the constants of
+    ``tab`` itself; a plan runs on the list ``xs`` and ``lanes`` on it as
+    a float64 array.  Above PLAN_MAX_SIZE ``xs`` is that array already;
+    the first call of a ``forward`` kernel marks ``key`` in ``tab.plans``,
+    and from the second call on ``lanes`` gets the real DFT of ``tab`` as
+    the network of :func:`_spectrum_net`, in ``net``.  The count is kept
+    under a lock, taken only while the entry is still a count, so a plan's
+    calls take none.  Threads that race on a spectrum network may record
+    it twice, but a network is stored only once it is complete.
     """
     n = len(xs)
     if n <= PLAN_MAX_SIZE:
@@ -239,31 +238,30 @@ def _planned(tab, key, xs, led, lanes, *args, forward=False):
                         record(lambda ins: lanes(ins, *args, rec), n), rec, f"of {key} at size {n}")
         if type(plan) is not int:
             return plan.eval(xs, led)
+        xs = np.fromiter(xs, np.float64, n)
     elif forward:
         if key in tab.plans:
             lanes = partial(lanes, net=_spectrum_net(tab))
         else:
             tab.plans[key] = 0
-    if type(xs) is list:
-        xs = np.fromiter(xs, np.float64, n)
     # as on Python floats, an overflow or inf - inf gives its IEEE result silently
     with np.errstate(over="ignore", invalid="ignore"):
         return lanes(xs, *args, led).tolist()
 
 
 def _check_input(x):
-    """The samples of ``x`` as by ``float()``, in a list or a float64 array.
+    """The samples of ``x`` as by ``float()``: a list at N <= PLAN_MAX_SIZE,
+    where plans run on Python floats, and a float64 array above it.
 
-    At N <= PLAN_MAX_SIZE, where plans run on Python floats, each sample
-    goes through ``float()``.  Above it a list or tuple is converted in one
-    pass by ``array("d")``, which reads each sample as ``float()`` does
-    (but a float subclass by its value, not by an overriding
-    ``__float__``), and a 1-D array of bools, integers or floats by
-    ``astype``, which rounds each sample as ``float()`` does.  A sample that pass refuses with
-    ``TypeError`` (a string, ``None``, a complex number) sends the whole
-    input through ``float()``, which then accepts it or raises its own
-    exception.  Any other iterable, a generator too, goes through
-    ``float()`` once, into a list.
+    At N <= PLAN_MAX_SIZE each sample goes through ``float()``.  Above it
+    a list or tuple is converted in one pass by ``array("d")``, which
+    reads each sample as ``float()`` does (but a float subclass by its
+    value, not by an overriding ``__float__``), and a 1-D array of bools,
+    integers or floats by ``astype``, which rounds each sample as
+    ``float()`` does.  A sample that pass refuses with ``TypeError`` (a
+    string, ``None``, a complex number) sends the whole input through
+    ``float()``, which then accepts it or raises its own exception.  Any
+    other iterable, a generator too, goes through ``float()`` once.
     """
     xs = None
     if type(x) in (list, tuple):
@@ -281,6 +279,8 @@ def _check_input(x):
             xs = x.astype(np.float64)
     if xs is None:
         xs = list(map(float, x))
+        if len(xs) > PLAN_MAX_SIZE:
+            xs = np.fromiter(xs, np.float64, len(xs))
     checked_log2(len(xs), lowest=2)
     return xs
 

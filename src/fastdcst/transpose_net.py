@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
+from typing import NamedTuple
 
 import numpy as np
 
@@ -240,30 +241,36 @@ class LinearNetwork:
         """The edges in evaluation order, as an array of :data:`EDGE_DTYPE`.
 
         A network with a program holds its edges in the program's columns
-        and the compaction's record only, and builds this array anew on
-        each access: step ``k`` of a vertex is its ``k``-th in-edge, so
-        each step's terms go back to their places in evaluation order
-        exactly, the removed vertices' in-edges to theirs, and the edges
-        that read a removed vertex get their recorded source and weight
-        back.
+        and the compaction's :class:`_Record` only, and builds this array
+        anew on each access: step ``k`` of a vertex is its ``k``-th
+        in-edge, so each step's terms go back to their places in
+        evaluation order exactly, each removed vertex's one in-edge to its
+        place, and the edges that read a removed vertex get their recorded
+        source and weight back.
         """
         edges = self._edges
         if edges is not None:
             return edges
-        order, _, _, steps, _, removed, rerouted = self._program
+        order, _, _, steps, _, record = self._program
         indeg = np.zeros(self.n_vertices, dtype=np.int64)
         for _, a, b, _, _ in steps:
             indeg[order[a:b]] += 1
-        indeg[removed["at"]] = 1
+        gone = np.flatnonzero(np.unpackbits(record.gone, count=self.n_vertices))
+        indeg[gone] = 1
         first = np.cumsum(indeg) - indeg  # the place of each vertex's first in-edge
         edges = np.empty(self._n_edges, dtype=EDGE_DTYPE)
         for k, a, b, src, w in steps:
             e = first[order[a:b]] + k
             edges["src"][e], edges["dst"][e], edges["w"][e] = order[src], order[a:b], w
-        e = first[removed["at"]]
-        edges["src"][e], edges["dst"][e], edges["w"][e] = removed["src"], removed["at"], removed["w"]
-        e = rerouted["at"]
-        edges["src"][e], edges["w"][e] = rerouted["src"], rerouted["w"]
+        w = record.removed["w"].astype(np.float64)
+        w[w == 0] = record.fold_w
+        e = first[gone]
+        edges["src"][e], edges["dst"][e], edges["w"][e] = record.removed["src"], gone, w
+        e = np.flatnonzero(np.unpackbits(record.rerouted_at, count=self._n_edges))
+        rerouted = record.rerouted
+        w = np.where(rerouted["fold"], 1.0, edges["w"][e])
+        np.negative(w, out=w, where=rerouted["neg"])
+        edges["src"][e], edges["w"][e] = rerouted["src"], w
         return edges
 
     def structural_flops(self) -> tuple[int, int]:
@@ -379,62 +386,70 @@ class LinearNetwork:
         its sources with one gather and writes one contiguous slice.
 
         The levels are found a wavefront at a time: a vertex is complete
-        once all of its sources are, so wave ``l`` completes exactly the
-        vertices of level ``l``.  The program's columns (the sources in the
-        new numbering and the weights in step order) and the compaction's
-        record of the recorded edges it removed or rerouted then replace
-        the edge array as the network's one copy of its edges.
+        once all of its sources are, so wave ``l``, which counts the edges
+        that read wave ``l - 1`` against each vertex's in-degree, completes
+        exactly the vertices of level ``l``.  The program's columns (the sources in the
+        new numbering and the weights in step order) and a record of the
+        recorded edges that compaction removed or rerouted then replace
+        the edge array as the network's one copy of its edges.  The
+        program is published before the edge array is dropped, so a
+        network shared between threads always has one or the other, and a
+        build that raises leaves the network as it was.
         """
+        edges = self.edges
         n = self.n_vertices
-        src, first, w, removed, rerouted = _compact(self.edges, n, self._out_ids)
-        self._edges = None  # these and the record hold every edge from here on
-        # int32 bookkeeping, and each array dropped once it is read, keep the
-        # build's peak memory down
-        indeg = np.diff(first)
-        out_first = _offsets(src, n)  # the out-edges of v are out_first[v]:...
-        by_src = np.argsort(src).astype(np.int32)
-        succ = np.repeat(np.arange(n, dtype=np.int32), indeg)[by_src]  # of by_src
-        del by_src
-        pending = indeg.copy()  # sources not yet complete, per vertex
+        src, first, w, gone, neg, fold = _compact(edges, n, self._out_ids)
+        # no successor lists, int32 bookkeeping and the record taken last
+        # keep the build's peak memory below that of levelizing the recorded network
+        pending = np.diff(first)  # sources not yet complete, per vertex
+        newly = np.zeros(n, dtype=bool)  # the last wave
         done = self._in_ids
         levels = [done.astype(np.int32)]
         while done.size:
-            starts = out_first[done]
-            touched, hits = np.unique(succ[_ranges(starts, out_first[done + 1] - starts)],
+            newly[done] = True
+            hit = np.flatnonzero(newly[src]).astype(np.int32)  # edges read from it
+            newly[done] = False
+            touched, hits = np.unique(np.searchsorted(first, hit, side="right") - 1,
                                       return_counts=True)
             pending[touched] -= hits
             done = touched[pending[touched] == 0]
-            done = done[np.argsort(-indeg[done], kind="stable")]
+            done = done[np.argsort(first[done] - first[done + 1], kind="stable")]
             levels.append(done.astype(np.int32))
-        del out_first, pending, succ
+        del pending, newly
         sizes = list(map(len, levels))
         order = np.concatenate(levels)  # the old id of each new vertex
         del levels
-        new_id = np.empty(n, dtype=np.int32)  # removed vertices have none
-        new_id[order] = np.arange(len(order), dtype=np.int32)
         # the k-th terms of a level: the k-th in-edges of its vertices with
-        # more than k, taken from the compacted columns at perm[i:j]
-        perm = np.empty(len(src), dtype=np.int32)
+        # more than k, at first[v] + k among the compacted edges
         steps, a, i = [], sizes[0], 0
         for size in sizes[1:-1]:  # the last wave found no vertex
             vs = order[a:a + size]
-            deg = indeg[vs]
+            deg = first[vs + 1] - first[vs]
             for k in range(deg[0]):
                 b = a + int(np.count_nonzero(deg > k))
-                perm[i:i + b - a] = first[vs[:b - a]] + k
                 steps.append((k, a, b, i, i + b - a))
                 i += b - a
             a += size
-        # one column at a time, each dropped once it is read
-        del first, indeg
-        w_col = w[perm]
+        # one column at a time, each input dropped once it is read, and the
+        # sources renumbered in place
+        w_col = np.empty(len(w))
+        for k, a, b, i, j in steps:
+            w_col[i:j] = w[first[order[a:b]] + k]
         del w
-        src_col = np.empty(len(src), dtype=np.intp)  # sources in the new numbering
+        src_col = np.empty(len(src), dtype=np.intp)
+        for k, a, b, i, j in steps:
+            src_col[i:j] = src[first[order[a:b]] + k]
+        del src, first
+        new_id = np.empty(n, dtype=np.int32)  # removed vertices have none
+        new_id[order] = np.arange(len(order), dtype=np.int32)
         for _, _, _, i, j in steps:
-            src_col[i:j] = new_id[src[perm[i:j]]]
+            src_col[i:j] = new_id[src_col[i:j]]
+        outputs = new_id[self._out_ids].astype(np.intp)
+        del new_id
         steps = [(k, a, b, src_col[i:j], w_col[i:j]) for k, a, b, i, j in steps]
-        self._program = (order, src_col, w_col, steps, new_id[self._out_ids].astype(np.intp),
-                         removed, rerouted)
+        self._program = (order, src_col, w_col, steps, outputs,
+                         _removal_record(edges, gone, neg, fold))
+        self._edges = None
         return self._program
 
     def dumps(self) -> str:
@@ -456,7 +471,7 @@ class LinearNetwork:
 
 def _compact(edges, n, out_ids):
     """The network with the vertices removed whose removal keeps every
-    float operation exact: ``(src, first, w, removed, rerouted)``.
+    float operation exact: ``(src, first, w, gone, neg, fold)``.
 
     An interior vertex (neither an input nor an output) with one in-edge
     goes if that edge weighs +-1 (an alias: its consumers read its source,
@@ -469,12 +484,11 @@ def _compact(edges, n, out_ids):
 
     ``src`` (int32) and ``w`` are the kept edges in their recorded order,
     read through the removals; the in-edges of vertex ``v`` are
-    ``first[v]:first[v + 1]`` of them (none for a removed vertex); the
-    bookkeeping is int32 and bool, for the peak memory.  ``removed`` holds
-    the recorded in-edge of each removed vertex (``at`` is that vertex) and
-    ``rerouted`` the recorded source and weight of each kept edge that
-    read a removed vertex (``at`` is its index in ``edges``), both as
-    :data:`_RECORD_DTYPE`: what the program does not hold of the edges.
+    ``first[v]:first[v + 1]`` of them (none for a removed vertex).
+    ``gone`` marks the removed vertices, ``neg`` the vertices that the
+    aliases read negated, and ``fold`` lists the recorded edges that took
+    a multiplication: what :func:`_removal_record` needs.  The bookkeeping
+    is int32 and bool, for the peak memory.
     """
     src, dst, w = edges["src"], edges["dst"], edges["w"]
     first = _offsets(dst, n)
@@ -504,34 +518,75 @@ def _compact(edges, n, out_ids):
     read, count = np.unique(s[once[s] & live], return_counts=True)
     once[read[count > 1]] = False
     fold = np.flatnonzero(once[s] & live & ((w == 1.0) | (w == -1.0)))
-    m = s[fold]
-    into = first[m]
+    del once, live, read, count
+    into = first[s[fold]]
+    gone[s[fold]] = True
     s[fold] = s[into]
-    gone[m] = True
-    v = np.flatnonzero(gone)
-    removed = _edge_record(v, first[v], src, w)
     kept = ~gone[dst]
-    at = np.flatnonzero(kept & gone[src])
-    rerouted = _edge_record(at, at, src, w)
     s = s[kept]
     cw = w[kept]
     np.negative(cw, out=cw, where=neg[src][kept])
     # each fold edge, now among the kept, takes its multiplication's weight
     # (a product by +-1, so exact)
-    cw[np.cumsum(kept, dtype=np.int32)[fold] - 1] *= np.where(neg[src[into]], -w[into], w[into])
+    at = fold - np.searchsorted(np.flatnonzero(~kept), fold)
+    cw[at] *= np.where(neg[src[into]], -w[into], w[into])
     np.cumsum(np.diff(first) * ~gone, out=first[1:])
-    return s, first, cw, removed, rerouted
+    return s, first, cw, gone, neg, fold
 
 
-# one recorded edge the program does not hold: the vertex it goes into, or
-# its index among the edges; its source; its weight
-_RECORD_DTYPE = np.dtype([("at", np.int32), ("src", np.int32), ("w", np.float64)])
+class _Record(NamedTuple):
+    """What the program of a compacted network does not hold of its
+    recorded edges: the removed vertices and their one in-edge each, and
+    the kept edges that read a removed vertex (rerouted) with their
+    recorded source.  A removed vertex's in-edge weighs +-1 unless it was
+    a folded multiplication, and a rerouted edge's recorded weight is the
+    program's, or 1 for an edge that took a multiplication, up to a sign,
+    so positions and signs are kept as bits and only the folded weights
+    as floats: the program and its record take fewer bytes than the
+    program of the recorded network would."""
+
+    gone: np.ndarray  # packed bits, one per vertex: removed
+    removed: np.ndarray  # per removed vertex: in-edge source, and weight or 0
+    fold_w: np.ndarray  # the weights of the removed multiplications
+    rerouted_at: np.ndarray  # packed bits, one per recorded edge: rerouted
+    rerouted: np.ndarray  # per rerouted edge: recorded source, neg, fold
+
+    @property
+    def nbytes(self):
+        return sum(a.nbytes for a in self)
 
 
-def _edge_record(at, e, src, w):
-    rec = np.empty(len(at), dtype=_RECORD_DTYPE)
-    rec["at"], rec["src"], rec["w"] = at, src[e], w[e]
-    return rec
+_REMOVED_DTYPE = np.dtype([("src", np.int32), ("w", np.int8)])
+_REROUTED_DTYPE = np.dtype([("src", np.int32), ("neg", bool), ("fold", bool)])
+
+
+def _removal_record(edges, gone, neg, fold):
+    """The :class:`_Record` of compacting ``edges``, from what
+    :func:`_compact` returns: a rerouted edge's recorded weight is the
+    program's negated if ``neg`` marks the vertex it read, and a fold
+    edge's is -1 or 1."""
+    src, dst, w = edges["src"], edges["dst"], edges["w"]
+    e = np.searchsorted(dst, np.flatnonzero(gone))  # the one in-edge of each
+    removed = np.empty(len(e), dtype=_REMOVED_DTYPE)
+    removed["src"] = src[e]
+    ws = w[e]
+    del e
+    unit = np.abs(ws) == 1.0
+    removed["w"] = 0
+    removed["w"][unit] = ws[unit]
+    fold_w = ws[~unit]
+    del ws, unit
+    read = gone[src]
+    read &= ~gone[dst]  # the kept edges that read a removed vertex
+    at = np.flatnonzero(read)
+    rerouted = np.zeros(len(at), dtype=_REROUTED_DTYPE)
+    rerouted["src"] = src[at]
+    i = np.searchsorted(at, fold)
+    del at
+    rerouted["neg"] = neg[rerouted["src"]]
+    rerouted["fold"][i] = True
+    rerouted["neg"][i] = w[fold] < 0
+    return _Record(np.packbits(gone), removed, fold_w, np.packbits(read), rerouted)
 
 
 def _offsets(ids, n):
@@ -539,12 +594,6 @@ def _offsets(ids, n):
     first = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(ids, minlength=n), out=first[1:], dtype=np.int32)
     return first
-
-
-def _ranges(starts, sizes):
-    # the index ranges starts[i] .. starts[i]+sizes[i]-1, concatenated
-    total = int(sizes.sum())
-    return np.arange(total) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
 
 
 def _term(w, e):

@@ -231,6 +231,44 @@ def _recorded_steps(net):
     return sum(widest.values())
 
 
+def test_first_evaluations_of_a_shared_network_under_threads():
+    # four threads make the first evaluation of one program-sized network,
+    # a fraction of a build apart (0.25 to 2.5 ms, over the rounds) and
+    # switching every microsecond: each must find the edge array or the
+    # whole program, never neither
+    import sys
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Barrier
+
+    n = 128
+    x = _signed_zeros(n, 6)
+    want = np.array(dct3_new(x, tables=ScaleTables(n))).tobytes()
+    barrier = Barrier(4)
+
+    def first_call(i, apart):
+        tab = ScaleTables(n)
+        barrier.wait(timeout=10)
+        time.sleep(i * apart)
+        return np.array(dct3_new(x, tables=tab)).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for apart in np.arange(1, 11) * 2.5e-4:
+            _transposed_spectrum_net.cache_clear()
+            net = _transposed_spectrum_net(n)  # recorded, not yet evaluated
+            edges = net.edges.tobytes()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                outs = list(pool.map(first_call, range(4), [apart] * 4))
+            assert outs == [want] * 4
+            assert net._edges is None
+            assert net.edges.tobytes() == edges
+    finally:
+        sys.setswitchinterval(interval)
+        _transposed_spectrum_net.cache_clear()
+
+
 @pytest.mark.parametrize("n", [1024, 4096])
 def test_compaction_shortens_the_programs(n):
     for net in (dct2._spectrum_net(build_tables(n)), dct2._spectrum_net(dct2._classic_state(n)),
@@ -250,7 +288,7 @@ def test_levelizing_keeps_the_edges_bytes(n):
         y = net.eval(x)
         # each level's first step writes one contiguous slice, the levels
         # one after another from the inputs on; its later steps a prefix
-        order, src, w, steps, _, removed, rerouted = net._program
+        order, src, w, steps, _, record = net._program
         level = (0, len(net.inputs))
         for k, a, b, s, ws in steps:
             if k == 0:
@@ -262,10 +300,12 @@ def test_levelizing_keeps_the_edges_bytes(n):
             assert len(s) == len(ws) == b - a
         assert level[1] == len(net.inputs) + len(reference_compaction(net))
         # the program's arrays and the compaction's record of the edges it
-        # removed or rerouted are the network's one copy of its edges
+        # removed or rerouted are the network's one copy of its edges, in
+        # fewer bytes than the columns of the recorded network's program
         assert net._edges is None
-        assert order.nbytes + src.nbytes + w.nbytes + removed.nbytes + rerouted.nbytes \
-            <= len(edges)
+        held = order.nbytes + src.nbytes + w.nbytes + record.nbytes
+        assert held <= len(edges)
+        assert held < 4 * net.n_vertices + 16 * len(net.edges)
         assert net.edges.tobytes() == edges
         assert net.dumps() == dump
         assert net.transpose().dumps() == tdump

@@ -195,7 +195,7 @@ def test_levelizer_matches_its_definition(net):
         edges = net.edges.tobytes()
         with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", 0):
             net.eval([0.0] * len(net.inputs))
-        order, _, _, steps, outs, _, _ = net._program
+        order, _, _, steps, outs, _ = net._program
         order = order.tolist()
         got = [(k, list(zip([order[v] for v in range(a, b)],
                             [order[s] for s in src.tolist()], w.tolist())))
@@ -217,8 +217,8 @@ def test_compacted_program_keeps_the_network(net, seed):
         codelet, program = codelet_and_program(net, list(x))
         assert codelet == program
         # the graph the program runs has the recorded counts
-        order, src, w, _, _, removed, _ = net._program
-        assert len(order) + len(removed) == net.n_vertices
+        order, src, w, _, _, record = net._program
+        assert len(order) + len(record.removed) == net.n_vertices
         assert len(net.inputs) + len(src) - len(order) == flops[0]
         assert np.count_nonzero(np.abs(w) != 1.0) == flops[1]
         assert net.structural_flops() == flops
@@ -234,7 +234,7 @@ def _compacted(net):
     codelet, program = codelet_and_program(net, [-0.0] + [0.5 + i for i in net.inputs[1:]])
     assert codelet == program
     assert net.edges.tobytes() == edges
-    order, _, _, steps, _, _, _ = net._program
+    order, _, _, steps, _, _ = net._program
     ins = {}
     for _, a, b, src, w in steps:
         for v, s, wk in zip(order[a:b].tolist(), order[src].tolist(), w.tolist()):
@@ -253,6 +253,8 @@ def _compacted(net):
      {4: [(0, -3.0), (1, 1.0)]}),  # a -1 vertex into a multiply, folded into a sum
     (LinearNetwork(5, [(0, 2, 0.5), (2, 3, 3.0), (3, 4, 1.0), (1, 4, 1.0)], [0, 1], [4]),
      {2: [(0, 0.5)], 4: [(2, 3.0), (1, 1.0)]}),  # a multiply into a multiply stays
+    (LinearNetwork(5, [(0, 2, 0.5), (2, 3, -1.0), (3, 4, 1.0), (1, 4, 1.0)], [0, 1], [4]),
+     {4: [(0, -0.5), (1, 1.0)]}),  # a multiply read once, through a -1 vertex
     (LinearNetwork(5, [(0, 2, 0.5), (2, 3, 1.0), (1, 3, 1.0), (2, 4, 1.0), (1, 4, -1.0)],
                    [0, 1], [3, 4]),
      {2: [(0, 0.5)], 3: [(2, 1.0), (1, 1.0)], 4: [(2, 1.0), (1, -1.0)]}),  # read twice
@@ -260,7 +262,7 @@ def _compacted(net):
                    [0, 1], [2, 3, 4, 5, 6]),
      {2: [(0, 1.0)], 3: [(1, -1.0)], 4: [(0, 0.5)], 5: [(4, 1.0)], 6: [(0, 1.0)]}),  # outputs
 ], ids=["alias-chain", "negated-twice", "negation-into-multiply", "multiply-into-multiply",
-        "multiply-read-twice", "outputs"])
+        "multiply-through-negation", "multiply-read-twice", "outputs"])
 def test_compaction_removes_only_what_is_exact(net, kept):
     assert _compacted(net) == kept
 
@@ -270,6 +272,32 @@ def test_transpose_collapses_alias_chain():
         "# inputs: 1 0\n# outputs: 4 3\n"
         "1 2 1.0\n0 2 2.0\n2 3 0.5\n0 3 3.0\n2 4 1.0\n2 4 -1.0\n"
     )
+
+
+def test_a_build_keeps_the_edges_until_its_program_is_whole():
+    # a build that raises at its last step, and a caller that arrives while
+    # another build takes that step, both find the recorded edges
+    net = LinearNetwork(ALIAS_CHAIN.n_vertices, ALIAS_CHAIN.edges.copy(),
+                        ALIAS_CHAIN.inputs, ALIAS_CHAIN.outputs)
+    x = [0.5, -1.5]
+    edges, want = net.edges.tobytes(), np.array(net.eval(x)).tobytes()
+    last_step = transpose_net._removal_record
+    inner = []
+
+    def evaluate_then_last_step(*args):
+        with mock.patch.object(transpose_net, "_removal_record", last_step):
+            inner.append(np.array(net.eval(x)).tobytes())
+        return last_step(*args)
+
+    with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", 0):
+        with mock.patch.object(transpose_net, "_removal_record", side_effect=MemoryError):
+            with pytest.raises(MemoryError):
+                net.eval(x)
+        assert net._program is None and net.edges.tobytes() == edges
+        with mock.patch.object(transpose_net, "_removal_record", evaluate_then_last_step):
+            outer = np.array(net.eval(x)).tobytes()
+    assert inner == [outer] == [want]
+    assert net._edges is None and net.edges.tobytes() == edges
 
 
 @pytest.mark.parametrize("n", [128, 1024])
