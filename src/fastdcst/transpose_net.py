@@ -387,20 +387,21 @@ class LinearNetwork:
 
         The levels are found a wavefront at a time: a vertex is complete
         once all of its sources are, so wave ``l``, which counts the edges
-        that read wave ``l - 1`` against each vertex's in-degree, completes
-        exactly the vertices of level ``l``.  The program's columns (the sources in the
-        new numbering and the weights in step order) and a record of the
-        recorded edges that compaction removed or rerouted then replace
-        the edge array as the network's one copy of its edges.  The
-        program is published before the edge array is dropped, so a
-        network shared between threads always has one or the other, and a
-        build that raises leaves the network as it was.
+        that read wave ``l - 1`` against each vertex's in-degree,
+        completes exactly the vertices of level ``l``.  The program's
+        columns (the sources in the new numbering and the weights in step
+        order) and a record of the recorded edges that compaction removed
+        or rerouted then replace the edge array as the network's one copy
+        of its edges.  The program is published before the edge array is
+        dropped, so a network shared between threads always has one or
+        the other, and a build that raises leaves the network as it was.
         """
         edges = self.edges
         n = self.n_vertices
         src, first, w, gone, neg, fold = _compact(edges, n, self._out_ids)
         # no successor lists, int32 bookkeeping and the record taken last
-        # keep the build's peak memory below that of levelizing the recorded network
+        # keep the build's peak memory below that of levelizing the
+        # recorded network
         pending = np.diff(first)  # sources not yet complete, per vertex
         newly = np.zeros(n, dtype=bool)  # the last wave
         done = self._in_ids
