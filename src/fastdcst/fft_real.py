@@ -9,15 +9,24 @@ what their complex counterparts save.
 The sub-transforms here return half spectra themselves, and the four
 output assignments of each loop iteration write disjoint bins; the
 overlap at k = 0 and k = N/8 is resolved by peeling those iterations.
+
+On traced scalars (a recording by :func:`fastdcst.transpose_net.record`)
+the recursive calls go through the recording's splice: the first call of
+each (variant, size) is traced in full and every later one appends a
+copy of its edges, so recording costs the distinct sub-transforms, not
+all N*lg(N) of the operations.  On floats the only cost is one type test
+per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .fft_complex import _RT_HALF, _SUBTYPE, _cmul, _omega, _tmul
 from .flops import FlopLedger, checked_log2
 from .scale_factors import ScaleTables
+from .transpose_net import TraceScalar
 
 __all__ = ["HalfSpectrum", "rfft_conjpair", "rfft_scaled", "rfft_scaled4"]
 
@@ -64,9 +73,12 @@ def _rfft_std_lanes(x, led):
     h = n // 2
     e = n // 8
     ev, z1, z2 = _gather(x, n, q)
-    ure, uim = _rfft_std_lanes(ev, led)
-    zre, zim = _rfft_std_lanes(z1, led)
-    gre, gim = _rfft_std_lanes(z2, led)
+    sub = _rfft_std_lanes
+    if type(x[0]) is TraceScalar:  # a recording splices repeated sub-transforms
+        sub = partial(x[0].trace.splice, sub)
+    ure, uim = sub(ev, led)
+    zre, zim = sub(z1, led)
+    gre, gim = sub(z2, led)
     w = _omega(n)
     outr = [None] * (h + 1)
     outi = [None] * (h + 1)
@@ -125,9 +137,12 @@ def _rfft_scaled_lanes(typ, x, tab, led):
     h = n // 2
     e = n // 8
     ev, z1, z2 = _gather(x, n, q)
-    ure, uim = _rfft_scaled_lanes(_SUBTYPE[typ], ev, tab, led)
-    zre, zim = _rfft_scaled_lanes(1, z1, tab, led)
-    gre, gim = _rfft_scaled_lanes(1, z2, tab, led)
+    sub = _rfft_scaled_lanes
+    if type(x[0]) is TraceScalar:  # a recording splices repeated sub-transforms
+        sub = partial(x[0].trace.splice, sub)
+    ure, uim = sub(_SUBTYPE[typ], ev, tab, led)
+    zre, zim = sub(1, z1, tab, led)
+    gre, gim = sub(1, z2, tab, led)
     outr = [None] * (h + 1)
     outi = [None] * (h + 1)
     for k in range(e + 1):

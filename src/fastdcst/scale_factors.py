@@ -8,7 +8,12 @@ multiplications instead of 4.
 
 All trigonometry happens here, once, at table-build time, with arguments
 reduced to [0, pi/4] before calling cos/sin; the transform kernels never
-evaluate a trigonometric function.
+evaluate a trigonometric function.  :class:`ScaleTables` calls them for
+one row, that of the top level, and takes every lower level's twiddles as
+a strided slice of it; the recurrence, the ratios and the checks then run
+as numpy elementwise operations on the same operands in the same order,
+so every entry is bitwise that of the scalar definitions :func:`scale`
+and :func:`t_factor`.
 """
 
 from __future__ import annotations
@@ -137,28 +142,35 @@ class ScaleTables:
         checked_log2(size, lowest=1)
         self.size = size
         self.plans: dict = {}
-        self._s: dict[int, list[float]] = {}
-        for m in _levels(8, 4 * size):
+        top = 4 * size
+        # every level's twiddles are strided slices of the top level's:
+        # _cos2pi(k, m) == _cos2pi(k*r, m*r) bit for bit for a power of two
+        # r, as 2*pi*k*r/(m*r) rounds exactly like 2*pi*k/m (sines alike)
+        cos, sin = _trig_row(top)
+        rows = {}  # level m -> s(m, k) for k < m/4, as float64
+        re, im = [], []  # t(m, k) for k < m/4, level after level
+        for m in _levels(4, top):
             q = m >> 2
-            row = [None] * q
-            for k in range(q):
-                if 8 * k <= m:
-                    row[k] = self.s(q, k) * _cos2pi(k, m)
-                else:
-                    row[k] = self.s(q, k) * _sin2pi(k, m)
-            self._s[m] = row
+            r = top // m
+            sq = np.tile(rows[q], 4) if q > 4 else 1.0
+            rows[m] = sq * np.where(8 * np.arange(q) <= m, cos[::r], sin[::r])
+            ratio = sq / rows[m]
+            re.append(cos[::r] * ratio)
+            im.append(-sin[::r] * ratio)
+        self._s: dict[int, list[float]] = {m: v.tolist() for m, v in rows.items() if m > 4}
 
+        # level m's t-factors start at m/4 - 1 in the concatenation
         self._tstruct: dict[int, list[tuple]] = {}
-        for m in _levels(4, 4 * size if size >= 2 else 0):
-            q = m >> 2
-            ts = [None] * q
-            for k in range(q):
-                ratio = self.s(q, k) / self.s(m, k)
-                t = complex(_cos2pi(k, m) * ratio, -_sin2pi(k, m) * ratio)
-                if min(abs(abs(t.real) - 1.0), abs(abs(t.imag) - 1.0)) > 1e-12:
-                    raise TableError(f"t({m},{k}) = {t} has no unit component")
-                ts[k] = _t_structs(t)
-            self._tstruct[m] = ts
+        if size >= 2:
+            re, im = np.concatenate(re), np.concatenate(im)
+            bad = np.minimum(np.abs(np.abs(re) - 1.0), np.abs(np.abs(im) - 1.0)) > 1e-12
+            if bad.any():
+                i = int(bad.argmax())
+                m = 4 << (i + 1).bit_length() - 1
+                t = complex(re[i], im[i])
+                raise TableError(f"t({m},{i + 1 - (m >> 2)}) = {t} has no unit component")
+            ts, coef = _t_structs(re, im)
+            self._tstruct = {m: ts[(m >> 2) - 1:(m >> 1) - 1] for m in rows}
 
         # folded ratios: divisions happen here, never at transform time
         self._r2a: dict[int, list[float]] = {}
@@ -166,33 +178,31 @@ class ScaleTables:
         self._r4: dict[int, list[list[float]]] = {}
         for m in _levels(4, size):
             q = m >> 2
-            self._r2a[m] = [self.s(m, k) / self.s(2 * m, k) for k in range(q)]
-            self._r2b[m] = [self.s(m, k) / self.s(2 * m, k + q) for k in range(q)]
-            self._r4[m] = [
-                [self.s(m, k) / self.s(4 * m, k + j * q) for k in range(q)]
-                for j in range(4)
-            ]
+            sm = rows[m]
+            self._r2a[m] = (sm / rows[2 * m][:q]).tolist()
+            self._r2b[m] = (sm / rows[2 * m][q:]).tolist()
+            self._r4[m] = [(sm / rows[4 * m][j * q:(j + 1) * q]).tolist() for j in range(4)]
 
         self.inv_s8_1 = 1.0 / self.s(8, 1) if size >= 2 else None
 
-        # DCT-II output stage: twiddle_dct[k] = 2 * unit_root(k, 4n) * s(n, k)
+        # DCT-II output stage: twiddle_dct[k] = 2 * unit_root(k, 4n) * s(n, k);
+        # for k < n/2 unit_root(k, 4n) stays in the first octant, where its
+        # argument is the top row's 2*pi*k/(4n) bit for bit
         h = size // 2
         self.twiddle_dct: list[complex] = [
-            2.0 * unit_root(k, 4 * size) * self.s(size, k) for k in range(h)
-        ] if size >= 2 else []
+            2.0 * complex(c, -sn) * self.s(size, k)
+            for k, (c, sn) in enumerate(zip(cos[:h].tolist(), sin[:h].tolist()))
+        ]
         self._stage = dct_stage(size, self.twiddle_dct)
 
         # scaled-output DCT-II: stage constants become t(4n, k) = 1 - i*tan,
         # stored as (True, 1.0, -tan), and every output k carries the known
         # diagonal 2*s(4n, k)
-        if size >= 2:
-            self.scaled_stage_tan = np.array([0.0] + [
-                -self._tstruct[4 * size][k][0][2] for k in range(1, h)
-            ])
-            self.dct_scales = [2.0 * self.s(4 * size, k) for k in range(size)]
+        if size >= 2:  # the t(4n, k) come last in coef
+            self.scaled_stage_tan = np.concatenate(([0.0], -coef[(top >> 2) - 1:][1:h]))
         else:
             self.scaled_stage_tan = np.array([])
-            self.dct_scales = [2.0 * self.s(4, 0)]
+        self.dct_scales = (2.0 * rows[top]).tolist()
 
         self.validate()
 
@@ -226,39 +236,44 @@ class ScaleTables:
         denominators differ (e.g. s(2m, m/4 - k) vs s(2m, k + m/4)); those
         foldings are only sound if the mirror/periodicity identities hold,
         so they are verified here before any transform trusts the tables.
+        All levels are checked at once, elementwise, and the first failure
+        in the order of (m, k, check) is reported.
         """
-        for m in _levels(4, self.size):
-            q = m >> 2
-            for k in range(q):
-                lhs = self.s(2 * m, q - k)
-                rhs = self.s(2 * m, k + q)
-                _close(lhs, rhs, f"s({2*m},{q-k}) vs s({2*m},{k+q})")
-                _close(
-                    self.s(4 * m, q - k),
-                    self.s(4 * m, k + 3 * q),
-                    f"s({4*m},{q-k}) vs s({4*m},{k+3*q})",
-                )
-                _close(
-                    self.s(4 * m, 2 * q - k),
-                    self.s(4 * m, k + 2 * q),
-                    f"s({4*m},{2*q-k}) vs s({4*m},{k+2*q})",
-                )
-                if 0 < k < q and k != m // 8:
-                    # generically weighted slots must stay non-trivial or the
-                    # structural flop counts would silently drift.  Only
-                    # weights of exactly +-1 are free there and a zero drops
-                    # a term, so exactly those are trivial: a tolerance
-                    # would reject ratio4(m, ...), which nears 1 like 1/m^2
-                    for name, v in (
-                        (f"ratio2a({m},{k})", self._r2a[m][k]),
-                        (f"ratio2b({m},{k})", self._r2b[m][k]),
-                        (f"ratio4({m},0,{k})", self._r4[m][0][k]),
-                        (f"ratio4({m},1,{k})", self._r4[m][1][k]),
-                        (f"ratio4({m},2,{k})", self._r4[m][2][k]),
-                        (f"ratio4({m},3,{k})", self._r4[m][3][k]),
-                    ):
-                        if v == 0.0 or v == 1.0 or v == -1.0:
-                            raise TableError(f"{name} = {v} is trivial")
+        ms = list(_levels(4, self.size))
+        if not ms:
+            return
+        # level m's k-th entry is entry m/4 - 1 + k of each check, and s(m, k)
+        # entry m/4 - 2 + k of the s rows from m = 8 on
+        m = np.repeat(ms, [v >> 2 for v in ms])
+        q = m >> 2
+        k = np.arange(len(m)) + 1 - q
+        s = np.concatenate([self._s[v] for v in sorted(self._s)])
+        pairs = (((m >> 1) - 2 + q - k, (m >> 1) - 2 + k + q),
+                 (m - 2 + q - k, m - 2 + k + 3 * q), (m - 2 + 2 * q - k, m - 2 + k + 2 * q))
+        bad = [_far(s[a], s[b]) for a, b in pairs]
+        # generically weighted slots must stay non-trivial or the structural
+        # flop counts would silently drift.  Only weights of exactly +-1 are
+        # free there and a zero drops a term, so exactly those are trivial: a
+        # tolerance would reject ratio4(m, ...), which nears 1 like 1/m^2
+        generic = (k > 0) & (k != m // 8)
+        rows = [("ratio2a({m},{k})", self._r2a), ("ratio2b({m},{k})", self._r2b)]
+        rows += [(f"ratio4({{m}},{j},{{k}})", {v: r[j] for v, r in self._r4.items()})
+                 for j in range(4)]
+        for _, row in rows:
+            w = np.concatenate([row[v] for v in ms])
+            bad.append(generic & ((w == 0.0) | (np.abs(w) == 1.0)))
+        bad = np.array(bad)
+        if not bad.any():
+            return
+        i, c = divmod(int(bad.T.argmax()), len(bad))
+        m, q, k = int(m[i]), int(q[i]), int(k[i])
+        if c < 3:
+            mm, a, b = ((2 * m, q - k, k + q), (4 * m, q - k, k + 3 * q),
+                        (4 * m, 2 * q - k, k + 2 * q))[c]
+            raise TableError(f"identity violated: s({mm},{a}) vs s({mm},{b}): "
+                             f"{self.s(mm, a)!r} != {self.s(mm, b)!r}")
+        name, row = rows[c - 3]
+        raise TableError(f"{name.format(m=m, k=k)} = {row[m][k]} is trivial")
 
     def __repr__(self):
         return f"ScaleTables(size={self.size})"
@@ -285,22 +300,40 @@ def dct_stage(size: int, twiddles) -> dict:
     }
 
 
-def _close(a, b, what, tol=1e-13):
-    if abs(a - b) > tol * max(abs(a), abs(b), 1.0):
-        raise TableError(f"identity violated: {what}: {a!r} != {b!r}")
+def _far(a, b, tol=1e-13):
+    # where a and b differ by more than the identity checks allow
+    return np.abs(a - b) > tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
 
 
-def _t_structs(t: complex) -> tuple:
-    # (unit_re, sign, coef) for t and for conj(t):
+def _trig_row(n):
+    # _cos2pi(j, n) and _sin2pi(j, n) for j < n/4 as float64 arrays, by
+    # math.cos/math.sin on the same arguments: an argument 2*pi*j/n above
+    # the octant is folded to 2*pi*(n/4 - j)/n, the argument of bin n/4 - j
+    if n < 8:
+        return np.ones(n >> 2), np.zeros(n >> 2)
+    e = n >> 3
+    a = (2.0 * math.pi * np.arange(e + 1) / n).tolist()
+    c = np.array(list(map(math.cos, a)))
+    s = np.array(list(map(math.sin, a)))
+    return np.concatenate((c, s[e - 1:0:-1])), np.concatenate((s, c[e - 1:0:-1]))
+
+
+def _t_structs(re, im):
+    # per t = re + i*im, (unit_re, sign, coef) for t and for conj(t):
     #   unit_re:  t = sign * (1 + i*coef)
     #   else:     t = sign * (coef + i)
-    if abs(abs(t.real) - 1.0) <= abs(abs(t.imag) - 1.0):
-        sign = 1.0 if t.real > 0 else -1.0
-        coef = t.imag * sign
-        return (True, sign, coef), (True, sign, -coef)
-    sign = 1.0 if t.imag > 0 else -1.0
-    coef = t.real * sign
-    return (False, sign, coef), (False, -sign, -coef)
+    # as a list of pairs of tuples, and the coefs of t as an array
+    unit = np.abs(np.abs(re) - 1.0) <= np.abs(np.abs(im) - 1.0)
+    up = np.where(unit, re, im) > 0
+    coef = np.where(unit, im, re) * np.where(up, 1.0, -1.0)
+    units = unit.tolist()
+    # the signs as the two shared floats -1.0 and 1.0, not one object each
+    sign, conj_sign = _SIGNS[up.view(np.int8)].tolist(), _SIGNS[(up == unit).view(np.int8)].tolist()
+    conj = zip(units, conj_sign, (-coef).tolist())
+    return list(zip(zip(units, sign, coef.tolist()), conj)), coef
+
+
+_SIGNS = np.array([-1.0, 1.0], dtype=object)
 
 
 def _levels(lo, hi):

@@ -43,11 +43,20 @@ vertex, every multiplication by a constant creates a weighted edge into a
 pass-through vertex, and negation is a free -1 edge.  Each new vertex
 takes its edges when it is created, so a recording is in evaluation order;
 the recorder appends them to typed columns, with no Python object per
-edge.  The DCT-III kernel evaluates one of these networks directly, which
-is how it inherits the DCT-II flop count without a hand-derived
-decimation-in-frequency FFT; the forward DCT-II/DST-II kernels run the
-network it transposes; and the small public transforms are recorded whole
-as networks (plans) that run as codelets.
+edge.  A recursive kernel calls the same sub-transform again and again
+(the rescaled real DFT of N=4096 makes 81 calls of 30 distinct (variant,
+size) sub-transforms), so a recording splices: the first call with a key
+is traced scalar by scalar, and each later one appends that call's edges
+again as a fresh vertex block, one numpy pass per column, with its inputs
+mapped to the caller's scalars (see :meth:`_Trace.splice`).  The vertex
+ids, the edge order and ``dumps()`` are those of the full trace.  The
+kernels themselves stay the one statement of the algorithm: they only
+route their recursive calls through the splice while recording (see
+:mod:`fastdcst.fft_real`).  The DCT-III kernel evaluates one of these
+networks directly, which is how it inherits the DCT-II flop count without
+a hand-derived decimation-in-frequency FFT; the forward DCT-II/DST-II
+kernels run the network it transposes; and the small public transforms are
+recorded whole as networks (plans) that run as codelets.
 """
 
 from __future__ import annotations
@@ -91,24 +100,25 @@ class TraceError(TypeError):
 
 
 class _Trace:
-    # the edges so far as three typed columns, in the order they were made
-    __slots__ = ("n_vertices", "src", "dst", "w")
+    # the edges so far as three typed columns, in the order they were made,
+    # and what splice knows of the calls traced so far
+    __slots__ = ("n_vertices", "src", "dst", "w", "calls")
 
     def __init__(self):
         self.n_vertices = 0
         self.src = array("q")
         self.dst = array("q")
         self.w = array("d")
+        self.calls = {}
 
-    def new_vertex(self):
-        v = self.n_vertices
-        self.n_vertices += 1
-        return v
-
-    def edge(self, s, d, w):
+    def scaled(self, s, w):
+        # a new vertex of one edge, from s with weight w
+        u = self.n_vertices
+        self.n_vertices = u + 1
         self.src.append(s)
-        self.dst.append(d)
+        self.dst.append(u)
         self.w.append(w)
+        return u
 
     def edges(self):
         edges = np.empty(len(self.w), dtype=EDGE_DTYPE)
@@ -116,6 +126,80 @@ class _Trace:
         edges["dst"] = np.frombuffer(self.dst, dtype=np.int64)
         edges["w"] = np.frombuffer(self.w, dtype=np.float64)
         return edges
+
+    def splice(self, kernel, *args):
+        """``kernel(*args)`` on scalars of this trace, appending what the
+        full trace of the call would append.
+
+        ``args`` are one list of this trace's scalars (the inputs), other
+        arguments that with the list's length fix every operation the
+        kernel performs (hashable, compared by equality), and a ledger,
+        last.  The kernel returns a tuple of lists of traced scalars or
+        ``None``.  The first call with a key is traced scalar by scalar,
+        and the trace keeps where its vertex block and its edges begin and
+        end, which edges read which input, and the ledger delta.  A later
+        call with that key appends a fresh block: its edges are those
+        edges again, one numpy pass per column, their block ids shifted to
+        the new block and their input reads mapped to the caller's
+        scalars, in their order, so the vertex ids and the edge order are
+        those of a full trace.  A call that reads a traced value other
+        than its inputs, has an input twice or returns a value that is
+        neither its own nor an input is traced in full each time, and so
+        is a later call with an input that is not of this trace.
+        """
+        *consts, led = args
+        x = next(a for a in consts if type(a) is list)
+        key = (kernel, len(x), *(a for a in consts if a is not x))
+        call = self.calls.get(key)
+        if call is None:
+            v0, e0, a0, m0 = self.n_vertices, len(self.w), led.adds, led.mults
+            out = kernel(*args)
+            self.calls[key] = _traced_call(self, x, out, v0, e0, led.adds - a0, led.mults - m0)
+            return out
+        if call is False or not all(type(t) is TraceScalar and t.trace is self for t in x):
+            return kernel(*args)
+        e0, e1, v0, n_block, at, which, outs, adds, mults = call
+        ids = [t.v for t in x]
+        base = self.n_vertices
+        self.n_vertices += n_block
+        src = np.frombuffer(self.src[e0:e1], dtype=np.int64)
+        src += base - v0
+        src[at] = np.array(ids, dtype=np.int64)[which]
+        dst = np.frombuffer(self.dst[e0:e1], dtype=np.int64)
+        dst += base - v0
+        self.src.frombytes(src.view(np.uint8))
+        self.dst.frombytes(dst.view(np.uint8))
+        self.w.extend(self.w[e0:e1])
+        led.adds += adds
+        led.mults += mults
+        return tuple([None if c is None else TraceScalar(self, base + c if c >= 0 else ids[~c])
+                      for c in lane] for lane in outs)
+
+
+def _traced_call(tr, x, out, v0, e0, adds, mults):
+    # what _Trace.splice keeps of the first call with a key, whose block
+    # begins at vertex v0 and whose edges at e0: (e0, e1, v0, block size,
+    # edges that read an input, the input each reads, output lanes as
+    # block offsets or ~input, ledger delta), or False for a call that
+    # cannot be spliced
+    index = {}
+    for i, t in enumerate(x):
+        if type(t) is not TraceScalar or t.trace is not tr or t.v in index:
+            return False
+        index[t.v] = i
+    e1 = len(tr.w)
+    src = np.frombuffer(tr.src[e0:e1], dtype=np.int64)
+    at = np.flatnonzero(src < v0)
+    if not all(t is None or type(t) is TraceScalar and t.trace is tr
+               for lane in out for t in lane):
+        return False
+    try:
+        which = np.array([index[v] for v in src[at].tolist()], dtype=np.intp)
+        outs = [[None if t is None else t.v - v0 if t.v >= v0 else ~index[t.v] for t in lane]
+                for lane in out]
+    except KeyError:
+        return False
+    return e0, e1, v0, tr.n_vertices - v0, at, which, outs, adds, mults
 
 
 class TraceScalar:
@@ -133,8 +217,10 @@ class TraceScalar:
                 "adding a constant to a traced value: kernel is affine, not linear"
             )
         tr = self.trace
-        u = tr.new_vertex()
-        # the hot path of a recording, so the two edges are appended inline
+        # the hot path of a recording, so the vertex and its two edges are
+        # made inline
+        u = tr.n_vertices
+        tr.n_vertices = u + 1
         src, dst, w = tr.src, tr.dst, tr.w
         src.append(self.v)
         dst.append(u)
@@ -156,22 +242,18 @@ class TraceScalar:
         raise TraceError("subtracting a traced value from a constant")
 
     def __mul__(self, c):
-        if isinstance(c, TraceScalar):
-            raise TraceError("product of two traced values: kernel is not linear")
-        if not isinstance(c, numbers.Real):
-            raise TraceError(f"cannot scale a traced value by {type(c).__name__}")
-        tr = self.trace
-        u = tr.new_vertex()
-        tr.edge(self.v, u, float(c))
-        return TraceScalar(tr, u)
+        if type(c) is not float:
+            if isinstance(c, TraceScalar):
+                raise TraceError("product of two traced values: kernel is not linear")
+            if not isinstance(c, numbers.Real):
+                raise TraceError(f"cannot scale a traced value by {type(c).__name__}")
+            c = float(c)
+        return TraceScalar(self.trace, self.trace.scaled(self.v, c))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        tr = self.trace
-        u = tr.new_vertex()
-        tr.edge(self.v, u, -1.0)
-        return TraceScalar(tr, u)
+        return TraceScalar(self.trace, self.trace.scaled(self.v, -1.0))
 
     def __pos__(self):
         return self
@@ -314,10 +396,7 @@ class LinearNetwork:
         kept = ptr == np.arange(n)
         count = int(np.count_nonzero(kept))
         new_id = count - np.cumsum(kept)
-        # pointer jumping takes each collapsed vertex to the end of its chain
-        while not np.array_equal(ptr[ptr], ptr):
-            ptr = ptr[ptr]
-        new_id = new_id[ptr]
+        new_id = new_id[_chain_ends(ptr)]
         order = np.argsort(-src, kind="stable")
         order = order[kept[src[order]]]
         rev = np.empty(len(order), dtype=EDGE_DTYPE)
@@ -385,10 +464,8 @@ class LinearNetwork:
         terms of a level go to a prefix of its vertices: every step reads
         its sources with one gather and writes one contiguous slice.
 
-        The levels are found a wavefront at a time: a vertex is complete
-        once all of its sources are, so wave ``l``, which counts the edges
-        that read wave ``l - 1`` against each vertex's in-degree,
-        completes exactly the vertices of level ``l``.  The program's
+        The levels are found a wavefront at a time, over successor lists
+        (:func:`_wavefront`), so each edge is read once.  The program's
         columns (the sources in the new numbering and the weights in step
         order) and a record of the recorded edges that compaction removed
         or rerouted then replace the edge array as the network's one copy
@@ -398,25 +475,13 @@ class LinearNetwork:
         """
         edges = self.edges
         n = self.n_vertices
-        src, first, w, gone, neg, fold = _compact(edges, n, self._out_ids)
-        # no successor lists, int32 bookkeeping and the record taken last
-        # keep the build's peak memory below that of levelizing the
-        # recorded network
-        pending = np.diff(first)  # sources not yet complete, per vertex
-        newly = np.zeros(n, dtype=bool)  # the last wave
-        done = self._in_ids
-        levels = [done.astype(np.int32)]
-        while done.size:
-            newly[done] = True
-            hit = np.flatnonzero(newly[src]).astype(np.int32)  # edges read from it
-            newly[done] = False
-            touched, hits = np.unique(np.searchsorted(first, hit, side="right") - 1,
-                                      return_counts=True)
-            pending[touched] -= hits
-            done = touched[pending[touched] == 0]
-            done = done[np.argsort(first[done] - first[done + 1], kind="stable")]
-            levels.append(done.astype(np.int32))
-        del pending, newly
+        src, first, gone, neg, fold, into = _compact(edges, n, self._out_ids)
+        # int32 bookkeeping, successor lists sorted as int32 pairs, the
+        # weights taken after the levels and the record taken last keep the
+        # build's peak memory below that of levelizing the recorded network
+        levels = _wavefront(src, first, self._in_ids)
+        w = _compacted_weights(edges, gone, neg, fold, into)
+        del into
         sizes = list(map(len, levels))
         order = np.concatenate(levels)  # the old id of each new vertex
         del levels
@@ -472,7 +537,7 @@ class LinearNetwork:
 
 def _compact(edges, n, out_ids):
     """The network with the vertices removed whose removal keeps every
-    float operation exact: ``(src, first, w, gone, neg, fold)``.
+    float operation exact: ``(src, first, gone, neg, fold, into)``.
 
     An interior vertex (neither an input nor an output) with one in-edge
     goes if that edge weighs +-1 (an alias: its consumers read its source,
@@ -483,13 +548,15 @@ def _compact(edges, n, out_ids):
     removal drops one vertex and one edge, so both structural counts hold.
     A multiplication read twice or through a weighted edge stays.
 
-    ``src`` (int32) and ``w`` are the kept edges in their recorded order,
-    read through the removals; the in-edges of vertex ``v`` are
+    ``src`` (int32) are the sources of the kept edges in their recorded
+    order, read through the removals; the in-edges of vertex ``v`` are
     ``first[v]:first[v + 1]`` of them (none for a removed vertex).
     ``gone`` marks the removed vertices, ``neg`` the vertices that the
-    aliases read negated, and ``fold`` lists the recorded edges that took
-    a multiplication: what :func:`_removal_record` needs.  The bookkeeping
-    is int32 and bool, for the peak memory.
+    aliases read negated, ``fold`` lists the recorded edges that took a
+    multiplication and ``into`` the recorded in-edge of each: what
+    :func:`_compacted_weights` and :func:`_removal_record` need.  The
+    bookkeeping is int32 and bool, and the weights come later, for the
+    peak memory.
     """
     src, dst, w = edges["src"], edges["dst"], edges["w"]
     first = _offsets(dst, n)
@@ -502,14 +569,8 @@ def _compact(edges, n, out_ids):
     ptr = np.arange(n, dtype=np.int32)  # to the kept vertex each one reads
     neg = np.zeros(n, dtype=bool)  # and whether it reads it negated
     ptr[alias], neg[alias] = src[first[alias]], w[first[alias]] < 0
-    while True:
-        up = ptr[ptr]
-        if np.array_equal(up, ptr):
-            break
-        neg ^= neg[ptr]
-        ptr = up
-    s = ptr[src]  # the source each edge reads, through the aliases
-    del ptr, up
+    s = _chain_ends(ptr, neg)[src]  # the source each edge reads, through the aliases
+    del ptr
     gone = np.zeros(n, dtype=bool)
     gone[alias] = True
     # a multiplication read once, through a +-1 edge, folds into that edge
@@ -523,16 +584,38 @@ def _compact(edges, n, out_ids):
     into = first[s[fold]]
     gone[s[fold]] = True
     s[fold] = s[into]
+    s = s[~gone[dst]]
+    np.cumsum(np.diff(first) * ~gone, out=first[1:])
+    return s, first, gone, neg, fold, into
+
+
+def _chain_ends(ptr, neg=None):
+    """Where each chain of ``ptr`` (a vertex points at the one it reads,
+    a kept vertex at itself) ends, by pointer jumping; ``neg``, if given,
+    becomes in place whether each vertex reads that end negated (the
+    parity of the signs along its chain)."""
+    while True:
+        up = ptr[ptr]
+        if np.array_equal(up, ptr):
+            return ptr
+        if neg is not None:
+            neg ^= neg[ptr]
+        ptr = up
+
+
+def _compacted_weights(edges, gone, neg, fold, into):
+    """The weights of the edges that :func:`_compact` keeps, in their
+    order, from what it returns: a kept edge's recorded weight, negated
+    if it reads an alias chain of odd sign, and for each edge that took
+    a multiplication (at ``fold``; its one in-edge at ``into``) times that
+    weight (a product by +-1, so exact)."""
+    src, dst, w = edges["src"], edges["dst"], edges["w"]
     kept = ~gone[dst]
-    s = s[kept]
     cw = w[kept]
     np.negative(cw, out=cw, where=neg[src][kept])
-    # each fold edge, now among the kept, takes its multiplication's weight
-    # (a product by +-1, so exact)
     at = fold - np.searchsorted(np.flatnonzero(~kept), fold)
     cw[at] *= np.where(neg[src[into]], -w[into], w[into])
-    np.cumsum(np.diff(first) * ~gone, out=first[1:])
-    return s, first, cw, gone, neg, fold
+    return cw
 
 
 class _Record(NamedTuple):
@@ -588,6 +671,58 @@ def _removal_record(edges, gone, neg, fold):
     rerouted["fold"][i] = True
     rerouted["neg"][i] = w[fold] < 0
     return _Record(np.packbits(gone), removed, fold_w, np.packbits(read), rerouted)
+
+
+def _wavefront(src, first, inputs):
+    """The levels of the compacted network (``src`` and ``first`` as
+    :func:`_compact` returns them), as int32 arrays of vertex ids, each
+    level by descending in-degree, the inputs first in their order and
+    an empty last level.  A vertex is complete once all of its sources
+    are, so the successors of wave ``l - 1``, counted against each
+    vertex's in-degree, complete exactly the vertices of level ``l``."""
+    succ, succ_first = _successors(src, first)
+    succ_first = succ_first.astype(np.intp)  # a wave's ids are intp, which index fastest
+    pending = np.diff(first)  # sources not yet complete, per vertex
+    done = inputs
+    levels = [done.astype(np.int32)]
+    while done.size:
+        lo = succ_first[done]
+        count = succ_first[done + 1] - lo
+        end = np.cumsum(count)
+        hit = succ[np.repeat(lo - end + count, count) + np.arange(end[-1])].astype(np.intp)
+        hit.sort()
+        last = np.empty(len(hit), dtype=bool)  # the last read of each vertex
+        np.not_equal(hit[1:], hit[:-1], out=last[:-1])
+        last[-1:] = True
+        at = np.flatnonzero(last)
+        touched = hit[at]
+        pending[touched] -= np.diff(at, prepend=-1)  # its reads
+        done = touched[pending[touched] == 0]
+        done = done[np.argsort(first[done] - first[done + 1], kind="stable")]
+        levels.append(done.astype(np.int32))
+    return levels
+
+
+def _successors(src, first):
+    """The vertices that read each vertex: ``succ[succ_first[u]:succ_first[u
+    + 1]]`` read ``u``, once per edge, for the edges ``src`` grouped by
+    destination at the offsets ``first``.  The edges are sorted by source
+    as one int64 key each, the source in the high half and the destination
+    in the low half, so the sort needs no index array of the edges."""
+    n = len(first) - 1
+    succ_first = _offsets(src, n)
+    dst = np.zeros(len(src), dtype=np.int32)
+    v = np.arange(n, dtype=np.int32)[first[:-1] < first[1:]]  # those with in-edges
+    dst[first[v]] = np.diff(v, prepend=np.int32(0))  # the step up to each, summed
+    del v
+    np.cumsum(dst, out=dst)
+    key = src.astype(np.int64)
+    key <<= 32
+    key |= dst
+    del dst
+    key.sort()
+    key &= 0xFFFFFFFF
+    return key.astype(np.int32), succ_first
 
 
 def _offsets(ids, n):
@@ -661,16 +796,17 @@ def record(kernel, n_inputs: int) -> LinearNetwork:
     ``kernel`` takes an object array of ``n_inputs`` scalars and returns
     a sequence of scalars; it must be linear and fixed-size.  Every output
     is attached through an explicit unit pass-through edge so the vertex/edge
-    bookkeeping matches the structural count formulas.
+    bookkeeping matches the structural count formulas.  Calls the kernel
+    routes through the trace's splice (:meth:`_Trace.splice`) are traced
+    once per key and spliced in after that, with the same result.
     """
     tr = _Trace()
-    ins = np.array([TraceScalar(tr, tr.new_vertex()) for _ in range(n_inputs)], dtype=object)
+    tr.n_vertices = n_inputs
+    ins = np.array([TraceScalar(tr, v) for v in range(n_inputs)], dtype=object)
     outs = kernel(ins)
     out_ids = []
     for o in outs:
         if not isinstance(o, TraceScalar) or o.trace is not tr:
             raise TraceError("kernel returned a value that was not traced")
-        ov = tr.new_vertex()
-        tr.edge(o.v, ov, 1.0)
-        out_ids.append(ov)
+        out_ids.append(tr.scaled(o.v, 1.0))
     return LinearNetwork(tr.n_vertices, tr.edges(), list(range(n_inputs)), out_ids)

@@ -176,3 +176,64 @@ def test_build_tables_cached():
     assert again is not first
     assert again.twiddle_dct == first.twiddle_dct
     assert again.dct_scales == first.dct_scales
+
+
+def _t_structs_of(t):
+    # the (unit_re, sign, coef) pair of t and conj(t), one scalar at a time
+    if abs(abs(t.real) - 1.0) <= abs(abs(t.imag) - 1.0):
+        sign = 1.0 if t.real > 0 else -1.0
+        return (True, sign, t.imag * sign), (True, sign, -(t.imag * sign))
+    sign = 1.0 if t.imag > 0 else -1.0
+    return (False, sign, t.real * sign), (False, -sign, -(t.real * sign))
+
+
+def _bits(values):
+    # repr tells -0.0 from 0.0 and shows every float exactly
+    return repr([float(v) for v in values])
+
+
+@pytest.mark.parametrize("n", [1 << e for e in range(13)])
+def test_table_rows_equal_the_recursive_references_bitwise(n):
+    # every level is sliced from one trig row and run through numpy; each
+    # entry must still be the recursive scale()/t_factor() value, bit for bit
+    tab = ScaleTables(n)
+    top = 4 * n
+    assert sorted(tab._s) == [1 << e for e in range(3, top.bit_length())]
+    for m, row in tab._s.items():
+        assert _bits(row) == _bits(scale(m, k) for k in range(m // 4)), m
+    for m, row in tab._tstruct.items():
+        assert repr(row) == repr([_t_structs_of(t_factor(m, k)) for k in range(m // 4)]), m
+    for m in tab._r2a:
+        q = m // 4
+        assert _bits(tab._r2a[m]) == _bits(scale(m, k) / scale(2 * m, k) for k in range(q))
+        assert _bits(tab._r2b[m]) == _bits(scale(m, k) / scale(2 * m, k + q) for k in range(q))
+        for j in range(4):
+            assert _bits(tab._r4[m][j]) == _bits(
+                scale(m, k) / scale(4 * m, k + j * q) for k in range(q))
+    if n >= 2:
+        assert tab.inv_s8_1 == 1.0 / scale(8, 1)
+        tan = [-_t_structs_of(t_factor(top, k))[0][2] for k in range(1, n // 2)]
+        assert _bits(tab.scaled_stage_tan) == _bits([0.0] + tan)
+    assert repr(tab.twiddle_dct) == repr(
+        [2.0 * unit_root(k, top) * scale(n, k) for k in range(n // 2)])
+    assert _bits(tab.dct_scales) == _bits(2.0 * scale(top, k) for k in range(n))
+
+
+@pytest.mark.parametrize("row,m,j,k,v,message", [
+    ("_r2a", 256, None, 5, 0.0, r"ratio2a\(256,5\) = 0.0 is trivial"),
+    ("_r2b", 64, None, 3, -1.0, r"ratio2b\(64,3\) = -1.0 is trivial"),
+    ("_r4", 64, 2, 7, 1.0, r"ratio4\(64,2,7\) = 1.0 is trivial"),
+])
+def test_validate_names_the_one_bent_ratio(row, m, j, k, v, message):
+    tab = ScaleTables(256)
+    ratios = getattr(tab, row)[m]
+    (ratios if j is None else ratios[j])[k] = v
+    with pytest.raises(TableError, match=message):
+        tab.validate()
+
+
+def test_validate_names_the_one_bent_scale():
+    tab = ScaleTables(256)
+    tab._s[512][37] *= 1 + 1e-12  # s(512, q - k) for m = 256, q = 64, k = 27
+    with pytest.raises(TableError, match=r"identity violated: s\(512,37\) vs s\(512,91\)"):
+        tab.validate()

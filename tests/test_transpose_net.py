@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -10,13 +11,16 @@ from hypothesis import strategies as st
 from fastdcst import (
     FlopLedger,
     LinearNetwork,
+    ScaleTables,
     TraceError,
     build_tables,
+    dct2,
     naive_dct3,
     record,
     transpose_net,
 )
-from fastdcst.dct2 import _classic_state, _dct2_new_lanes, _dct2_scaled_lanes
+from fastdcst.cli import _NORMS, KERNELS
+from fastdcst.dct2 import _classic_state, _dct2_new_lanes, _dct2_scaled_lanes, _spectrum
 from fastdcst.fft_complex import _fft_scaled_lanes, _fft_std_lanes
 from fastdcst.fft_real import half_spectrum_lanes
 from fastdcst.trig_family import (
@@ -402,12 +406,15 @@ def test_std_fft_ledger_equals_structural_count():
 
 
 def test_nonlinear_kernel_raises():
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError, match="product of two traced values"):
         record(lambda xs: [xs[0] * xs[1]], 2)
     with pytest.raises(TraceError):
         record(lambda xs: [xs[0] + 1.0], 1)
     with pytest.raises(TraceError):
         record(lambda xs: [xs[0] / 2.0], 1)
+    for c, name in ((1j, "complex"), ("2", "str")):
+        with pytest.raises(TraceError, match=f"cannot scale a traced value by {name}"):
+            record(lambda xs: [xs[0] * c], 1)
 
 
 def test_eval_size_mismatch():
@@ -457,3 +464,132 @@ def test_dumps_edge_list():
     assert len(lines) == len(net.edges)
     src, dst, w = lines[0].split()
     int(src), int(dst), float(w)
+
+
+def _full_trace(monkeypatch):
+    # the recorder without splicing: every call is traced scalar by scalar
+    monkeypatch.setattr(transpose_net._Trace, "splice", lambda self, kernel, *args: kernel(*args))
+
+
+def _spectrum_record(tab):
+    led = FlopLedger()
+    net = record(lambda ins: _spectrum(ins, tab, led), tab.size)
+    return net.dumps(), led.as_tuple()
+
+
+SPECTRUM_SIZES = [1 << e for e in range(1, 13)]
+
+
+def test_spliced_spectrum_recordings_equal_the_full_trace(monkeypatch):
+    # both real DFTs at N=2..4096: the same vertex ids, edge order and ledger
+    tabs = [t for n in SPECTRUM_SIZES for t in (build_tables(n), _classic_state(n))]
+    spliced = [_spectrum_record(t) for t in tabs]
+    _full_trace(monkeypatch)
+    assert [_spectrum_record(t) for t in tabs] == spliced
+
+
+def test_a_recording_splices_its_repeated_sub_transforms(monkeypatch):
+    traced, calls = [], []
+    traced_call, splice = transpose_net._traced_call, transpose_net._Trace.splice
+    monkeypatch.setattr(transpose_net, "_traced_call",
+                        lambda *a: traced.append(a) or traced_call(*a))
+    monkeypatch.setattr(transpose_net._Trace, "splice",
+                        lambda self, *a: calls.append(a) or splice(self, *a))
+    _spectrum_record(build_tables(1024))
+    # at most three distinct (variant, size) sub-transforms per size are
+    # traced, and every other call is spliced in
+    assert len(traced) <= 3 * 10 and len(calls) > 2 * len(traced)
+
+
+def _plans(tab_for, n):
+    # every plan of the cosine/sine kernels at size n, recorded on the first call
+    out = []
+    with mock.patch.object(dct2, "PLAN_AFTER_CALLS", 1):
+        for kernel in KERNELS:
+            if kernel.family != "trig":
+                continue
+            for norm_name in kernel.norms:
+                tab = tab_for(kernel, n)
+                led = FlopLedger()
+                kernel.run([0.0] * n, _NORMS[norm_name], tab, led)
+                nets = [p for p in tab.plans.values() if isinstance(p, LinearNetwork)]
+                assert len(nets) == 1
+                out.append((nets[0].dumps(), led.as_tuple()))
+    return out
+
+
+def _fresh_tables(kernel, n):
+    if kernel.algo == "classic":
+        tab = _classic_state(n)
+        tab.plans.clear()
+        return tab
+    return ScaleTables(n)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_spliced_plans_equal_the_full_trace(monkeypatch, n):
+    _transposed_spectrum_net.cache_clear()
+    spliced = _plans(_fresh_tables, n)
+    _full_trace(monkeypatch)
+    _transposed_spectrum_net.cache_clear()
+    assert _plans(_fresh_tables, n) == spliced
+
+
+def _leaf(x, led):
+    # an n=1 leaf: its output is its input, passed through
+    return [x[0]], [None]
+
+
+def _pair(x, led):
+    led.adds += 2
+    return [x[0] + x[1], x[0] - 2.0 * x[1]], [None, None]
+
+
+@pytest.mark.parametrize("case", ["leaf", "pair", "repeated input", "repeated first",
+                                  "reads outside", "returns outside", "returns a constant"])
+def test_splice_edge_cases_equal_the_full_trace(monkeypatch, case):
+    outside = {}
+
+    def reads_outside(x, led):
+        return [x[0] + outside["v"]], [None]
+
+    def returns_outside(x, led):
+        return [outside["v"]], [x[0] * 3.0]
+
+    def returns_a_constant(x, led):
+        return [x[0] * 3.0], [0.0]
+
+    kernel = {"leaf": _leaf, "pair": _pair, "repeated input": _pair, "repeated first": _pair,
+              "reads outside": reads_outside, "returns outside": returns_outside,
+              "returns a constant": returns_a_constant}[case]
+
+    def whole(ins):
+        led, outs = ledgers[-1], []
+        tr = ins[0].trace
+        for i in range(4):
+            outside["v"] = ins[(i + 2) % 5]
+            repeated = {"repeated input": i % 2, "repeated first": i == 0}.get(case)
+            x = [ins[i], ins[i] if repeated else ins[i + 1]]
+            for lane in tr.splice(kernel, x, led):
+                outs += [v for v in lane if isinstance(v, transpose_net.TraceScalar)]
+        return outs
+
+    ledgers = [FlopLedger()]
+    spliced = record(whole, 5).dumps()
+    _full_trace(monkeypatch)
+    ledgers.append(FlopLedger())
+    assert record(whole, 5).dumps() == spliced
+    assert ledgers[0] == ledgers[1]
+
+
+def test_two_recordings_in_threads_agree():
+    tabs = [build_tables(1024), _classic_state(1024)]
+    want = [_spectrum_record(t) for t in tabs]
+    with ThreadPoolExecutor(2) as pool:
+        got = list(pool.map(_spectrum_record, tabs * 2))
+    assert got == want * 2
+
+
+def test_traced_multiplication_takes_any_real_as_a_float_weight():
+    net = record(lambda ins: [ins[0] * 0.5, 2 * ins[0], ins[1] * True, np.float64(3.0) * ins[1]], 2)
+    assert [w for _, _, w in net.edges.tolist()[:4]] == [0.5, 2.0, 1.0, 3.0]

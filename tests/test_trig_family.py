@@ -11,11 +11,14 @@ from fastdcst import (
     dct3_new,
     dst2_new,
     dst3_new,
+    formula_new_dct2,
     naive_dct2,
     naive_dct3,
     naive_dst2,
     naive_dst3,
 )
+from fastdcst.scale_factors import _cached_tables
+from fastdcst.trig_family import _transposed_spectrum_net
 
 NORMS = list(Normalization)
 
@@ -121,3 +124,26 @@ def test_rejects_bad_sizes():
         dct3_new([0.0] * 12)
     with pytest.raises(ValueError):
         dst2_new([0.0] * 16, tables=build_tables(8))
+
+
+def test_dct3_at_65536():
+    # the spliced record and the sliced tables make the transposed network
+    # affordable here; numpy.fft of the 4N extension is the reference
+    n = 1 << 16
+    x = rng(49, n).standard_normal(n)
+    lc, ls = FlopLedger(), FlopLedger()
+    try:
+        got_c = dct3_new(x, ledger=lc)
+        got_s = dst3_new(x, ledger=ls)
+    finally:
+        # the two networks of this size need not outlive the test
+        _transposed_spectrum_net.cache_clear()
+        _cached_tables.cache_clear()
+    assert lc.total() == formula_new_dct2(n)
+    assert ls.as_tuple() == lc.as_tuple()
+    z = np.zeros(4 * n)
+    z[:n] = 2.0 * x
+    assert max_rel(got_c, np.fft.rfft(z)[1:2 * n:2].real) < 1e-10
+    z = np.zeros(4 * n)
+    z[1:n + 1] = 2.0 * x
+    assert max_rel(got_s, -np.fft.rfft(z)[1:2 * n:2].imag) < 1e-10
