@@ -243,14 +243,16 @@ class ScaleTables:
         if not ms:
             return
         # level m's k-th entry is entry m/4 - 1 + k of each check, and s(m, k)
-        # entry m/4 - 2 + k of the s rows from m = 8 on
+        # entry m/4 - 2 + k of the s rows from m = 8 on, so s(2m, q) is at
+        # m/2 - 2 + q and s(4m, q) at m - 2 + q; each identity compares
+        # s[a - k] with s[b + k]
         m = np.repeat(ms, [v >> 2 for v in ms])
         q = m >> 2
         k = np.arange(len(m)) + 1 - q
         s = np.concatenate([self._s[v] for v in sorted(self._s)])
-        pairs = (((m >> 1) - 2 + q - k, (m >> 1) - 2 + k + q),
-                 (m - 2 + q - k, m - 2 + k + 3 * q), (m - 2 + 2 * q - k, m - 2 + k + 2 * q))
-        bad = [_far(s[a], s[b]) for a, b in pairs]
+        at2, at4 = (m >> 1) - 2 + q, m - 2 + q
+        bad = [_far(s[a - k], s[b + k]) for a, b in
+               ((at2, at2), (at4, at4 + 2 * q), (at4 + q, at4 + q))]
         # generically weighted slots must stay non-trivial or the structural
         # flop counts would silently drift.  Only weights of exactly +-1 are
         # free there and a zero drops a term, so exactly those are trivial: a

@@ -172,16 +172,16 @@ class _Trace:
         self.w.extend(self.w[e0:e1])
         led.adds += adds
         led.mults += mults
-        return tuple([None if c is None else TraceScalar(self, base + c if c >= 0 else ids[~c])
-                      for c in lane] for lane in outs)
+        return tuple([None if c == 0 else TraceScalar(self, base + c - 1 if c > 0 else ids[~c])
+                      for c in lane.tolist()] for lane in outs)
 
 
 def _traced_call(tr, x, out, v0, e0, adds, mults):
     # what _Trace.splice keeps of the first call with a key, whose block
     # begins at vertex v0 and whose edges at e0: (e0, e1, v0, block size,
     # edges that read an input, the input each reads, output lanes as
-    # block offsets or ~input, ledger delta), or False for a call that
-    # cannot be spliced
+    # arrays of 1 + block offset, ~input or 0 for None, ledger delta), or
+    # False for a call that cannot be spliced
     index = {}
     for i, t in enumerate(x):
         if type(t) is not TraceScalar or t.trace is not tr or t.v in index:
@@ -195,8 +195,8 @@ def _traced_call(tr, x, out, v0, e0, adds, mults):
         return False
     try:
         which = np.array([index[v] for v in src[at].tolist()], dtype=np.intp)
-        outs = [[None if t is None else t.v - v0 if t.v >= v0 else ~index[t.v] for t in lane]
-                for lane in out]
+        outs = [np.array([0 if t is None else t.v - v0 + 1 if t.v >= v0 else ~index[t.v]
+                          for t in lane], dtype=np.int64) for lane in out]
     except KeyError:
         return False
     return e0, e1, v0, tr.n_vertices - v0, at, which, outs, adds, mults
