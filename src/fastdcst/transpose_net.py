@@ -804,6 +804,7 @@ def record(kernel, n_inputs: int) -> LinearNetwork:
     tr.n_vertices = n_inputs
     ins = np.array([TraceScalar(tr, v) for v in range(n_inputs)], dtype=object)
     outs = kernel(ins)
+    tr.calls.clear()  # what the splice kept is not needed past the kernel
     out_ids = []
     for o in outs:
         if not isinstance(o, TraceScalar) or o.trace is not tr:

@@ -501,15 +501,16 @@ def test_a_recording_splices_its_repeated_sub_transforms(monkeypatch):
     assert len(traced) <= 3 * 10 and len(calls) > 2 * len(traced)
 
 
-def _plans(tab_for, n):
-    # every plan of the cosine/sine kernels at size n, recorded on the first call
+def _plans(n):
+    # every plan of the cosine/sine kernels at size n, recorded on the first
+    # call, each on fresh tables
     out = []
     with mock.patch.object(dct2, "PLAN_AFTER_CALLS", 1):
         for kernel in KERNELS:
             if kernel.family != "trig":
                 continue
             for norm_name in kernel.norms:
-                tab = tab_for(kernel, n)
+                tab = _fresh_tables(kernel, n)
                 led = FlopLedger()
                 kernel.run([0.0] * n, _NORMS[norm_name], tab, led)
                 nets = [p for p in tab.plans.values() if isinstance(p, LinearNetwork)]
@@ -529,10 +530,10 @@ def _fresh_tables(kernel, n):
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_spliced_plans_equal_the_full_trace(monkeypatch, n):
     _transposed_spectrum_net.cache_clear()
-    spliced = _plans(_fresh_tables, n)
+    spliced = _plans(n)
     _full_trace(monkeypatch)
     _transposed_spectrum_net.cache_clear()
-    assert _plans(_fresh_tables, n) == spliced
+    assert _plans(n) == spliced
 
 
 def _leaf(x, led):
