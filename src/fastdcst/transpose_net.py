@@ -14,28 +14,29 @@ edge runs from a lower to a higher vertex id, and the incoming edges of
 each vertex are contiguous in ``edges``, grouped by ascending
 destination.  The edges are columnar, one structured numpy array of
 ``(src, dst, w)``, so validation, counting and transposition are
-vectorized passes over it.  Evaluation has two executors with
-bit-identical results.  Below :data:`PROGRAM_MIN_EDGES` edges, and on
-:class:`TraceScalar` inputs, it is a codelet: straight-line Python
-source generated from the network, one statement per vertex, compiled
-once and kept with the network.  At or above it, floats run through a
-vertex-major program of the compacted network.  Compaction removes the
-interior vertices whose removal changes no float operation: unit aliases
-(renames), -1 vertices (their consumers' weights are negated) and
+vectorized passes over it.  :func:`record` and
+:meth:`LinearNetwork.transpose` return their networks compacted, in the
+manner of the DAG simplification of FFTW's generator: the interior
+vertices whose removal changes no float operation are gone, namely unit
+aliases (renames), -1 vertices (their consumers' weights are negated) and
 multiplications read once through a +-1 edge (folded into that edge as
-+-w), in the manner of the DAG simplification of FFTW's generator.  Each
-removal drops one vertex and one edge, so both counts above hold for the
-compacted graph too.  A vectorized wavefront then sorts the kept vertices
-into levels of independent vertices and numbers them anew, level by level,
-so that each step of a level (one per in-edge rank, usually two) is one
-numpy gather and multiply whose result sets or adds to one contiguous
-slice of the values, with no scatter.  The program's columns and a record
-of the edges compaction removed or rerouted then replace the edge array as
-the network's one copy of its edges; ``edges`` rebuilds the recorded
-edges, in evaluation order, from them when it is asked for, and the
-recorded network stays what ``dumps()``, ``transpose()`` and the counts
-read.  A float64 array goes into the program and its output array comes
-back as it is; a codelet always runs on Python scalars.
++-w).  Each removal drops one vertex and one edge, so both counts above
+hold for the compacted graph too.  A network built directly from edges
+runs them as given.
+
+Evaluation has two executors with bit-identical results.  Below
+:data:`PROGRAM_MIN_EDGES` edges, and on :class:`TraceScalar` inputs, it is
+a codelet: straight-line Python source generated from the network, one
+statement per vertex, compiled once and kept with the network.  At or
+above it, floats run through a vertex-major program.  A vectorized
+wavefront sorts the vertices into levels of independent vertices and
+numbers them anew, level by level, so that each step of a level (one per
+in-edge rank, usually two) is one numpy gather and multiply whose result
+sets or adds to one contiguous slice of the values, with no scatter.  The
+program's columns then replace the edge array as the network's one copy
+of its edges; ``edges`` rebuilds them, in evaluation order, when it is
+asked for.  A float64 array goes into the program and its output array
+comes back as it is; a codelet always runs on Python scalars.
 
 Kernels are recorded by running them on :class:`TraceScalar` values (in
 an object array) whose arithmetic builds the graph: every scalar add/sub creates a two-input
@@ -49,7 +50,8 @@ size) sub-transforms), so a recording splices: the first call with a key
 is traced scalar by scalar, and each later one appends that call's edges
 again as a fresh vertex block, one numpy pass per column, with its inputs
 mapped to the caller's scalars (see :meth:`_Trace.splice`).  The vertex
-ids, the edge order and ``dumps()`` are those of the full trace.  The
+ids and the edge order are those of the full trace, and so is the
+compacted network.  The
 kernels themselves stay the one statement of the algorithm: they only
 route their recursive calls through the splice while recording (see
 :mod:`fastdcst.fft_real`).  The DCT-III kernel evaluates one of these
@@ -64,7 +66,6 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,21 +73,20 @@ __all__ = ["LinearNetwork", "TraceError", "record"]
 
 EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", np.float64)])
 
-# Networks with at least this many recorded edges evaluate floats as a
-# vertex-major numpy program of the compacted network; smaller ones run
-# their codelet.  Warm, on the forward, plain and transposed spectrum
-# networks with an array in and out (2-CPU Xeon, medians of 15x200 calls,
-# three runs on a shared host), the codelet is ahead at N=64 (910-1,020
-# edges, 840-904 compacted: 16-28 against 24-50 us), level or behind at
-# N=128 (2,217-2,469 edges, 2,046-2,174 compacted: 37-64 against 29-61 us)
-# and behind at N=256 (5,228-5,804 edges: 107-145 against 37-61 us).  At
-# N=128 compiling a codelet costs 9-20 ms and compacting and building the
-# program 1.5-2.8 ms, paid once per network on a configuration's second
-# call, so the threshold stays between N=64 and N=128: spectrum networks
-# run as codelets at N=32 and 64 and as programs from N=128 on.  Counting
-# recorded edges keeps the N=128 transposed network (2,046 compacted) on
-# the program.
-PROGRAM_MIN_EDGES = 2048
+# Networks with at least this many edges evaluate floats as a vertex-major
+# numpy program; smaller ones run their codelet.  The spectrum networks are
+# counted as record() and transpose() return them, compacted.  Warm, on the
+# forward, plain and transposed spectrum networks with an array in and out
+# (2-CPU Xeon, medians of 15x200 calls, three runs on a shared host, the
+# codelets compiled from the uncompacted recordings), the codelet is ahead
+# at N=64 (840-904 edges: 16-28 against 24-50 us), level or behind at N=128
+# (2,046-2,174 edges: 37-64 against 29-61 us) and behind at N=256 (107-145
+# against 37-61 us).  At N=128 compiling a codelet costs 9-20 ms and
+# building the program 1.5-2.8 ms, paid once per network on a
+# configuration's second call, so the threshold stays between N=64 and
+# N=128: spectrum networks run as codelets at N=32 and 64 and as programs
+# from N=128 on.
+PROGRAM_MIN_EDGES = 1024
 
 # Inlined single-edge terms nest at most this deep in one codelet
 # statement (CPython rejects source nested more than 200 parentheses deep),
@@ -119,13 +119,6 @@ class _Trace:
         self.dst.append(u)
         self.w.append(w)
         return u
-
-    def edges(self):
-        edges = np.empty(len(self.w), dtype=EDGE_DTYPE)
-        edges["src"] = np.frombuffer(self.src, dtype=np.int64)
-        edges["dst"] = np.frombuffer(self.dst, dtype=np.int64)
-        edges["w"] = np.frombuffer(self.w, dtype=np.float64)
-        return edges
 
     def splice(self, kernel, *args):
         """``kernel(*args)`` on scalars of this trace, appending what the
@@ -271,9 +264,11 @@ class LinearNetwork:
     list.  The vertices must be in evaluation order (see the module
     docstring) and every id must lie in ``0 .. n_vertices-1``; a network
     that breaks either raises ``ValueError`` here, before any value is
-    computed.  Edges and vertices are not to be changed afterwards: the
-    codelet and the program are built from them once, on first
-    use, and held on the network (the program in place of the edge array).
+    computed.  The network runs its edges as given; :func:`record` and
+    :meth:`transpose` compact the networks they return.  Edges and
+    vertices are not to be changed afterwards: the codelet and the
+    program are built from them once, on first use, and held on the
+    network (the program in place of the edge array).
     """
 
     def __init__(self, n_vertices, edges, inputs, outputs):
@@ -300,11 +295,14 @@ class LinearNetwork:
             raise ValueError(f"incoming edges of vertex {dst[bad.argmax() + 1]} are not contiguous")
         summed = np.zeros(n_vertices, dtype=bool)
         summed[dst] = True
-        for i, v in enumerate(self.inputs):
-            if summed[v]:
-                what = "is repeated" if v in self.inputs[:i] else "has incoming edges"
-                raise ValueError(f"input vertex {v} {what}")
-            summed[v] = True
+        repeated = np.ones(len(self._in_ids), dtype=bool)
+        repeated[np.unique(self._in_ids, return_index=True)[1]] = False
+        bad = repeated | summed[self._in_ids]
+        if bad.any():
+            i = bad.argmax()
+            what = "is repeated" if repeated[i] else "has incoming edges"
+            raise ValueError(f"input vertex {self.inputs[i]} {what}")
+        summed[self._in_ids] = True
         if not summed.all():
             raise ValueError(
                 f"vertex {np.argmin(summed)} is neither an input nor a sum")
@@ -312,9 +310,8 @@ class LinearNetwork:
         self._flops = (len(self.inputs) + len(edges) - n_vertices, mults)
         self._n_edges = len(edges)
         self._codelet = None
-        # the edge array, until the program (order, src, w, steps, outputs,
-        # removed, rerouted) is built and replaces it: the compacted edges
-        # in step order and a record of the recorded ones they differ from
+        # the edge array, until the program (order, src, w, steps, outputs)
+        # is built and replaces it
         self._program = None
         self._edges = edges
 
@@ -323,36 +320,22 @@ class LinearNetwork:
         """The edges in evaluation order, as an array of :data:`EDGE_DTYPE`.
 
         A network with a program holds its edges in the program's columns
-        and the compaction's :class:`_Record` only, and builds this array
-        anew on each access: step ``k`` of a vertex is its ``k``-th
-        in-edge, so each step's terms go back to their places in
-        evaluation order exactly, each removed vertex's one in-edge to its
-        place, and the edges that read a removed vertex get their recorded
-        source and weight back.
+        only, and builds this array anew on each access: step ``k`` of a
+        vertex is its ``k``-th in-edge, so each step's terms go back to
+        their places in evaluation order exactly.
         """
         edges = self._edges
         if edges is not None:
             return edges
-        order, _, _, steps, _, record = self._program
+        order, _, _, steps, _ = self._program
         indeg = np.zeros(self.n_vertices, dtype=np.int64)
         for _, a, b, _, _ in steps:
             indeg[order[a:b]] += 1
-        gone = np.flatnonzero(np.unpackbits(record.gone, count=self.n_vertices))
-        indeg[gone] = 1
         first = np.cumsum(indeg) - indeg  # the place of each vertex's first in-edge
         edges = np.empty(self._n_edges, dtype=EDGE_DTYPE)
         for k, a, b, src, w in steps:
             e = first[order[a:b]] + k
             edges["src"][e], edges["dst"][e], edges["w"][e] = order[src], order[a:b], w
-        w = record.removed["w"].astype(np.float64)
-        w[w == 0] = record.fold_w
-        e = first[gone]
-        edges["src"][e], edges["dst"][e], edges["w"][e] = record.removed["src"], gone, w
-        e = np.flatnonzero(np.unpackbits(record.rerouted_at, count=self._n_edges))
-        rerouted = record.rerouted
-        w = np.where(rerouted["fold"], 1.0, edges["w"][e])
-        np.negative(w, out=w, where=rerouted["neg"])
-        edges["src"][e], edges["w"][e] = rerouted["src"], w
         return edges
 
     def structural_flops(self) -> tuple[int, int]:
@@ -371,40 +354,23 @@ class LinearNetwork:
         The result computes the transposed matrix.  Vertices are numbered
         from the highest forward id down and each takes its reversed edges
         in their forward order (a stable sort by descending source), which
-        keeps the result in evaluation order.  Interior vertices that would
-        get a single unit-weight incoming edge are collapsed (a pure
-        renaming, resolved along alias chains by pointer jumping), which
-        changes |V| and |E| by the same amount and therefore leaves both
-        structural counts intact.  A vertex repeated among the outputs would
-        be repeated among the inputs of the result, so it is refused with
-        ``ValueError``.
+        keeps the reversal in evaluation order; the reversal is then
+        compacted (:func:`_compact`), as :func:`record` compacts a
+        recording, which leaves both structural counts intact.  A vertex
+        repeated among the outputs would be repeated among the inputs of
+        the result, so it is refused with ``ValueError``.
         """
         ids, counts = np.unique(self._out_ids, return_counts=True)
         if (counts > 1).any():
             raise ValueError(f"output vertex {ids[counts > 1][0]} is repeated, so the "
                              "transpose would take it as an input twice")
-        n = self.n_vertices
+        top = self.n_vertices - 1
         edges = self.edges
-        src, dst, w = edges["src"], edges["dst"], edges["w"]
-        # a vertex with one unit-weight out-edge that is neither an input nor
-        # an output points at that edge's end and is collapsed into it
-        alias = (np.bincount(src, minlength=n)[src] == 1) & (w == 1.0)
-        ptr = np.arange(n)
-        ptr[src[alias]] = dst[alias]
-        ptr[self._in_ids] = self._in_ids
-        ptr[self._out_ids] = self._out_ids
-        kept = ptr == np.arange(n)
-        count = int(np.count_nonzero(kept))
-        new_id = count - np.cumsum(kept)
-        new_id = new_id[_chain_ends(ptr)]
-        order = np.argsort(-src, kind="stable")
-        order = order[kept[src[order]]]
-        rev = np.empty(len(order), dtype=EDGE_DTYPE)
-        rev["src"] = new_id[dst[order]]
-        rev["dst"] = new_id[src[order]]
-        rev["w"] = w[order]
-        return LinearNetwork(count, rev, new_id[self._out_ids].tolist(),
-                             new_id[self._in_ids].tolist())
+        order = np.argsort(-edges["src"], kind="stable")
+        src, dst, w = top - edges["dst"][order], top - edges["src"][order], edges["w"][order]
+        del edges, order
+        return _compact(self.n_vertices, src, dst, w, (top - self._out_ids).tolist(),
+                        (top - self._in_ids).tolist())
 
     def eval(self, x, ledger=None):
         """Evaluate the network on a vector of length ``len(inputs)``.
@@ -450,71 +416,27 @@ class LinearNetwork:
         return vals[program[4]]
 
     def _compile(self):
-        """Build the vertex-major program of the compacted network.
+        """Build the vertex-major program of the network.
 
-        The program runs the network that :func:`_compact` leaves: the
-        same float operations in the same order, through fewer vertices.
         A vertex of level ``l`` (one more than the highest level among its
         sources; the inputs are level 0) is set to ``w0 * vals[s0]``, and
         its second and later in-edges then add ``w * vals[s]`` to it in
         their listed order, so every sum keeps the codelet's order and
-        rounding (multiplying by +-1 is exact).  The kept vertices are
-        numbered anew, level by level, the inputs first in their listed
-        order and each later level by descending in-degree, so the ``k``-th
-        terms of a level go to a prefix of its vertices: every step reads
-        its sources with one gather and writes one contiguous slice.
+        rounding (multiplying by +-1 is exact).  The vertices are numbered
+        anew, level by level, the inputs first in their listed order and
+        each later level by descending in-degree, so the ``k``-th terms of
+        a level go to a prefix of its vertices: every step reads its
+        sources with one gather and writes one contiguous slice.
 
-        The levels are found a wavefront at a time, over successor lists
-        (:func:`_wavefront`), so each edge is read once.  The program's
-        columns (the sources in the new numbering and the weights in step
-        order) and a record of the recorded edges that compaction removed
-        or rerouted then replace the edge array as the network's one copy
-        of its edges.  The program is published before the edge array is
-        dropped, so a network shared between threads always has one or
-        the other, and a build that raises leaves the network as it was.
+        :func:`_vertex_major` builds it, finding the levels a wavefront at
+        a time over successor lists (:func:`_wavefront`), so each edge is
+        read once.  The program's columns then replace the edge array as
+        the network's one copy of its edges.  The program is published before
+        the edge array is dropped, so a network shared between threads
+        always has one or the other, and a build that raises leaves the
+        network as it was.
         """
-        edges = self.edges
-        n = self.n_vertices
-        src, first, gone, neg, fold, into = _compact(edges, n, self._out_ids)
-        # int32 bookkeeping, successor lists sorted as int32 pairs, the
-        # weights taken after the levels and the record taken last keep the
-        # build's peak memory below that of levelizing the recorded network
-        levels = _wavefront(src, first, self._in_ids)
-        w = _compacted_weights(edges, gone, neg, fold, into)
-        del into
-        sizes = list(map(len, levels))
-        order = np.concatenate(levels)  # the old id of each new vertex
-        del levels
-        # the k-th terms of a level: the k-th in-edges of its vertices with
-        # more than k, at first[v] + k among the compacted edges
-        steps, a, i = [], sizes[0], 0
-        for size in sizes[1:-1]:  # the last wave found no vertex
-            vs = order[a:a + size]
-            deg = first[vs + 1] - first[vs]
-            for k in range(deg[0]):
-                b = a + int(np.count_nonzero(deg > k))
-                steps.append((k, a, b, i, i + b - a))
-                i += b - a
-            a += size
-        # one column at a time, each input dropped once it is read, and the
-        # sources renumbered in place
-        w_col = np.empty(len(w))
-        for k, a, b, i, j in steps:
-            w_col[i:j] = w[first[order[a:b]] + k]
-        del w
-        src_col = np.empty(len(src), dtype=np.intp)
-        for k, a, b, i, j in steps:
-            src_col[i:j] = src[first[order[a:b]] + k]
-        del src, first
-        new_id = np.empty(n, dtype=np.int32)  # removed vertices have none
-        new_id[order] = np.arange(len(order), dtype=np.int32)
-        for _, _, _, i, j in steps:
-            src_col[i:j] = new_id[src_col[i:j]]
-        outputs = new_id[self._out_ids].astype(np.intp)
-        del new_id
-        steps = [(k, a, b, src_col[i:j], w_col[i:j]) for k, a, b, i, j in steps]
-        self._program = (order, src_col, w_col, steps, outputs,
-                         _removal_record(edges, gone, neg, fold))
+        self._program = _vertex_major(self.edges, self.n_vertices, self._in_ids, self._out_ids)
         self._edges = None
         return self._program
 
@@ -535,9 +457,9 @@ class LinearNetwork:
         )
 
 
-def _compact(edges, n, out_ids):
-    """The network with the vertices removed whose removal keeps every
-    float operation exact: ``(src, first, gone, neg, fold, into)``.
+def _compact(n_vertices, src, dst, w, inputs, outputs):
+    """The network of the edges ``src``, ``dst``, ``w`` (one column each)
+    without the vertices whose removal keeps every float operation exact.
 
     An interior vertex (neither an input nor an output) with one in-edge
     goes if that edge weighs +-1 (an alias: its consumers read its source,
@@ -546,22 +468,17 @@ def _compact(edges, n, out_ids):
     through a +-1 edge (the product moves onto that edge as +-w).  Both
     change one product by a sign at most, which is exact, and each
     removal drops one vertex and one edge, so both structural counts hold.
-    A multiplication read twice or through a weighted edge stays.
-
-    ``src`` (int32) are the sources of the kept edges in their recorded
-    order, read through the removals; the in-edges of vertex ``v`` are
-    ``first[v]:first[v + 1]`` of them (none for a removed vertex).
-    ``gone`` marks the removed vertices, ``neg`` the vertices that the
-    aliases read negated, ``fold`` lists the recorded edges that took a
-    multiplication and ``into`` the recorded in-edge of each: what
-    :func:`_compacted_weights` and :func:`_removal_record` need.  The
-    bookkeeping is int32 and bool, and the weights come later, for the
-    peak memory.
+    A multiplication read twice or through a weighted edge stays.  The
+    kept edges keep their order and the kept vertices are numbered in
+    theirs, so the edges must be in evaluation order and the result is.
+    ``src`` and ``w`` are overwritten, and the bookkeeping is int32 and
+    bool, for the peak memory.  The result goes through the
+    :class:`LinearNetwork` constructor's checks.
     """
-    src, dst, w = edges["src"], edges["dst"], edges["w"]
+    n = n_vertices
     first = _offsets(dst, n)
     single = np.diff(first) == 1  # inputs have no in-edge
-    single[out_ids] = False
+    single[outputs] = False
     v1 = np.flatnonzero(single).astype(np.int32)
     unit = np.abs(w[first[v1]]) == 1.0
     alias, mult = v1[unit], v1[~unit]
@@ -569,115 +486,93 @@ def _compact(edges, n, out_ids):
     ptr = np.arange(n, dtype=np.int32)  # to the kept vertex each one reads
     neg = np.zeros(n, dtype=bool)  # and whether it reads it negated
     ptr[alias], neg[alias] = src[first[alias]], w[first[alias]] < 0
-    s = _chain_ends(ptr, neg)[src]  # the source each edge reads, through the aliases
-    del ptr
+    ptr = _chain_ends(ptr, neg)
+    # each edge reads the end of its source's chain, with that chain's sign
+    np.negative(w, out=w, where=neg[src])
+    src[:] = ptr[src]
+    del ptr, neg
     gone = np.zeros(n, dtype=bool)
     gone[alias] = True
     # a multiplication read once, through a +-1 edge, folds into that edge
     once = np.zeros(n, dtype=bool)
     once[mult] = True
     live = ~gone[dst]  # the edges into vertices that are not aliases
-    read, count = np.unique(s[once[s] & live], return_counts=True)
-    once[read[count > 1]] = False
-    fold = np.flatnonzero(once[s] & live & ((w == 1.0) | (w == -1.0)))
-    del once, live, read, count
-    into = first[s[fold]]
-    gone[s[fold]] = True
-    s[fold] = s[into]
-    s = s[~gone[dst]]
-    np.cumsum(np.diff(first) * ~gone, out=first[1:])
-    return s, first, gone, neg, fold, into
+    once &= np.bincount(src[once[src] & live], minlength=n) < 2
+    fold = np.flatnonzero(once[src] & live & ((w == 1.0) | (w == -1.0)))
+    del once, live
+    m = src[fold]
+    into = first[m]  # the one in-edge of each folded multiplication
+    gone[m] = True
+    w[fold] *= w[into]
+    src[fold] = src[into]
+    del m, into, fold, first
+    kept = ~gone[dst]
+    new_id = np.cumsum(~gone, dtype=np.int32) - 1
+    edges = np.empty(int(np.count_nonzero(kept)), dtype=EDGE_DTYPE)
+    edges["w"] = w[kept]
+    edges["dst"] = new_id[dst[kept]]
+    edges["src"] = new_id[src[kept]]
+    del kept
+    return LinearNetwork(n - int(np.count_nonzero(gone)), edges,
+                         new_id[inputs].tolist(), new_id[outputs].tolist())
 
 
-def _chain_ends(ptr, neg=None):
+def _chain_ends(ptr, neg):
     """Where each chain of ``ptr`` (a vertex points at the one it reads,
-    a kept vertex at itself) ends, by pointer jumping; ``neg``, if given,
-    becomes in place whether each vertex reads that end negated (the
-    parity of the signs along its chain)."""
+    a kept vertex at itself) ends, by pointer jumping; ``neg`` becomes in
+    place whether each vertex reads that end negated (the parity of the
+    signs along its chain)."""
     while True:
         up = ptr[ptr]
         if np.array_equal(up, ptr):
             return ptr
-        if neg is not None:
-            neg ^= neg[ptr]
+        neg ^= neg[ptr]
         ptr = up
 
 
-def _compacted_weights(edges, gone, neg, fold, into):
-    """The weights of the edges that :func:`_compact` keeps, in their
-    order, from what it returns: a kept edge's recorded weight, negated
-    if it reads an alias chain of odd sign, and for each edge that took
-    a multiplication (at ``fold``; its one in-edge at ``into``) times that
-    weight (a product by +-1, so exact)."""
-    src, dst, w = edges["src"], edges["dst"], edges["w"]
-    kept = ~gone[dst]
-    cw = w[kept]
-    np.negative(cw, out=cw, where=neg[src][kept])
-    at = fold - np.searchsorted(np.flatnonzero(~kept), fold)
-    cw[at] *= np.where(neg[src[into]], -w[into], w[into])
-    return cw
-
-
-class _Record(NamedTuple):
-    """What the program of a compacted network does not hold of its
-    recorded edges: the removed vertices and their one in-edge each, and
-    the kept edges that read a removed vertex (rerouted) with their
-    recorded source.  A removed vertex's in-edge weighs +-1 unless it was
-    a folded multiplication, and a rerouted edge's recorded weight is the
-    program's, or 1 for an edge that took a multiplication, up to a sign,
-    so positions and signs are kept as bits and only the folded weights
-    as floats: the program and its record take fewer bytes than the
-    program of the recorded network would."""
-
-    gone: np.ndarray  # packed bits, one per vertex: removed
-    removed: np.ndarray  # per removed vertex: in-edge source, and weight or 0
-    fold_w: np.ndarray  # the weights of the removed multiplications
-    rerouted_at: np.ndarray  # packed bits, one per recorded edge: rerouted
-    rerouted: np.ndarray  # per rerouted edge: recorded source, neg, fold
-
-    @property
-    def nbytes(self):
-        return sum(a.nbytes for a in self)
-
-
-_REMOVED_DTYPE = np.dtype([("src", np.int32), ("w", np.int8)])
-_REROUTED_DTYPE = np.dtype([("src", np.int32), ("neg", bool), ("fold", bool)])
-
-
-def _removal_record(edges, gone, neg, fold):
-    """The :class:`_Record` of compacting ``edges``, from what
-    :func:`_compact` returns: a rerouted edge's recorded weight is the
-    program's negated if ``neg`` marks the vertex it read, and a fold
-    edge's is -1 or 1."""
-    src, dst, w = edges["src"], edges["dst"], edges["w"]
-    e = np.searchsorted(dst, np.flatnonzero(gone))  # the one in-edge of each
-    removed = np.empty(len(e), dtype=_REMOVED_DTYPE)
-    removed["src"] = src[e]
-    ws = w[e]
-    del e
-    unit = np.abs(ws) == 1.0
-    removed["w"] = 0
-    removed["w"][unit] = ws[unit]
-    fold_w = ws[~unit]
-    del ws, unit
-    read = gone[src]
-    read &= ~gone[dst]  # the kept edges that read a removed vertex
-    at = np.flatnonzero(read)
-    rerouted = np.zeros(len(at), dtype=_REROUTED_DTYPE)
-    rerouted["src"] = src[at]
-    i = np.searchsorted(at, fold)
-    del at
-    rerouted["neg"] = neg[rerouted["src"]]
-    rerouted["fold"][i] = True
-    rerouted["neg"][i] = w[fold] < 0
-    return _Record(np.packbits(gone), removed, fold_w, np.packbits(read), rerouted)
+def _vertex_major(edges, n_vertices, inputs, outputs):
+    """The program ``(order, src, w, steps, outputs)`` of a network (see
+    :meth:`LinearNetwork._compile`): the old id of each new vertex, the
+    sources in the new numbering and the weights in step order, the steps
+    ``(k, a, b, src, w)`` as slices of those two columns, and the outputs'
+    new ids."""
+    first = _offsets(edges["dst"], n_vertices)
+    levels = _wavefront(edges["src"], first, inputs)
+    sizes = list(map(len, levels))
+    order = np.concatenate(levels)  # the old id of each new vertex
+    del levels
+    # the k-th terms of a level: the k-th in-edges of its vertices with
+    # more than k, at first[v] + k among the edges
+    steps, a, i = [], sizes[0], 0
+    for size in sizes[1:-1]:  # the last wave found no vertex
+        vs = order[a:a + size]
+        deg = first[vs + 1] - first[vs]
+        for k in range(deg[0]):
+            b = a + int(np.count_nonzero(deg > k))
+            steps.append((k, a, b, i, i + b - a))
+            i += b - a
+        a += size
+    # one column at a time, and the sources renumbered in place
+    w_col = np.empty(len(edges))
+    src_col = np.empty(len(edges), dtype=np.intp)
+    for k, a, b, i, j in steps:
+        e = first[order[a:b]] + k
+        w_col[i:j] = edges["w"][e]
+        src_col[i:j] = edges["src"][e]
+    del first
+    new_id = np.empty(n_vertices, dtype=np.int32)
+    new_id[order] = np.arange(len(order), dtype=np.int32)
+    for _, _, _, i, j in steps:
+        src_col[i:j] = new_id[src_col[i:j]]
+    steps = [(k, a, b, src_col[i:j], w_col[i:j]) for k, a, b, i, j in steps]
+    return order, src_col, w_col, steps, new_id[outputs].astype(np.intp)
 
 
 def _wavefront(src, first, inputs):
-    """The levels of the compacted network (``src`` and ``first`` as
-    :func:`_compact` returns them), as int32 arrays of vertex ids, each
-    level by descending in-degree, the inputs first in their order and
-    an empty last level.  A vertex is complete once all of its sources
+    """The levels of a network whose edges read ``src``, grouped by
+    destination at the offsets ``first``, as int32 arrays of vertex ids,
+    each level by descending in-degree, the inputs first in their order
+    and an empty last level.  A vertex is complete once all of its sources
     are, so the successors of wave ``l - 1``, counted against each
     vertex's in-degree, complete exactly the vertices of level ``l``."""
     succ, succ_first = _successors(src, first)
@@ -798,7 +693,8 @@ def record(kernel, n_inputs: int) -> LinearNetwork:
     is attached through an explicit unit pass-through edge so the vertex/edge
     bookkeeping matches the structural count formulas.  Calls the kernel
     routes through the trace's splice (:meth:`_Trace.splice`) are traced
-    once per key and spliced in after that, with the same result.
+    once per key and spliced in after that, with the same result.  The
+    recording is returned compacted (:func:`_compact`).
     """
     tr = _Trace()
     tr.n_vertices = n_inputs
@@ -810,4 +706,9 @@ def record(kernel, n_inputs: int) -> LinearNetwork:
         if not isinstance(o, TraceScalar) or o.trace is not tr:
             raise TraceError("kernel returned a value that was not traced")
         out_ids.append(tr.scaled(o.v, 1.0))
-    return LinearNetwork(tr.n_vertices, tr.edges(), list(range(n_inputs)), out_ids)
+    del ins, outs
+    # compacted from the trace's own columns, so that no third copy of the
+    # edges is made beside them and the result
+    cols = (np.frombuffer(tr.src, dtype=np.int64), np.frombuffer(tr.dst, dtype=np.int64),
+            np.frombuffer(tr.w, dtype=np.float64))
+    return _compact(tr.n_vertices, *cols, list(range(n_inputs)), out_ids)

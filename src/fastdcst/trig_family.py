@@ -9,14 +9,15 @@ real-input rescaled DFT is recorded as a linear network over real lanes
 and transposed edge-by-edge.  The forward network is the one the DCT-II
 and DST-II kernels run from a configuration's second call on above
 ``dct2.PLAN_MAX_SIZE``, kept on the size's shared tables, so one recording
-serves both directions.  Both networks keep their vertices in evaluation
-order (every edge runs to a higher vertex id) with their edges in numpy
-columns.  From N=128 on the transposed network has more than
-``transpose_net.PROGRAM_MIN_EDGES`` edges and runs as a vertex-major
-numpy program of the compacted network, built on its first evaluation;
-from then on the program's columns and the compaction's record of the
-edges it removed are the network's only copy of its edges.  Smaller
-ones run as a codelet, straight-line Python compiled from the network.
+serves both directions.  Both networks are compacted as they are made
+(the transpose reverses the compacted forward network and compacts the
+reversal) and keep their vertices in evaluation order (every edge runs
+to a higher vertex id) with their edges in numpy columns.  From N=128 on
+the transposed network has more than ``transpose_net.PROGRAM_MIN_EDGES``
+edges and runs as a vertex-major numpy program, built on its first
+evaluation; from then on the program's columns are the network's only
+copy of its edges.  Smaller ones run as a codelet, straight-line Python
+compiled from the network.
 These kernels run on arrays too (see :mod:`fastdcst.dct2`); from N=128
 on the array goes through the transposed program and back as it is.
 Edge reversal preserves both operation counts for square networks, which

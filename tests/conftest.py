@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from fastdcst import build_tables
+from fastdcst import LinearNetwork, build_tables, transpose_net
 
 
 def rng(*key):
@@ -29,8 +31,8 @@ def rms_rel(got, want):
 
 def reference_compaction(net):
     """The in-edges ``{v: [(src, w), ...]}`` of every vertex the compaction
-    keeps, inputs excepted, by its definition, one vertex at a time in
-    recorded ids: an interior vertex (neither an input nor an output) whose
+    keeps, inputs excepted, by its definition, one vertex at a time in the
+    ids of ``net``: an interior vertex (neither an input nor an output) whose
     one in-edge weighs +-1 is an alias, read as its source with the sign
     of its chain; then an interior vertex whose one in-edge is a
     multiplication, and which is read exactly once, through a +-1 edge,
@@ -64,16 +66,56 @@ def reference_compaction(net):
     return {v: terms for v, terms in kept.items() if v not in folded}
 
 
+def uncompacted(make):
+    """``make()`` with the compaction taken out of ``record`` and
+    ``LinearNetwork.transpose``: the full trace, or the plain reversal."""
+    def as_given(n_vertices, src, dst, w, inputs, outputs):
+        edges = np.empty(len(w), dtype=transpose_net.EDGE_DTYPE)
+        edges["src"], edges["dst"], edges["w"] = src, dst, w
+        return LinearNetwork(n_vertices, edges, inputs, outputs)
+
+    with mock.patch.object(transpose_net, "_compact", as_given):
+        return make()
+
+
+def compacted(net):
+    """``net`` compacted (its edge array is left as it was)."""
+    cols = (net.edges[f].copy() for f in ("src", "dst", "w"))
+    return transpose_net._compact(net.n_vertices, *cols, net.inputs, net.outputs)
+
+
+def assert_compaction_of(full, net):
+    """``net`` is ``full`` compacted: numbering its vertices as the ones
+    that ``full`` keeps, in their order, its in-edges are
+    :func:`reference_compaction` of ``full``; and compacting ``net`` again
+    removes nothing."""
+    want = reference_compaction(full)
+    kept = sorted(set(full.inputs) | set(want))
+    assert net.n_vertices == len(kept)
+    assert [kept[v] for v in net.inputs] == full.inputs
+    assert [kept[v] for v in net.outputs] == full.outputs
+    got = {}
+    for s, d, w in net.edges.tolist():
+        got.setdefault(kept[d], []).append((kept[s], w))
+    assert got == want
+    assert net.structural_flops() == full.structural_flops()
+    again = compacted(net)
+    assert again.n_vertices == net.n_vertices
+    assert again.edges.tobytes() == net.edges.tobytes()
+
+
 def reference_program(net):
     """The vertex-major program by its definition, one vertex at a time,
-    on :func:`reference_compaction`: a vertex's level is one more than the
+    on the network's own in-edges: a vertex's level is one more than the
     highest level among its sources (the inputs are level 0); the vertices
     are numbered anew by level, the inputs in their listed order and each
     later level by descending in-degree, then by id; step ``k`` of a level
     takes the ``k``-th in-edge of each of its vertices that has one.
-    Returns the recorded id of each new vertex, and the steps as
-    ``(k, [(vertex, source, weight), ...])`` in recorded ids."""
-    ins = reference_compaction(net)
+    Returns the id of each new vertex, and the steps as
+    ``(k, [(vertex, source, weight), ...])`` in the network's ids."""
+    ins = {}
+    for s, d, w in net.edges.tolist():
+        ins.setdefault(d, []).append((s, w))
     level = dict.fromkeys(net.inputs, 0)
     for d in sorted(ins):
         level[d] = 1 + max(level[s] for s, _ in ins[d])

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import reference_compaction, rng
+from conftest import assert_compaction_of, reference_compaction, rng, uncompacted
 
 from fastdcst import (
     FlopLedger,
@@ -24,6 +24,7 @@ from fastdcst import (
     dst3_new,
     record,
     scale_factors,
+    transpose_net,
 )
 from fastdcst.cli import _corrupted_tables
 from fastdcst.fft_real import half_spectrum_lanes
@@ -269,26 +270,58 @@ def test_first_evaluations_of_a_shared_network_under_threads():
         _transposed_spectrum_net.cache_clear()
 
 
-@pytest.mark.parametrize("n", [1024, 4096])
-def test_compaction_shortens_the_programs(n):
+def _spectrum_nets(n, fresh=False):
+    """The rescaled, plain and transposed spectrum networks of size ``n``,
+    each with the network it compacts: the full recording, or the plain
+    reversal of the compacted forward network.  ``fresh`` records the
+    rescaled one, and transposes it, anew."""
+    tab, classic = ScaleTables(n) if fresh else build_tables(n), dct2._classic_state(n)
+    nets = []
+    for t in (tab, classic):
+        full = uncompacted(lambda: record(lambda xs: dct2._spectrum(xs, t, FlopLedger()), n))
+        nets.append((dct2._spectrum_net(t), full))
+    forward = dct2._spectrum_net(tab)
+    transposed = forward.transpose() if fresh else _transposed_spectrum_net(n)
+    nets.append((transposed, uncompacted(forward.transpose)))
+    return nets
+
+
+@pytest.mark.parametrize("n", [2**e for e in range(1, 9)])
+def test_spectrum_networks_are_recorded_compacted(n):
+    for net, full in _spectrum_nets(n):
+        assert_compaction_of(full, net)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_each_spectrum_network_runs_its_executor(n):
+    # a codelet at N=32 and 64 and a program from N=128 on, so a change of
+    # PROGRAM_MIN_EDGES that moves a size shows here
+    program = n >= 128
     for net in (dct2._spectrum_net(build_tables(n)), dct2._spectrum_net(dct2._classic_state(n)),
                 _transposed_spectrum_net(n)):
-        recorded = _recorded_steps(net)
+        assert (len(net.edges) >= transpose_net.PROGRAM_MIN_EDGES) == program
+        net.eval(np.zeros(n))
+        assert (net._program is not None) == program
+        assert (net._codelet is not None) != program
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_compaction_shortens_the_programs(n):
+    for net, full in _spectrum_nets(n):
+        recorded = _recorded_steps(full)
         net.eval(np.zeros(n))
         assert len(net._program[3]) < recorded
 
 
 @pytest.mark.parametrize("n", [128, 1024])
 def test_levelizing_keeps_the_edges_bytes(n):
-    forward = dct2._spectrum_net(ScaleTables(n))
-    classic = dct2._spectrum_net(dct2._classic_state(n))
-    for net in (forward, classic, forward.transpose()):
+    for net, full in _spectrum_nets(n, fresh=True):
         edges, dump, tdump = net.edges.tobytes(), net.dumps(), net.transpose().dumps()
         x = rng(95, n).standard_normal(n).tolist()
         y = net.eval(x)
         # each level's first step writes one contiguous slice, the levels
         # one after another from the inputs on; its later steps a prefix
-        order, src, w, steps, _, record = net._program
+        order, src, w, steps, _ = net._program
         level = (0, len(net.inputs))
         for k, a, b, s, ws in steps:
             if k == 0:
@@ -298,14 +331,14 @@ def test_levelizing_keeps_the_edges_bytes(n):
                 assert a == level[0] and b <= level[1]
             assert np.shares_memory(s, src) and np.shares_memory(ws, w)
             assert len(s) == len(ws) == b - a
-        assert level[1] == len(net.inputs) + len(reference_compaction(net))
-        # the program's arrays and the compaction's record of the edges it
-        # removed or rerouted are the network's one copy of its edges, in
-        # fewer bytes than the columns of the recorded network's program
+        assert level[1] == net.n_vertices == len(net.inputs) + len(reference_compaction(net))
+        # the program's arrays are the network's one copy of its edges, in
+        # fewer bytes than the edge array, and than the columns of the
+        # recorded network's program
         assert net._edges is None
-        held = order.nbytes + src.nbytes + w.nbytes + record.nbytes
+        held = order.nbytes + src.nbytes + w.nbytes
         assert held <= len(edges)
-        assert held < 4 * net.n_vertices + 16 * len(net.edges)
+        assert held < 4 * full.n_vertices + 16 * len(full.edges)
         assert net.edges.tobytes() == edges
         assert net.dumps() == dump
         assert net.transpose().dumps() == tdump

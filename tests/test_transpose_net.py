@@ -4,7 +4,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import max_rel, reference_compaction, reference_program, rng
+from conftest import (
+    assert_compaction_of,
+    compacted,
+    max_rel,
+    reference_compaction,
+    reference_program,
+    rng,
+    uncompacted,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -199,7 +207,7 @@ def test_levelizer_matches_its_definition(net):
         edges = net.edges.tobytes()
         with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", 0):
             net.eval([0.0] * len(net.inputs))
-        order, _, _, steps, outs, _ = net._program
+        order, _, _, steps, outs = net._program
         order = order.tolist()
         got = [(k, list(zip([order[v] for v in range(a, b)],
                             [order[s] for s in src.tolist()], w.tolist())))
@@ -207,6 +215,17 @@ def test_levelizer_matches_its_definition(net):
         assert (order, got) == (want_order, want_steps)
         assert [order[v] for v in outs.tolist()] == net.outputs
         assert net.edges.tobytes() == edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_dags())
+@example(ALIAS_CHAIN)
+@example(LinearNetwork(2, [], [1, 0], [1, 0]))
+def test_record_and_transpose_return_compacted_networks(net):
+    rec = record(net.eval, len(net.inputs))
+    assert_compaction_of(uncompacted(lambda: record(net.eval, len(net.inputs))), rec)
+    for fwd in (net, rec):
+        assert_compaction_of(uncompacted(fwd.transpose), fwd.transpose())
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,9 +239,13 @@ def test_compacted_program_keeps_the_network(net, seed):
         x[::3] = -0.0
         codelet, program = codelet_and_program(net, list(x))
         assert codelet == program
-        # the graph the program runs has the recorded counts
-        order, src, w, _, _, record = net._program
-        assert len(order) + len(record.removed) == net.n_vertices
+        # the compacted network gives the same bits, with the same counts
+        small = compacted(net)
+        assert small.structural_flops() == flops
+        assert codelet_and_program(small, list(x)) == (codelet, codelet)
+        # the program runs the network it was built from
+        order, src, w, _, _ = net._program
+        assert len(order) == net.n_vertices
         assert len(net.inputs) + len(src) - len(order) == flops[0]
         assert np.count_nonzero(np.abs(w) != 1.0) == flops[1]
         assert net.structural_flops() == flops
@@ -232,19 +255,16 @@ def test_compacted_program_keeps_the_network(net, seed):
 
 
 def _compacted(net):
-    """The in-edges ``{v: [(src, w), ...]}`` that the program of ``net``
-    runs, in recorded ids, once it has matched the codelet bitwise."""
-    edges = net.edges.tobytes()
-    codelet, program = codelet_and_program(net, [-0.0] + [0.5 + i for i in net.inputs[1:]])
+    """The in-edges ``{v: [(src, w), ...]}`` of ``net`` compacted, in the
+    ids of ``net``, once the compacted network's codelet and program have
+    given the bits of the codelet of ``net``."""
+    x = [-0.0] + [0.5 + i for i in net.inputs[1:]]
+    codelet, program = codelet_and_program(net, x)
     assert codelet == program
-    assert net.edges.tobytes() == edges
-    order, _, _, steps, _, _ = net._program
-    ins = {}
-    for _, a, b, src, w in steps:
-        for v, s, wk in zip(order[a:b].tolist(), order[src].tolist(), w.tolist()):
-            ins.setdefault(v, []).append((s, wk))
-    assert ins == reference_compaction(net)
-    return ins
+    small = compacted(net)
+    assert codelet_and_program(small, x) == (codelet, codelet)
+    assert_compaction_of(net, small)
+    return reference_compaction(net)
 
 
 @pytest.mark.parametrize("net,kept", [
@@ -272,33 +292,40 @@ def test_compaction_removes_only_what_is_exact(net, kept):
 
 
 def test_transpose_collapses_alias_chain():
-    assert ALIAS_CHAIN.transpose().dumps() == (
+    # the reversal's vertices 3 to 6 (forward 5 down to 2) are renames of
+    # its vertex 2 (forward 6), and nothing else goes
+    tnet = ALIAS_CHAIN.transpose()
+    assert tnet.dumps() == (
         "# inputs: 1 0\n# outputs: 4 3\n"
         "1 2 1.0\n0 2 2.0\n2 3 0.5\n0 3 3.0\n2 4 1.0\n2 4 -1.0\n"
     )
+    reversal = uncompacted(ALIAS_CHAIN.transpose)
+    assert reversal.n_vertices == ALIAS_CHAIN.n_vertices
+    assert_compaction_of(reversal, tnet)
 
 
 def test_a_build_keeps_the_edges_until_its_program_is_whole():
-    # a build that raises at its last step, and a caller that arrives while
-    # another build takes that step, both find the recorded edges
+    # a build that raises, and a caller that arrives while another build
+    # runs, both find the edges: the program is published before the edge
+    # array is dropped
     net = LinearNetwork(ALIAS_CHAIN.n_vertices, ALIAS_CHAIN.edges.copy(),
                         ALIAS_CHAIN.inputs, ALIAS_CHAIN.outputs)
     x = [0.5, -1.5]
     edges, want = net.edges.tobytes(), np.array(net.eval(x)).tobytes()
-    last_step = transpose_net._removal_record
+    last_step = transpose_net._vertex_major
     inner = []
 
     def evaluate_then_last_step(*args):
-        with mock.patch.object(transpose_net, "_removal_record", last_step):
+        with mock.patch.object(transpose_net, "_vertex_major", last_step):
             inner.append(np.array(net.eval(x)).tobytes())
         return last_step(*args)
 
     with mock.patch.object(transpose_net, "PROGRAM_MIN_EDGES", 0):
-        with mock.patch.object(transpose_net, "_removal_record", side_effect=MemoryError):
+        with mock.patch.object(transpose_net, "_vertex_major", side_effect=MemoryError):
             with pytest.raises(MemoryError):
                 net.eval(x)
         assert net._program is None and net.edges.tobytes() == edges
-        with mock.patch.object(transpose_net, "_removal_record", evaluate_then_last_step):
+        with mock.patch.object(transpose_net, "_vertex_major", evaluate_then_last_step):
             outer = np.array(net.eval(x)).tobytes()
     assert inner == [outer] == [want]
     assert net._edges is None and net.edges.tobytes() == edges
