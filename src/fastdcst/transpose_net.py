@@ -76,16 +76,15 @@ EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", np.float64)])
 # Networks with at least this many edges evaluate floats as a vertex-major
 # numpy program; smaller ones run their codelet.  The spectrum networks are
 # counted as record() and transpose() return them, compacted.  Warm, on the
-# forward, plain and transposed spectrum networks with an array in and out
-# (2-CPU Xeon, medians of 15x200 calls, three runs on a shared host, the
-# codelets compiled from the uncompacted recordings), the codelet is ahead
-# at N=64 (840-904 edges: 16-28 against 24-50 us), level or behind at N=128
-# (2,046-2,174 edges: 37-64 against 29-61 us) and behind at N=256 (107-145
-# against 37-61 us).  At N=128 compiling a codelet costs 9-20 ms and
-# building the program 1.5-2.8 ms, paid once per network on a
-# configuration's second call, so the threshold stays between N=64 and
-# N=128: spectrum networks run as codelets at N=32 and 64 and as programs
-# from N=128 on.
+# compacted forward, plain and transposed spectrum networks with an array in
+# and out (2-CPU Xeon, medians of 15x200 calls, three runs on a shared
+# host), the codelet is ahead at N=64 (840-904 edges: 21-25 against 35-39
+# us), level or behind at N=128 (2,046-2,174 edges: 45-62 against 37-51 us)
+# and behind at N=256 (4,822-5,078 edges: 107-188 against 34-68 us).  At
+# N=128 compiling a codelet costs 11-20 ms and building the program 1.6-2.4
+# ms, paid once per network on a configuration's second call, so the
+# threshold stays between N=64 and N=128: spectrum networks run as codelets
+# at N=32 and 64 and as programs from N=128 on.
 PROGRAM_MIN_EDGES = 1024
 
 # Inlined single-edge terms nest at most this deep in one codelet
@@ -295,14 +294,11 @@ class LinearNetwork:
             raise ValueError(f"incoming edges of vertex {dst[bad.argmax() + 1]} are not contiguous")
         summed = np.zeros(n_vertices, dtype=bool)
         summed[dst] = True
-        repeated = np.ones(len(self._in_ids), dtype=bool)
-        repeated[np.unique(self._in_ids, return_index=True)[1]] = False
-        bad = repeated | summed[self._in_ids]
-        if bad.any():
-            i = bad.argmax()
-            what = "is repeated" if repeated[i] else "has incoming edges"
-            raise ValueError(f"input vertex {self.inputs[i]} {what}")
-        summed[self._in_ids] = True
+        for i, v in enumerate(self.inputs):
+            if summed[v]:
+                what = "is repeated" if v in self.inputs[:i] else "has incoming edges"
+                raise ValueError(f"input vertex {v} {what}")
+            summed[v] = True
         if not summed.all():
             raise ValueError(
                 f"vertex {np.argmin(summed)} is neither an input nor a sum")

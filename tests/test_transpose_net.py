@@ -504,15 +504,22 @@ def _spectrum_record(tab):
     return net.dumps(), led.as_tuple()
 
 
+def _full_recordings(tabs):
+    # the recordings of both real DFTs uncompacted, so a splice fault that
+    # compaction would erase (an input read mapped to an alias's source, say)
+    # shows
+    return uncompacted(lambda: [_spectrum_record(t) for t in tabs])
+
+
 SPECTRUM_SIZES = [1 << e for e in range(1, 13)]
 
 
 def test_spliced_spectrum_recordings_equal_the_full_trace(monkeypatch):
     # both real DFTs at N=2..4096: the same vertex ids, edge order and ledger
     tabs = [t for n in SPECTRUM_SIZES for t in (build_tables(n), _classic_state(n))]
-    spliced = [_spectrum_record(t) for t in tabs]
+    spliced = _full_recordings(tabs)
     _full_trace(monkeypatch)
-    assert [_spectrum_record(t) for t in tabs] == spliced
+    assert _full_recordings(tabs) == spliced
 
 
 def test_a_recording_splices_its_repeated_sub_transforms(monkeypatch):
@@ -529,8 +536,12 @@ def test_a_recording_splices_its_repeated_sub_transforms(monkeypatch):
 
 
 def _plans(n):
-    # every plan of the cosine/sine kernels at size n, recorded on the first
-    # call, each on fresh tables
+    # every plan of the cosine/sine kernels at size n, recorded uncompacted
+    # on the first call, each on fresh tables
+    return uncompacted(lambda: _recorded_plans(n))
+
+
+def _recorded_plans(n):
     out = []
     with mock.patch.object(dct2, "PLAN_AFTER_CALLS", 1):
         for kernel in KERNELS:
@@ -603,19 +614,21 @@ def test_splice_edge_cases_equal_the_full_trace(monkeypatch, case):
         return outs
 
     ledgers = [FlopLedger()]
-    spliced = record(whole, 5).dumps()
+    spliced = uncompacted(lambda: record(whole, 5)).dumps()
     _full_trace(monkeypatch)
     ledgers.append(FlopLedger())
-    assert record(whole, 5).dumps() == spliced
+    assert uncompacted(lambda: record(whole, 5)).dumps() == spliced
     assert ledgers[0] == ledgers[1]
 
 
 def test_two_recordings_in_threads_agree():
+    # the full recordings, and the compacted networks record() returns
     tabs = [build_tables(1024), _classic_state(1024)]
-    want = [_spectrum_record(t) for t in tabs]
     with ThreadPoolExecutor(2) as pool:
-        got = list(pool.map(_spectrum_record, tabs * 2))
-    assert got == want * 2
+        for make in (uncompacted, lambda f: f()):
+            want = make(lambda: [_spectrum_record(t) for t in tabs])
+            got = make(lambda: list(pool.map(_spectrum_record, tabs * 2)))
+            assert got == want * 2
 
 
 def test_traced_multiplication_takes_any_real_as_a_float_weight():
