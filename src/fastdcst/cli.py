@@ -314,17 +314,6 @@ def cmd_flops(max_size, fmt="csv", out=None):
 
 # ------------------------------------------------------------------- verify
 
-def _corrupted_tables(n):
-    # test hook: a fresh table set with one dct2/new stage constant bent
-    tab = sf.ScaleTables(n)
-    for key, (c0, ch, re, im) in list(tab._stage.items()):
-        if len(re) > 1:
-            re = re.copy()
-            re[1] *= 1.001
-            tab._stage[key] = (c0, ch, re, im)
-    return tab
-
-
 def _verify_size(n, trials, seed, tab, reports):
     """Returns the first failing (kind, algo, norm, reason) or None."""
     diag = _diagonals(n)
@@ -361,14 +350,12 @@ def _verify_size(n, trials, seed, tab, reports):
     return None
 
 
-def cmd_verify(max_size=1024, trials=5, seed=0, out=None, inject_fault="none"):
+def cmd_verify(max_size=1024, trials=5, seed=0, out=None):
     out = out if out is not None else sys.stdout
     reports = []
     failure = None
     for n in _sizes(max_size):
-        tab = _corrupted_tables(n) if inject_fault == "dct2-new-stage" \
-            else sf.build_tables(n)
-        failure = _verify_size(n, trials, seed, tab, reports)
+        failure = _verify_size(n, trials, seed, sf.build_tables(n), reports)
         if failure:
             break
     out.write(REPORT_HEADER + "\n")
@@ -459,8 +446,6 @@ def _build_parser():
     v.add_argument("--max-size", type=_at_least(2), default=1024)
     v.add_argument("--trials", type=_at_least(1), default=5)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--inject-fault", default="none",
-                   choices=["none", "dct2-new-stage"], help=argparse.SUPPRESS)
 
     a = sub.add_parser("accuracy", help="rms error growth report")
     a.add_argument("--max-size", type=_at_least(16), default=4096)
@@ -482,8 +467,7 @@ def main(argv=None) -> int:
                 return 2
             return cmd_flops(args.max_size, args.format)
         if args.command == "verify":
-            return cmd_verify(args.max_size, args.trials, args.seed,
-                              inject_fault=args.inject_fault)
+            return cmd_verify(args.max_size, args.trials, args.seed)
         return cmd_accuracy(args.max_size, args.trials, args.seed)
     except (SignalFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -172,10 +172,14 @@ def _dct2_scaled_lanes(xs, tab, led, net=None):
 
 
 # Plans are built for sizes up to PLAN_MAX_SIZE, on a configuration's
-# PLAN_AFTER_CALLS-th call.  Building one costs about 100 to 160 scalar
-# calls, so a configuration called only a few times (one `fastdcst verify`
-# calls each twice) never pays for it; and plans for N=32 and N=64 held
-# after a `verify --max-size 64` sweep cost about 10% more peak memory.
+# PLAN_AFTER_CALLS-th call.  Recording and compiling a dct2_new plan takes
+# 0.4/0.7/1.3 ms at N=4/8/16, the time of 30 to 50 scalar calls (13/17/27 us
+# each), and a DCT-III plan 0.3/0.5/1.1 ms, 35 to 110 of its faster scalar
+# calls (2-CPU Xeon, medians).  Any value above 2 keeps a one-shot
+# `fastdcst verify`, which calls each configuration twice, free of plans;
+# 128 leaves a configuration called only a few dozen times free of them
+# too.  Plans for N=32 and N=64 held after a `verify --max-size 64` sweep
+# cost about 10% more peak memory, so they stop at N=16.
 # Above PLAN_MAX_SIZE the forward kernels run their real DFT as a network
 # from a configuration's second call on; the first call stays scalar, so a
 # one-shot call pays no record.
@@ -325,7 +329,9 @@ def dct2_new(
     string ``ValueError``.  Sample values are not checked: NaN and
     infinities give their IEEE results, with no warning (a NaN anywhere
     makes every output NaN, an infinity makes every output infinite or
-    NaN).  The other cosine/sine transforms answer bad input the same way.
+    NaN).  A configuration's first and later calls agree bit for bit on
+    finite input only: a NaN output's sign bit can differ between them.
+    The other cosine/sine transforms answer bad input the same way.
     """
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()

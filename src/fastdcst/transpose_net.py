@@ -24,19 +24,21 @@ multiplications read once through a +-1 edge (folded into that edge as
 hold for the compacted graph too.  A network built directly from edges
 runs them as given.
 
-Evaluation has two executors with bit-identical results.  Below
-:data:`PROGRAM_MIN_EDGES` edges, and on :class:`TraceScalar` inputs, it is
-a codelet: straight-line Python source generated from the network, one
-statement per vertex, compiled once and kept with the network.  At or
-above it, floats run through a vertex-major program.  A vectorized
-wavefront sorts the vertices into levels of independent vertices and
-numbers them anew, level by level, so that each step of a level (one per
-in-edge rank, usually two) is one numpy gather and multiply whose result
-sets or adds to one contiguous slice of the values, with no scatter.  The
-program's columns then replace the edge array as the network's one copy
-of its edges; ``edges`` rebuilds them, in evaluation order, when it is
-asked for.  A float64 array goes into the program and its output array
-comes back as it is; a codelet always runs on Python scalars.
+Evaluation has two executors with bit-identical results, and the edge
+count alone picks one.  Below :data:`PROGRAM_MIN_EDGES` edges it is a
+codelet: straight-line Python source generated from the compacted network
+as it stands, one statement per vertex, compiled once and kept with the
+network.  At or above it, float64 values and objects (the
+:class:`TraceScalar` values of a recording among them) run through a
+vertex-major program.  A vectorized wavefront sorts the vertices into
+levels of independent vertices and numbers them anew, level by level, so
+that each step of a level (one per in-edge rank, usually two) is one
+numpy gather and multiply whose result sets or adds to one contiguous
+slice of the values, with no scatter.  The program's columns then replace
+the edge array as the network's one copy of its edges; ``edges`` rebuilds
+them, in evaluation order, when it is asked for.  An array goes into the
+program and its output array, of the input's dtype, comes back as it is;
+a codelet always runs on Python scalars.
 
 Kernels are recorded by running them on :class:`TraceScalar` values (in
 an object array) whose arithmetic builds the graph: every scalar add/sub creates a two-input
@@ -87,10 +89,7 @@ EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", np.float64)])
 # at N=32 and 64 and as programs from N=128 on.
 PROGRAM_MIN_EDGES = 1024
 
-# Inlined single-edge terms nest at most this deep in one codelet
-# statement (CPython rejects source nested more than 200 parentheses deep),
-# and one statement sums at most this many terms before it is continued.
-_CODELET_MAX_DEPTH = 64
+# One codelet statement sums at most this many terms before it is continued.
 _CODELET_MAX_TERMS = 64
 
 
@@ -372,14 +371,15 @@ class LinearNetwork:
         """Evaluate the network on a vector of length ``len(inputs)``.
 
         Each vertex adds its incoming terms in their listed order.  A
-        network of at least :data:`PROGRAM_MIN_EDGES` edges evaluated on
-        float64 values runs its vertex-major program, built on the first such
-        call.  Any other network or input, including :class:`TraceScalar`
-        values (so a kernel that embeds a network can itself be recorded),
-        runs the network's codelet, compiled on first use, on Python
-        scalars.  Both executors give bit-identical floats.  An array in
-        gives an array out (of objects for objects, else of float64), any
-        other sequence a list.
+        network of at least :data:`PROGRAM_MIN_EDGES` edges runs its
+        vertex-major program, built on the first such call, on float64
+        values and on objects, :class:`TraceScalar` values among them (so
+        a kernel that embeds a network can itself be recorded); a smaller
+        network runs its codelet, compiled on first use, on Python scalars,
+        and so does a large one on any other dtype.  Both executors give
+        bit-identical floats, and recording through either gives the
+        network's structural counts.  An array in gives an array out (of
+        objects for objects, else of float64), any other sequence a list.
         """
         if len(x) != len(self.inputs):
             raise ValueError(f"expected {len(self.inputs)} inputs, got {len(x)}")
@@ -388,7 +388,7 @@ class LinearNetwork:
             ledger.mults += self._flops[1]
         if self._n_edges >= PROGRAM_MIN_EDGES:
             xs = np.asarray(x)
-            if xs.dtype == np.float64:
+            if xs.dtype == np.float64 or xs.dtype == object:
                 y = self._run(xs)
                 return y if xs is x else y.tolist()
         if self._codelet is None:
@@ -400,7 +400,7 @@ class LinearNetwork:
 
     def _run(self, xs):
         program = self._program if self._program is not None else self._compile()
-        vals = np.empty(len(program[0]))
+        vals = np.empty(len(program[0]), dtype=xs.dtype)
         vals[:len(xs)] = xs
         for k, a, b, src, w in program[3]:
             terms = vals[src]
@@ -631,40 +631,28 @@ def _term(w, e):
 def _codelet(net):
     """Compile ``net`` to a Python function of straight-line code.
 
-    One statement per vertex, in vertex order: ``v = t0 + t1 - t2 ...``
-    with terms left-associative, the first one written ``v``, ``-v`` or
-    ``w * v`` and the later ones ``+ v``, ``- v`` or ``+ w * v``, weights
-    by ``repr`` (``inf`` and ``nan`` are names in the codelet's globals).
-    A vertex whose one in-edge has unit weight is a rename, not a
-    statement.  A single-edge vertex read by exactly one consumer is
-    inlined there as ``(w * v)`` or ``(-v)``: the same rounding, since
-    Python has no fused multiply-add.  On :class:`TraceScalar` values each
-    term and each sum creates one vertex, so a recording through a codelet
-    has the network's structural counts.
+    The compacted network as it stands: one statement per vertex, in
+    vertex order, ``v = t0 + t1 - t2 ...`` with terms left-associative,
+    the first one written ``v``, ``-v`` or ``w * v`` and the later ones
+    ``+ v``, ``- v`` or ``+ w * v``, weights by ``repr`` (``inf`` and
+    ``nan`` are names in the codelet's globals).  A vertex whose one
+    in-edge weighs +1 is a rename, not a statement.  On
+    :class:`TraceScalar` values each term and each sum creates one vertex,
+    so a recording through a codelet has the network's structural counts.
     """
-    n = net.n_vertices
     edges = net.edges
     src, dst, w = (edges[f].tolist() for f in ("src", "dst", "w"))
-    indeg = np.bincount(edges["dst"], minlength=n).tolist()
-    uses = np.bincount(edges["src"], minlength=n)
-    np.add.at(uses, net._out_ids, 1)
-    uses = uses.tolist()
-    expr = [f"v{v}" for v in range(n)]  # a name, or an inlined "(...)" term
-    depth = [0] * n
+    indeg = np.bincount(edges["dst"], minlength=net.n_vertices).tolist()
+    name = [f"v{v}" for v in range(net.n_vertices)]
     lines = ["def codelet(x):"]
     if net.inputs:
         lines.append("    " + "".join(f"v{v}, " for v in net.inputs) + "= x")
     pos = 0  # of the edge among its vertex's in-edges
     for k, (s, v, wk) in enumerate(zip(src, dst, w)):
         pos = pos + 1 if k and dst[k - 1] == v else 0
-        e = expr[s]
-        if indeg[v] == 1:
-            d = depth[s] + (wk != 1.0)
-            if d == 0 or (uses[v] == 1 and d <= _CODELET_MAX_DEPTH):
-                expr[v] = e if wk == 1.0 else f"({_term(wk, e)})"
-                depth[v] = d
-            else:
-                lines.append(f"    v{v} = {_term(wk, e)}")
+        e = name[s]
+        if indeg[v] == 1 and wk == 1.0:
+            name[v] = e
             continue
         if pos == 0:
             text = _term(wk, e)
@@ -675,7 +663,7 @@ def _codelet(net):
             text += f" - {e}" if wk == -1.0 else f" + {_term(wk, e)}"
         if pos + 1 == indeg[v]:
             lines.append(f"    v{v} = {text}")
-    lines.append("    return [" + ", ".join(expr[v] for v in net.outputs) + "]")
+    lines.append("    return [" + ", ".join(name[v] for v in net.outputs) + "]")
     scope = {"inf": math.inf, "nan": math.nan}
     exec(compile("\n".join(lines) + "\n", f"<codelet {net!r}>", "exec"), scope)
     return scope["codelet"]

@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fastdcst import LinearNetwork, build_tables, transpose_net
+from fastdcst import LinearNetwork, ScaleTables, build_tables, transpose_net
 
 
 def rng(*key):
@@ -27,6 +27,17 @@ def rms_rel(got, want):
     if denom == 0.0:
         return float(np.linalg.norm(got))
     return float(np.linalg.norm(np.asarray(got) - want) / denom)
+
+
+def corrupted_tables(n):
+    """A fresh table set with one dct2/new stage constant bent by 0.1%."""
+    tab = ScaleTables(n)
+    for key, (c0, ch, re, im) in list(tab._stage.items()):
+        if len(re) > 1:
+            re = re.copy()
+            re[1] *= 1.001
+            tab._stage[key] = (c0, ch, re, im)
+    return tab
 
 
 def reference_compaction(net):

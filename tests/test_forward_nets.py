@@ -7,7 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import assert_compaction_of, reference_compaction, rng, uncompacted
+from conftest import (
+    assert_compaction_of,
+    corrupted_tables,
+    reference_compaction,
+    rng,
+    uncompacted,
+)
 
 from fastdcst import (
     FlopLedger,
@@ -26,7 +32,6 @@ from fastdcst import (
     scale_factors,
     transpose_net,
 )
-from fastdcst.cli import _corrupted_tables
 from fastdcst.fft_real import half_spectrum_lanes
 from fastdcst.trig_family import _transposed_spectrum_net
 
@@ -144,7 +149,7 @@ def test_below_the_net_size_nothing_is_recorded():
         assert "spectrum" not in dct2._classic_state(n).plans, n
 
 
-@pytest.mark.parametrize("make", [ScaleTables, _corrupted_tables], ids=["fresh", "bent"])
+@pytest.mark.parametrize("make", [ScaleTables, corrupted_tables], ids=["fresh", "bent"])
 @pytest.mark.parametrize("fn", RESCALED + [dct2_scaled])
 def test_own_tables_get_their_own_network(make, fn):
     n = 128
@@ -161,7 +166,7 @@ def test_own_tables_get_their_own_network(make, fn):
     net = tab.plans["spectrum"]
     assert net is not build_tables(n).plans.get("spectrum")
     assert net.dumps() == _rescaled_recording(n).dumps()
-    if make is _corrupted_tables and fn is not dct2_scaled:
+    if make is corrupted_tables and fn is not dct2_scaled:
         assert scalar != run(ScaleTables(n))
 
 
@@ -294,13 +299,15 @@ def test_spectrum_networks_are_recorded_compacted(n):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_each_spectrum_network_runs_its_executor(n):
-    # a codelet at N=32 and 64 and a program from N=128 on, so a change of
-    # PROGRAM_MIN_EDGES that moves a size shows here
+    # a codelet at N=32 and 64 and a program from N=128 on, for floats and
+    # for a recording alike, so a change of PROGRAM_MIN_EDGES that moves a
+    # size shows here
     program = n >= 128
     for net in (dct2._spectrum_net(build_tables(n)), dct2._spectrum_net(dct2._classic_state(n)),
                 _transposed_spectrum_net(n)):
         assert (len(net.edges) >= transpose_net.PROGRAM_MIN_EDGES) == program
         net.eval(np.zeros(n))
+        record(net.eval, n)
         assert (net._program is not None) == program
         assert (net._codelet is not None) != program
 

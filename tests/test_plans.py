@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import rng
+from conftest import corrupted_tables, rng
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,7 @@ from fastdcst import (
     record,
     transpose_net,
 )
-from fastdcst.cli import _NORMS, KERNELS, _corrupted_tables
+from fastdcst.cli import _NORMS, KERNELS
 
 K = dct2.PLAN_AFTER_CALLS
 TRIG = [k for k in KERNELS if k.family == "trig"]
@@ -106,7 +106,7 @@ def test_no_plans_above_the_size_cap():
 @pytest.mark.parametrize("fn", [dct2_new, dct3_new, dst2_new, dst3_new])
 def test_plan_on_bent_tables_uses_their_constants(fn):
     n = 8
-    bent = _corrupted_tables(n)
+    bent = corrupted_tables(n)
     x = rng(92).standard_normal(n).tolist()  # no zero hides the bent constant
     scalar = fn(x, Normalization.UNITARY, bent)
     for _ in range(K):

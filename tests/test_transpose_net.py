@@ -351,13 +351,19 @@ def test_program_matches_codelet_on_spectrum_net(n):
 
 
 def test_recording_a_program_sized_network():
-    # TraceScalar inputs run the codelet even above the program threshold
-    net = _transposed_spectrum_net(128)
-    assert len(net.edges) >= transpose_net.PROGRAM_MIN_EDGES
-    rec = record(net.eval, 128)
-    assert rec.structural_flops() == net.structural_flops()
-    x = list(rng(59).standard_normal(128))
-    assert np.array(rec.eval(x)).tobytes() == np.array(net.eval(x)).tobytes()
+    # TraceScalar inputs run the program above the threshold, as floats do,
+    # and no codelet is compiled (fresh transposed spectrum networks)
+    for n in (128, 1024):
+        net = dct2._spectrum_net(build_tables(n)).transpose()
+        assert len(net.edges) >= transpose_net.PROGRAM_MIN_EDGES
+        assert net._program is None and net._codelet is None
+        rec = record(net.eval, n)
+        assert net._program is not None and net._codelet is None
+        assert rec.structural_flops() == net.structural_flops()
+        x = rng(59, n).standard_normal(n)
+        x[::5] = -0.0
+        assert np.array(rec.eval(list(x))).tobytes() == np.array(net.eval(list(x))).tobytes()
+        assert net._codelet is None
 
 
 def _complex_adapter(fn, n):
