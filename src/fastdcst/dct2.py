@@ -30,8 +30,14 @@ Every call that is not a plan runs array-in, array-out: one float64
 array from the input, numpy indexing for the even/odd reorder, and an
 output stage of elementwise expressions that keep the scalar formula's
 float operations in its order, so no bit changes; the caller gets a list.
-Recording runs the same code on object arrays of ``TraceScalar``; plans
-run their codelets on Python floats.
+A call that runs no network (a forward kernel's first call) computes the
+real DFT itself: by the breadth-first row recursion of
+:mod:`fastdcst.fft_real` from :data:`ROWS_MIN_SIZE` on, and by the scalar
+recursion below it, with the same bits either way.  A spectrum network
+is recorded from the row recursion on one traced row
+(:func:`~fastdcst.transpose_net.record_rows`); a plan records the whole
+kernel on object arrays of ``TraceScalar``, and runs its codelet on
+Python floats.
 """
 
 from __future__ import annotations
@@ -46,10 +52,16 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import scale_factors as sf
-from .fft_real import _rfft_scaled_lanes, _rfft_std_lanes, pack_lanes
+from .fft_real import (
+    _rfft_scaled_lanes,
+    _rfft_scaled_rows,
+    _rfft_std_lanes,
+    _rfft_std_rows,
+    pack_lanes,
+)
 from .flops import FlopLedger, checked_log2
 from .scale_factors import ScaleTables, unit_root
-from .transpose_net import record
+from .transpose_net import record, record_rows
 
 __all__ = [
     "Normalization",
@@ -103,10 +115,11 @@ def reorder_even_odd(x):
 def _classic_state(n):
     # what dct2_classic keeps per size in place of a table set, which would
     # cost a build it never reads: its output-stage constants 2*unit_root(k,
-    # 4N) folded per normalization, and its call counts, plans and plain
-    # spectrum network
+    # 4N) folded per normalization, the plain twiddles of the row kernel,
+    # and its call counts, plans and plain spectrum network
     stage = sf.dct_stage(n, [2.0 * unit_root(k, 4 * n) for k in range(n // 2)])
-    return SimpleNamespace(size=n, plans={}, dct_stage=stage.__getitem__)
+    return SimpleNamespace(size=n, plans={}, dct_stage=stage.__getitem__,
+                           twiddles=sf.twiddle_columns(n))
 
 
 def _rotate(stage, led, u0, uh, u, v):
@@ -134,12 +147,27 @@ def _stage_outputs(stage, z, led):
 
 
 def _real_dft(tab):
-    # (name, lanes(xs, led)) of tab's real DFT: the rescaled one from the
-    # constants of a table set (as fft_real.half_spectrum_lanes), the plain
-    # split-radix one for a _classic_state
+    # (name, lanes(xs, led), rows(x, led)) of tab's real DFT, the scalar
+    # recursion on a list and the row recursion on a 2-D block: the rescaled
+    # one from the constants of a table set (as fft_real.half_spectrum_lanes),
+    # the plain split-radix one for a _classic_state
     if isinstance(tab, ScaleTables):
-        return "rescaled", lambda xs, led: _rfft_scaled_lanes(1, xs, tab, led)
-    return "plain", _rfft_std_lanes
+        return ("rescaled", lambda xs, led: _rfft_scaled_lanes(1, xs, tab, led),
+                lambda x, led: _rfft_scaled_rows(1, x, tab, led))
+    return "plain", _rfft_std_lanes, lambda x, led: _rfft_std_rows(x, tab.twiddles, led)
+
+
+# A call that runs no network (a forward kernel's first call above
+# PLAN_MAX_SIZE, or a call at N <= PLAN_MAX_SIZE before its plan) takes the
+# real DFT breadth first, as rows, from this size on, and the scalar
+# recursion below it.  On cached tables (2-CPU Xeon, Python 3.11, numpy
+# 2.4, medians of 31 interleaved calls) the rescaled real DFT took 0.36
+# against 0.93 ms as rows at N=128, 0.50 against 1.15 at N=256, 0.92 against
+# 0.97 at N=512, 2.2 against 1.3 at N=1024 and 16.3 against 3.2 at N=4096;
+# the plain one 0.32 against 0.53 at N=128, 0.41 against 0.40 at N=256,
+# 0.83 against 0.45 at N=512 and 14.0 against 1.6 at N=4096.  From N=512 on
+# the rows are level or ahead for both.
+ROWS_MIN_SIZE = 512
 
 
 def _spectrum(x, tab, led, net=None):
@@ -147,7 +175,10 @@ def _spectrum(x, tab, led, net=None):
     # pack_lanes, as an array of its dtype; run as net if given
     if net is not None:
         return net.eval(x, led)
-    lanes = pack_lanes(*_real_dft(tab)[1](x.tolist(), led))
+    _, lanes, rows = _real_dft(tab)
+    if len(x) >= ROWS_MIN_SIZE:
+        return rows(x[None], led)[0]
+    lanes = pack_lanes(*lanes(x.tolist(), led))
     return np.fromiter(lanes, x.dtype, len(lanes))
 
 
@@ -181,8 +212,8 @@ def _dct2_scaled_lanes(xs, tab, led, net=None):
 # too.  Plans for N=32 and N=64 held after a `verify --max-size 64` sweep
 # cost about 10% more peak memory, so they stop at N=16.
 # Above PLAN_MAX_SIZE the forward kernels run their real DFT as a network
-# from a configuration's second call on; the first call stays scalar, so a
-# one-shot call pays no record.
+# from a configuration's second call on; the first call computes it
+# directly, so a one-shot call pays no record.
 PLAN_MAX_SIZE = 16
 PLAN_AFTER_CALLS = 128
 _COUNT_LOCK = threading.Lock()
@@ -201,16 +232,21 @@ def _counted(net, led, what):
 def _spectrum_net(tab):
     """The real DFT of ``tab`` (see :func:`_real_dft`) as a network, kept
     in ``tab.plans``; lanes as in :func:`fastdcst.fft_real.pack_lanes`.
-    Recorded on first use, its structural count checked against the
-    kernel's ledger.
+    Recorded on first use (:func:`_record_spectrum`).
     """
     net = tab.plans.get("spectrum")
     if net is None:
-        rec = FlopLedger()
-        net = record(lambda ins: _spectrum(ins, tab, rec), tab.size)
-        what = f"of the {_real_dft(tab)[0]} real DFT at size {tab.size}"
-        net = tab.plans["spectrum"] = _counted(net, rec, what)
+        net = tab.plans["spectrum"] = _record_spectrum(tab)
     return net
+
+
+def _record_spectrum(tab):
+    # the row recursion of tab's real DFT recorded on one traced row, its
+    # structural count checked against the kernel's ledger
+    name, _, rows = _real_dft(tab)
+    rec = FlopLedger()
+    net = record_rows(lambda ins: rows(ins[None], rec), tab.size)
+    return _counted(net, rec, f"of the {name} real DFT at size {tab.size}")
 
 
 def _planned(tab, key, xs, led, lanes, *args, forward=False):

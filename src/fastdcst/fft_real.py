@@ -10,23 +10,37 @@ The sub-transforms here return half spectra themselves, and the four
 output assignments of each loop iteration write disjoint bins; the
 overlap at k = 0 and k = N/8 is resolved by peeling those iterations.
 
-On traced scalars (a recording by :func:`fastdcst.transpose_net.record`)
-the recursive calls go through the recording's splice: the first call of
-each (variant, size) is traced in full and every later one appends a
-copy of its edges, so recording costs the distinct sub-transforms, not
-all N*lg(N) of the operations.  On floats the only cost is one type test
-per call.
+Each kernel is written twice.  The ``_rfft_*_lanes`` functions are the
+scalar recursion: one call per sub-transform, on lists of Python floats
+or of :class:`~fastdcst.transpose_net.TraceScalar` values.  The
+``_rfft_*_rows`` functions run the same recursion breadth first, in the
+manner of FFTW's vector loops: a size-N transform makes about N calls,
+but they fall into a few dozen (variant, size) keys, so each key runs
+once over all of its calls, stacked as the rows of one 2-D block.  The
+split goes top down, one size after another, gathering each call's
+sub-inputs into its children's blocks; the combine goes bottom up, and
+each key's twiddle loop is a handful of elementwise expressions over
+columns k = 1 .. N/8 - 1 of its block, with the constants as float64
+columns of the tables.  The expressions keep the scalar formula's float
+operations in the scalar order, so the outputs are bitwise the scalar
+recursion's and the ledger is the same.  The row functions run on
+float64 arrays and, unchanged, on :class:`~fastdcst.transpose_net.TraceRows`
+(one vertex id per element), whose every operation appends whole edge
+columns to a recording: each vertex gets the in-edges it gets in the
+scalar trace, only numbered in another order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+
+import numpy as np
 
 from .fft_complex import _RT_HALF, _SUBTYPE, _cmul, _omega, _tmul
 from .flops import FlopLedger, checked_log2
 from .scale_factors import ScaleTables
-from .transpose_net import TraceScalar
+from .transpose_net import TraceRows
 
 __all__ = ["HalfSpectrum", "rfft_conjpair", "rfft_scaled", "rfft_scaled4"]
 
@@ -73,12 +87,9 @@ def _rfft_std_lanes(x, led):
     h = n // 2
     e = n // 8
     ev, z1, z2 = _gather(x, n, q)
-    sub = _rfft_std_lanes
-    if type(x[0]) is TraceScalar:  # a recording splices repeated sub-transforms
-        sub = partial(x[0].trace.splice, sub)
-    ure, uim = sub(ev, led)
-    zre, zim = sub(z1, led)
-    gre, gim = sub(z2, led)
+    ure, uim = _rfft_std_lanes(ev, led)
+    zre, zim = _rfft_std_lanes(z1, led)
+    gre, gim = _rfft_std_lanes(z2, led)
     w = _omega(n)
     outr = [None] * (h + 1)
     outi = [None] * (h + 1)
@@ -137,12 +148,9 @@ def _rfft_scaled_lanes(typ, x, tab, led):
     h = n // 2
     e = n // 8
     ev, z1, z2 = _gather(x, n, q)
-    sub = _rfft_scaled_lanes
-    if type(x[0]) is TraceScalar:  # a recording splices repeated sub-transforms
-        sub = partial(x[0].trace.splice, sub)
-    ure, uim = sub(_SUBTYPE[typ], ev, tab, led)
-    zre, zim = sub(1, z1, tab, led)
-    gre, gim = sub(1, z2, tab, led)
+    ure, uim = _rfft_scaled_lanes(_SUBTYPE[typ], ev, tab, led)
+    zre, zim = _rfft_scaled_lanes(1, z1, tab, led)
+    gre, gim = _rfft_scaled_lanes(1, z2, tab, led)
     outr = [None] * (h + 1)
     outi = [None] * (h + 1)
     for k in range(e + 1):
@@ -239,6 +247,271 @@ def _rfft_scaled_lanes(typ, x, tab, led):
             outr[q - k] = ure[q - k] - vi
             outi[q - k] = uim[q - k] - vr
     return outr, outi
+
+
+def _empty(like, shape):
+    # a block of the value type of `like`, its entries still to be set
+    if isinstance(like, TraceRows):
+        return like.empty(shape)
+    return np.empty(shape, like.dtype)
+
+
+def _stacked(parts):
+    # the rows of the blocks in parts, one block after another
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], TraceRows):
+        return TraceRows.concatenate(parts)
+    return np.concatenate(parts)
+
+
+def _breadth_first(x, variant, children, leaf, combine, led):
+    """The half spectra ``(re, im)`` of the sub-transform ``(variant, N)``
+    on each of the N-sample rows of ``x``, as blocks of N/2 + 1 columns
+    (the imaginary parts of bins 0 and N/2 are left unset).
+
+    Top down, size after size, the rows of each (variant, size) key are
+    stacked into one block and split: even samples to the key
+    ``(children(variant)[0], size/2)``, samples 4j+1 and then 4j-1 (mod
+    size) to ``(children(variant)[1], size/4)``, each as one run of rows
+    there.  Bottom up, ``leaf(key, block, led)`` transforms the keys of
+    size 1 and 2, and ``combine(key, u, z, g, led)`` every other key from
+    the half spectra of its three runs of child rows.  A key's half spectra
+    are dropped once every key that reads them is done.
+    """
+    n = x.shape[1]
+    rows, count = {(variant, n): [x]}, {}
+    splits = []  # (key, rows, even child, its first row, quarter child, its first row)
+
+    def put(key, block):
+        rows.setdefault(key, []).append(block)
+        first = count.get(key, 0)
+        count[key] = first + len(block)
+        return first
+
+    m = n
+    while m > 2:
+        for key in [k for k in rows if k[1] == m]:
+            block = _stacked(rows.pop(key))
+            even, quarter = children(key[0])
+            ek, qk = (even, m >> 1), (quarter, m >> 2)
+            a = put(ek, block[:, 0::2])
+            b = put(qk, block[:, 1::4])
+            put(qk, block[:, np.arange(-1, m - 1, 4) % m])
+            splits.append((key, len(block), ek, a, qk, b))
+        m >>= 1
+    done = {key: leaf(key, _stacked(parts), led) for key, parts in rows.items()}
+    del rows
+    readers = Counter(child for split in splits for child in (split[2], split[4]))
+    for key, r, ek, a, qk, b in reversed(splits):
+        (ure, uim), (zre, zim) = done[ek], done[qk]
+        done[key] = combine(key, (ure[a:a + r], uim[a:a + r]), (zre[b:b + r], zim[b:b + r]),
+                            (zre[b + r:b + 2 * r], zim[b + r:b + 2 * r]), led)
+        for child in (ek, qk):
+            readers[child] -= 1
+            if not readers[child]:
+                del done[child]
+    return done[(variant, n)]
+
+
+def _pack_rows(res):
+    # pack_lanes of each row of the half spectra res
+    outr, outi = res
+    r, h = outr.shape[0], outr.shape[1] - 1
+    n = max(2 * h, 1)
+    lanes = _empty(outr, (r, n))
+    lanes[:, 1:n - 1:2] = outr[:, 1:h]
+    lanes[:, 2:n - 1:2] = outi[:, 1:h]
+    lanes[:, 0] = outr[:, 0]
+    lanes[:, n - 1] = outr[:, h]
+    return lanes
+
+
+def _first_bins(outr, outi, ure, a, v, q, h):
+    # bins 0, N/2 and N/4 from the k = 0 terms
+    outr[:, 0] = ure[:, 0] + a
+    outr[:, h] = ure[:, 0] - a
+    outr[:, q] = ure[:, q]
+    outi[:, q] = -v
+
+
+def _eighth_bins(ure, uim, e, a, b):
+    # (re, im) of bins N/8 and N/2 - N/8 from the k = N/8 terms
+    return (ure[:, e] + a, uim[:, e] - b), (ure[:, e] - a, -(uim[:, e] + b))
+
+
+def _twiddled_bins(ure, uim, q, e, wr, wi, vr, vi):
+    # (re, im) of bins k, N/2 - k, k + N/4 and N/4 - k, for k = 1 .. N/8 - 1
+    k, qk = slice(1, e), slice(q - 1, q - e, -1)
+    return ((ure[:, k] + wr, uim[:, k] + wi), (ure[:, k] - wr, wi - uim[:, k]),
+            (ure[:, qk] + vi, -(uim[:, qk] + vr)), (ure[:, qk] - vi, uim[:, qk] - vr))
+
+
+def _put(outr, outi, q, e, bins):
+    # bins from _eighth_bins (two) or _twiddled_bins (four) into their columns
+    h = 2 * q
+    at = (e, h - e) if len(bins) == 2 else (
+        slice(1, e), slice(h - 1, h - e, -1), slice(q + 1, q + e), slice(q - 1, q - e, -1))
+    for col, (re, im) in zip(at, bins):
+        outr[:, col] = re
+        outi[:, col] = im
+
+
+def _leaf(x, led, c=None):
+    # the transforms of sizes 1 and 2: x0, or x0 + x1 and x0 - x1, the
+    # latter times c if given; their imaginary parts stay unset
+    if x.shape[1] == 1:
+        return x, _empty(x, x.shape)
+    led.adds += 2 * len(x)
+    out = _empty(x, x.shape)
+    out[:, 0] = x[:, 0] + x[:, 1]
+    hi = x[:, 0] - x[:, 1]
+    if c is not None:
+        led.mults += len(x)
+        hi = c * hi
+    out[:, 1] = hi
+    return out, _empty(x, x.shape)
+
+
+def _std_combine(twiddles, key, u, z, g, led):
+    # the twiddle loop of _rfft_std_lanes over the rows
+    (ure, uim), (zre, zim), (gre, gim) = u, z, g
+    n, r = key[1], len(ure)
+    q, h, e = n >> 2, n >> 1, n >> 3
+    outr, outi = _empty(ure, (r, h + 1)), _empty(ure, (r, h + 1))
+    led.adds += 4 * r
+    _first_bins(outr, outi, ure, zre[:, 0] + gre[:, 0], zre[:, 0] - gre[:, 0], q, h)
+    if e == 0:
+        return outr, outi
+    led.mults += 2 * r
+    led.adds += 6 * r
+    c1 = zre[:, e] * _RT_HALF
+    c2 = gre[:, e] * _RT_HALF
+    _put(outr, outi, q, e, _eighth_bins(ure, uim, e, c1 + c2, c1 - c2))
+    if e == 1:
+        return outr, outi
+    cr, ci, nci = twiddles[n]  # unit_root(k, n): real part, imaginary part and its negation
+    zr, zi, gr, gi = zre[:, 1:e], zim[:, 1:e], gre[:, 1:e], gim[:, 1:e]
+    led.mults += 8 * zr.size
+    led.adds += 16 * zr.size
+    w1r, w1i = cr * zr - ci * zi, cr * zi + ci * zr
+    w2r, w2i = cr * gr - nci * gi, cr * gi + nci * gr
+    _put(outr, outi, q, e, _twiddled_bins(ure, uim, q, e, w1r + w2r, w1i + w2i,
+                                          w1r - w2r, w1i - w2i))
+    return outr, outi
+
+
+def _rfft_std_rows(x, twiddles, led):
+    """:func:`_rfft_std_lanes` of each row of ``x`` (a 2-D float64 array or
+    :class:`~fastdcst.transpose_net.TraceRows`), breadth first, in the
+    lanes of :func:`pack_lanes`, one row each.  ``twiddles`` maps each size
+    16 <= m <= N to the columns of ``unit_root(k, m)`` for k = 1 .. m/8 - 1
+    (see :func:`fastdcst.scale_factors.twiddle_columns`)."""
+    return _pack_rows(_breadth_first(x, None, lambda v: (v, v), lambda key, b, led: _leaf(b, led),
+                                     lambda *a: _std_combine(twiddles, *a), led))
+
+
+def _tmul_rows(cases, zr, zi, led):
+    # _tmul on each column by its own unit-component constant; cases are
+    # (columns, unit_re, sign < 0, coef of those columns), so each column
+    # runs its own case's formula only
+    led.mults += 2 * zr.size
+    led.adds += 2 * zr.size
+    if len(cases) == 1:
+        return _tmul_case(*cases[0][1:], zr, zi)
+    re, im = _empty(zr, zr.shape), _empty(zr, zr.shape)
+    for cols, *case in cases:
+        re[:, cols], im[:, cols] = _tmul_case(*case, zr[:, cols], zi[:, cols])
+    return re, im
+
+
+def _tmul_case(unit_re, negated, coef, zr, zi):
+    if unit_re:
+        re, im = zr - coef * zi, zi + coef * zr
+    else:
+        re, im = coef * zr - zi, coef * zi + zr
+    return (-re, -im) if negated else (re, im)
+
+
+def _scaled_combine(tab, key, u, z, g, led):
+    # the twiddle loop of _rfft_scaled_lanes over the rows
+    (ure, uim), (zre, zim), (gre, gim) = u, z, g
+    typ, n = key
+    r = len(ure)
+    q, h, e = n >> 2, n >> 1, n >> 3
+    outr, outi = _empty(ure, (r, h + 1)), _empty(ure, (r, h + 1))
+    led.adds += 4 * r
+    a = zre[:, 0] + gre[:, 0]
+    v = zre[:, 0] - gre[:, 0]
+    if typ == 4:
+        led.mults += 3 * r
+        r1 = tab.ratio4(n, 1, 0)
+        outr[:, 0] = ure[:, 0] + a
+        outr[:, h] = tab.ratio4(n, 2, 0) * (ure[:, 0] - a)
+        outr[:, q] = r1 * ure[:, q]
+        outi[:, q] = -(r1 * v)
+    else:
+        if typ == 2:
+            led.mults += r
+            v = tab.ratio2b(n, 0) * v
+        _first_bins(outr, outi, ure, a, v, q, h)
+    if e == 0:
+        return outr, outi
+    led.adds += 6 * r
+    a = zre[:, e] + gre[:, e]
+    b = zre[:, e] - gre[:, e]
+    if typ == 4:
+        led.mults += 4 * r
+        bins = _eighth_bins(ure, uim, e, a, b)
+        bins = [(c * re, c * im) for c, (re, im) in zip((tab.ratio4(n, 0, e), tab.ratio4(n, 1, e)), bins)]
+    else:
+        if typ != 1:
+            c = tab.s(n, e) if typ == 0 else tab.ratio2a(n, e)
+            led.mults += 2 * r
+            a = c * a
+            b = c * b
+        bins = _eighth_bins(ure, uim, e, a, b)
+    _put(outr, outi, q, e, bins)
+    if e == 1:
+        return outr, outi
+    tz, tg, s, ra, rb, r4 = tab.columns(n)
+    pr, pi = _tmul_rows(tz, zre[:, 1:e], zim[:, 1:e], led)
+    qr, qi = _tmul_rows(tg, gre[:, 1:e], gim[:, 1:e], led)
+    size = pr.size
+    led.adds += 12 * size
+    wr = pr + qr
+    wi = pi + qi
+    vr = pr - qr
+    vi = pi - qi
+    if typ == 4:
+        led.mults += 8 * size
+        bins = _twiddled_bins(ure, uim, q, e, wr, wi, vr, vi)
+        # bin k by ratio4(n, 0, k), N/2 - k by (n, 2, k), k + N/4 by (n, 1,
+        # k) and N/4 - k by (n, 3, k)
+        bins = [(c * re, c * im) for c, (re, im) in zip(r4[[0, 2, 1, 3]], bins)]
+    else:
+        if typ == 0:
+            led.mults += 4 * size
+            wr, wi = s * wr, s * wi
+            vr, vi = s * vr, s * vi
+        elif typ == 2:
+            led.mults += 4 * size
+            wr, wi = ra * wr, ra * wi
+            vr, vi = rb * vr, rb * vi
+        bins = _twiddled_bins(ure, uim, q, e, wr, wi, vr, vi)
+    _put(outr, outi, q, e, bins)
+    return outr, outi
+
+
+def _rfft_scaled_rows(typ, x, tab, led):
+    """:func:`_rfft_scaled_lanes` of each row of ``x`` (a 2-D float64
+    array or :class:`~fastdcst.transpose_net.TraceRows`), breadth first,
+    in the lanes of :func:`pack_lanes`, one row each; the constants of the
+    twiddle loops come from ``tab.columns``."""
+    return _pack_rows(_breadth_first(
+        x, typ, lambda t: (_SUBTYPE[t], 1),
+        lambda key, b, led: _leaf(b, led, tab.inv_s8_1 if key[0] == 4 else None),
+        lambda *a: _scaled_combine(tab, *a), led))
 
 
 def _as_real_lanes(x):

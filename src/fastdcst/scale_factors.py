@@ -125,7 +125,10 @@ class ScaleTables:
     Materializes all recursion levels for a root size ``n`` (scale values
     up to size ``4n``), the fused t-factors, the folded scale ratios used
     by the four mutually recursive kernel variants, and the DCT output
-    stage constants.  The constants are immutable after construction.
+    stage constants.  The scalar kernels read them one at a time through
+    the accessors; the row kernels of :mod:`fastdcst.fft_real` read each
+    level's twiddle-loop constants as float64 columns (:meth:`columns`).
+    The constants are immutable after construction.
     The one mutable part is ``plans``: per kernel configuration, a call
     count and then the recorded whole-kernel network at sizes up to
     ``dct2.PLAN_MAX_SIZE`` (see :func:`fastdcst.dct2._planned`), or above
@@ -169,19 +172,28 @@ class ScaleTables:
                 m = 4 << (i + 1).bit_length() - 1
                 t = complex(re[i], im[i])
                 raise TableError(f"t({m},{i + 1 - (m >> 2)}) = {t} has no unit component")
-            ts, coef = _t_structs(re, im)
+            ts, (unit, up, coef) = _t_structs(re, im)
             self._tstruct = {m: ts[(m >> 2) - 1:(m >> 1) - 1] for m in rows}
 
         # folded ratios: divisions happen here, never at transform time
         self._r2a: dict[int, list[float]] = {}
         self._r2b: dict[int, list[float]] = {}
         self._r4: dict[int, list[list[float]]] = {}
+        self._columns: dict[int, tuple] = {}
         for m in _levels(4, size):
             q = m >> 2
             sm = rows[m]
-            self._r2a[m] = (sm / rows[2 * m][:q]).tolist()
-            self._r2b[m] = (sm / rows[2 * m][q:]).tolist()
-            self._r4[m] = [(sm / rows[4 * m][j * q:(j + 1) * q]).tolist() for j in range(4)]
+            r2a, r2b = sm / rows[2 * m][:q], sm / rows[2 * m][q:]
+            r4 = sm / rows[4 * m].reshape(4, q)
+            self._r2a[m], self._r2b[m], self._r4[m] = r2a.tolist(), r2b.tolist(), r4.tolist()
+            if m >= 16:
+                # the constants of the twiddle loop, k = 1 .. m/8 - 1, as
+                # columns: the t-factors (level m's k-th at m/4 - 1 + k) as
+                # _tmul's cases, for t and conj(t)
+                e = m >> 3
+                u, p, c = unit[q:q - 1 + e], up[q:q - 1 + e], coef[q:q - 1 + e]
+                self._columns[m] = (_column_cases(u, ~p, c), _column_cases(u, p != u, -c),
+                                    sm[1:e], r2a[1:e], r2b[1:e], r4[:, 1:e])
 
         self.inv_s8_1 = 1.0 / self.s(8, 1) if size >= 2 else None
 
@@ -225,6 +237,15 @@ class ScaleTables:
 
     def ratio4(self, m: int, j: int, k: int) -> float:
         return self._r4[m][j][k]
+
+    def columns(self, m: int) -> tuple:
+        """The twiddle-loop constants of level ``m`` >= 16 for k = 1 ..
+        m/8 - 1, as float64 columns: ``(tz, tg, s, ratio2a, ratio2b,
+        ratio4)``, where ``tz`` and ``tg`` are the t-factors and their
+        conjugates as cases ``(columns, unit_re, sign < 0, coef)`` of
+        :func:`fastdcst.fft_complex._tmul`, and ``ratio4`` has one row per
+        ``j``; the entries are bitwise those of the scalar accessors."""
+        return self._columns[m]
 
     def dct_stage(self, norm_key: str):
         return self._stage[norm_key]
@@ -324,7 +345,9 @@ def _t_structs(re, im):
     # per t = re + i*im, (unit_re, sign, coef) for t and for conj(t):
     #   unit_re:  t = sign * (1 + i*coef)
     #   else:     t = sign * (coef + i)
-    # as a list of pairs of tuples, and the coefs of t as an array
+    # as a list of pairs of tuples, and unit_re, sign > 0 and the coefs of t
+    # as arrays (conj(t) has unit_re, sign > 0 where sign > 0 == unit_re,
+    # and -coef)
     unit = np.abs(np.abs(re) - 1.0) <= np.abs(np.abs(im) - 1.0)
     up = np.where(unit, re, im) > 0
     coef = np.where(unit, im, re) * np.where(up, 1.0, -1.0)
@@ -332,7 +355,35 @@ def _t_structs(re, im):
     # the signs as the two shared floats -1.0 and 1.0, not one object each
     sign, conj_sign = _SIGNS[up.view(np.int8)].tolist(), _SIGNS[(up == unit).view(np.int8)].tolist()
     conj = zip(units, conj_sign, (-coef).tolist())
-    return list(zip(zip(units, sign, coef.tolist()), conj)), coef
+    return list(zip(zip(units, sign, coef.tolist()), conj)), (unit, up, coef)
+
+
+def _column_cases(unit, negated, coef):
+    # the columns of each (unit_re, sign < 0) case that occurs, with their
+    # coefs; one case that covers every column takes them all as a slice
+    u, g = bool(unit[0]), bool(negated[0])
+    if (unit == u).all() and (negated == g).all():
+        return [(slice(None), u, g, coef)]
+    cases = []
+    for u, g in ((True, False), (True, True), (False, False), (False, True)):
+        cols = np.flatnonzero((unit == u) & (negated == g))
+        if len(cols):
+            cases.append((cols, u, g, coef[cols]))
+    return cases
+
+
+def twiddle_columns(n: int) -> dict:
+    """``unit_root(k, m)`` for k = 1 .. m/8 - 1 at every level 16 <= m <=
+    n, as float64 columns ``(re, im, -im)`` per level.
+
+    Each level's are a strided slice of one trig row of size n: for
+    8k < m, ``unit_root`` takes cos and sin of (pi/4)*8k/m, which rounds
+    exactly like the row's 2*pi*(k*n/m)/n, so the columns are bitwise
+    ``unit_root``'s parts.
+    """
+    cos, sin = _trig_row(n)
+    return {m: (cos[::n // m][1:m >> 3], -sin[::n // m][1:m >> 3], sin[::n // m][1:m >> 3])
+            for m in _levels(16, n)}
 
 
 _SIGNS = np.array([-1.0, 1.0], dtype=object)

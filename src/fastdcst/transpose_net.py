@@ -46,17 +46,14 @@ vertex, every multiplication by a constant creates a weighted edge into a
 pass-through vertex, and negation is a free -1 edge.  Each new vertex
 takes its edges when it is created, so a recording is in evaluation order;
 the recorder appends them to typed columns, with no Python object per
-edge.  A recursive kernel calls the same sub-transform again and again
-(the rescaled real DFT of N=4096 makes 81 calls of 30 distinct (variant,
-size) sub-transforms), so a recording splices: the first call with a key
-is traced scalar by scalar, and each later one appends that call's edges
-again as a fresh vertex block, one numpy pass per column, with its inputs
-mapped to the caller's scalars (see :meth:`_Trace.splice`).  The vertex
-ids and the edge order are those of the full trace, and so is the
-compacted network.  The
-kernels themselves stay the one statement of the algorithm: they only
-route their recursive calls through the splice while recording (see
-:mod:`fastdcst.fft_real`).  The DCT-III kernel evaluates one of these
+edge.  A kernel written on whole arrays (the row recursion of the real
+DFTs in :mod:`fastdcst.fft_real`) is recorded by :func:`record_rows` on a
+:class:`TraceRows`, an array of vertex ids: each of its operations makes
+one vertex per element with the in-edges a :class:`TraceScalar` would
+give it, and appends their edges to the same columns, in place, as whole
+columns.  So one recording costs a few numpy passes per (variant, size)
+of the recursion, not one Python call per operation, and it is the scalar
+trace renumbered.  The DCT-III kernel evaluates one of these
 networks directly, which is how it inherits the DCT-II flop count without
 a hand-derived decimation-in-frequency FFT; the forward DCT-II/DST-II
 kernels run the network it transposes; and the small public transforms are
@@ -71,7 +68,7 @@ from array import array
 
 import numpy as np
 
-__all__ = ["LinearNetwork", "TraceError", "record"]
+__all__ = ["LinearNetwork", "TraceError", "record", "record_rows"]
 
 EDGE_DTYPE = np.dtype([("src", np.int64), ("dst", np.int64), ("w", np.float64)])
 
@@ -98,16 +95,14 @@ class TraceError(TypeError):
 
 
 class _Trace:
-    # the edges so far as three typed columns, in the order they were made,
-    # and what splice knows of the calls traced so far
-    __slots__ = ("n_vertices", "src", "dst", "w", "calls")
+    # the edges so far as three typed columns, in the order they were made
+    __slots__ = ("n_vertices", "src", "dst", "w")
 
-    def __init__(self):
-        self.n_vertices = 0
+    def __init__(self, n_inputs):
+        self.n_vertices = n_inputs
         self.src = array("q")
         self.dst = array("q")
         self.w = array("d")
-        self.calls = {}
 
     def scaled(self, s, w):
         # a new vertex of one edge, from s with weight w
@@ -118,79 +113,42 @@ class _Trace:
         self.w.append(w)
         return u
 
-    def splice(self, kernel, *args):
-        """``kernel(*args)`` on scalars of this trace, appending what the
-        full trace of the call would append.
+    def vertices(self, *terms):
+        """New vertices, one per place of the sources' shape, as their ids
+        in that shape.  ``terms`` are ``(source ids, weight)`` pairs, the
+        weight a float or an array that broadcasts to the sources: the new
+        vertex at each place reads, in order, each term's source at that
+        place with the term's weight there.  The edges are appended to the
+        columns in place, grouped by their new vertex, so the trace stays
+        in evaluation order."""
+        shape = terms[0][0].shape
+        for s, _ in terms[1:]:
+            if s.shape != shape:
+                shape = np.broadcast_shapes(shape, s.shape)
+        d = len(terms)
+        src = np.empty(shape + (d,), dtype=np.int64)
+        w = np.empty(shape + (d,))
+        for j, (s, c) in enumerate(terms):
+            src[..., j] = s
+            w[..., j] = c
+        u = self.n_vertices
+        self.n_vertices = v = u + w.size // d
+        ids = np.arange(u, v, dtype=np.int64)
+        self.src.frombytes(memoryview(src).cast("B"))
+        self.dst.frombytes(memoryview(ids if d == 1 else ids.repeat(d)).cast("B"))
+        self.w.frombytes(memoryview(w).cast("B"))
+        return ids.reshape(shape)
 
-        ``args`` are one list of this trace's scalars (the inputs), other
-        arguments that with the list's length fix every operation the
-        kernel performs (hashable, compared by equality), and a ledger,
-        last.  The kernel returns a tuple of lists of traced scalars or
-        ``None``.  The first call with a key is traced scalar by scalar,
-        and the trace keeps where its vertex block and its edges begin and
-        end, which edges read which input, and the ledger delta.  A later
-        call with that key appends a fresh block: its edges are those
-        edges again, one numpy pass per column, their block ids shifted to
-        the new block and their input reads mapped to the caller's
-        scalars, in their order, so the vertex ids and the edge order are
-        those of a full trace.  A call that reads a traced value other
-        than its inputs, has an input twice or returns a value that is
-        neither its own nor an input is traced in full each time, and so
-        is a later call with an input that is not of this trace.
-        """
-        *consts, led = args
-        x = next(a for a in consts if type(a) is list)
-        key = (kernel, len(x), *(a for a in consts if a is not x))
-        call = self.calls.get(key)
-        if call is None:
-            v0, e0, a0, m0 = self.n_vertices, len(self.w), led.adds, led.mults
-            out = kernel(*args)
-            self.calls[key] = _traced_call(self, x, out, v0, e0, led.adds - a0, led.mults - m0)
-            return out
-        if call is False or not all(type(t) is TraceScalar and t.trace is self for t in x):
-            return kernel(*args)
-        e0, e1, v0, n_block, at, which, outs, adds, mults = call
-        ids = [t.v for t in x]
-        base = self.n_vertices
-        self.n_vertices += n_block
-        src = np.frombuffer(self.src[e0:e1], dtype=np.int64)
-        src += base - v0
-        src[at] = np.array(ids, dtype=np.int64)[which]
-        dst = np.frombuffer(self.dst[e0:e1], dtype=np.int64)
-        dst += base - v0
-        self.src.frombytes(src.view(np.uint8))
-        self.dst.frombytes(dst.view(np.uint8))
-        self.w.extend(self.w[e0:e1])
-        led.adds += adds
-        led.mults += mults
-        return tuple([None if c == 0 else TraceScalar(self, base + c - 1 if c > 0 else ids[~c])
-                      for c in lane.tolist()] for lane in outs)
-
-
-def _traced_call(tr, x, out, v0, e0, adds, mults):
-    # what _Trace.splice keeps of the first call with a key, whose block
-    # begins at vertex v0 and whose edges at e0: (e0, e1, v0, block size,
-    # edges that read an input, the input each reads, output lanes as
-    # arrays of 1 + block offset, ~input or 0 for None, ledger delta), or
-    # False for a call that cannot be spliced
-    index = {}
-    for i, t in enumerate(x):
-        if type(t) is not TraceScalar or t.trace is not tr or t.v in index:
-            return False
-        index[t.v] = i
-    e1 = len(tr.w)
-    src = np.frombuffer(tr.src[e0:e1], dtype=np.int64)
-    at = np.flatnonzero(src < v0)
-    if not all(t is None or type(t) is TraceScalar and t.trace is tr
-               for lane in out for t in lane):
-        return False
-    try:
-        which = np.array([index[v] for v in src[at].tolist()], dtype=np.intp)
-        outs = [np.array([0 if t is None else t.v - v0 + 1 if t.v >= v0 else ~index[t.v]
-                          for t in lane], dtype=np.int64) for lane in out]
-    except KeyError:
-        return False
-    return e0, e1, v0, tr.n_vertices - v0, at, which, outs, adds, mults
+    def network(self, n_inputs, out_ids):
+        """The trace, its first ``n_inputs`` vertices the inputs, as a
+        compacted network (:func:`_compact`) with outputs ``out_ids``."""
+        # each column cut to its length, without the spare capacity of its
+        # growth, one at a time, so that no second copy of the edges is made
+        cols = []
+        for name in ("src", "dst", "w"):
+            cols.append(np.array(getattr(self, name)))
+            setattr(self, name, None)
+        return _compact(self.n_vertices, *cols, np.arange(n_inputs), out_ids)
 
 
 class TraceScalar:
@@ -248,6 +206,86 @@ class TraceScalar:
 
     def __pos__(self):
         return self
+
+    def __truediv__(self, c):
+        raise TraceError("kernels must not divide at transform time")
+
+
+class TraceRows:
+    """Symbolic real values in an array, one vertex id per element.
+
+    The value type of a kernel that runs on whole arrays at once (the row
+    kernels of :mod:`fastdcst.fft_real`).  Indexing gives the ids at those
+    places, and assigning to a place sets its id, so moving values costs
+    no vertex.  Each arithmetic operation makes one vertex per element with
+    the in-edges :class:`TraceScalar` gives it (a sum reads its two
+    operands with weights 1 and +-1, a product by a constant or a column
+    of constants reads its operand with that weight, a negation with
+    -1), appended as whole edge columns by :meth:`_Trace.vertices`.
+    """
+
+    __slots__ = ("trace", "v")
+    # numpy arrays hand their operators with these over to these
+    __array_ufunc__ = None
+
+    def __init__(self, trace, v):
+        self.trace = trace
+        self.v = v
+
+    @property
+    def shape(self):
+        return self.v.shape
+
+    @property
+    def size(self):
+        return self.v.size
+
+    def __len__(self):
+        return len(self.v)
+
+    def __getitem__(self, i):
+        return TraceRows(self.trace, self.v[i])
+
+    def __setitem__(self, i, other):
+        self.v[i] = self._ids(other)
+
+    def empty(self, shape):
+        """Values of this trace still to be set: id -1, which no edge may read."""
+        return TraceRows(self.trace, np.full(shape, -1, dtype=np.int64))
+
+    @staticmethod
+    def concatenate(parts):
+        """The parts' rows one after another, as ``np.concatenate``."""
+        return TraceRows(parts[0].trace, np.concatenate([parts[0]._ids(p) for p in parts]))
+
+    def _ids(self, other):
+        if type(other) is not TraceRows or other.trace is not self.trace:
+            raise TraceError("adding a constant to a traced value: kernel is affine, not linear")
+        return other.v
+
+    def _new(self, *terms):
+        return TraceRows(self.trace, self.trace.vertices(*terms))
+
+    def __add__(self, other):
+        return self._new((self.v, 1.0), (self._ids(other), 1.0))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._new((self.v, 1.0), (self._ids(other), -1.0))
+
+    def __rsub__(self, other):
+        raise TraceError("subtracting a traced value from a constant")
+
+    def __mul__(self, c):
+        if isinstance(c, (TraceRows, TraceScalar)):
+            raise TraceError("product of two traced values: kernel is not linear")
+        return self._new((self.v, np.asarray(c, dtype=np.float64)))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._new((self.v, -1.0))
 
     def __truediv__(self, c):
         raise TraceError("kernels must not divide at transform time")
@@ -672,27 +710,37 @@ def _codelet(net):
 def record(kernel, n_inputs: int) -> LinearNetwork:
     """Run ``kernel`` on symbolic scalars and capture it as a network.
 
-    ``kernel`` takes an object array of ``n_inputs`` scalars and returns
-    a sequence of scalars; it must be linear and fixed-size.  Every output
-    is attached through an explicit unit pass-through edge so the vertex/edge
-    bookkeeping matches the structural count formulas.  Calls the kernel
-    routes through the trace's splice (:meth:`_Trace.splice`) are traced
-    once per key and spliced in after that, with the same result.  The
-    recording is returned compacted (:func:`_compact`).
+    ``kernel`` takes an object array of ``n_inputs`` :class:`TraceScalar`
+    values and returns a sequence of them; it must be linear and
+    fixed-size.  Every output is attached through an explicit unit
+    pass-through edge so the vertex/edge bookkeeping matches the
+    structural count formulas.  The recording is returned compacted
+    (:func:`_compact`).
     """
-    tr = _Trace()
-    tr.n_vertices = n_inputs
+    tr = _Trace(n_inputs)
     ins = np.array([TraceScalar(tr, v) for v in range(n_inputs)], dtype=object)
     outs = kernel(ins)
-    tr.calls.clear()  # what the splice kept is not needed past the kernel
     out_ids = []
     for o in outs:
         if not isinstance(o, TraceScalar) or o.trace is not tr:
             raise TraceError("kernel returned a value that was not traced")
         out_ids.append(tr.scaled(o.v, 1.0))
     del ins, outs
-    # compacted from the trace's own columns, so that no third copy of the
-    # edges is made beside them and the result
-    cols = (np.frombuffer(tr.src, dtype=np.int64), np.frombuffer(tr.dst, dtype=np.int64),
-            np.frombuffer(tr.w, dtype=np.float64))
-    return _compact(tr.n_vertices, *cols, list(range(n_inputs)), out_ids)
+    return tr.network(n_inputs, out_ids)
+
+
+def record_rows(kernel, n_inputs: int) -> LinearNetwork:
+    """:func:`record` for a kernel that runs on whole arrays.
+
+    ``kernel`` takes a :class:`TraceRows` of shape ``(n_inputs,)`` and
+    returns a :class:`TraceRows` of the same trace, whose elements in C
+    order are the outputs.  Each output gets its unit pass-through edge as
+    in :func:`record`, and the recording is returned compacted.
+    """
+    tr = _Trace(n_inputs)
+    outs = kernel(TraceRows(tr, np.arange(n_inputs, dtype=np.int64)))
+    if type(outs) is not TraceRows or outs.trace is not tr:
+        raise TraceError("kernel returned a value that was not traced")
+    out_ids = tr.vertices((outs.v.reshape(-1), 1.0))
+    del outs
+    return tr.network(n_inputs, out_ids)

@@ -6,10 +6,12 @@ stage (the DCT-II's rotation, folded with the scale factors, applied to
 input pairs x[k], x[N-k]), then the *transposed* rescaled real DFT, then
 the even/odd de-interleave.  The middle stage is obtained mechanically: the
 real-input rescaled DFT is recorded as a linear network over real lanes
-and transposed edge-by-edge.  The forward network is the one the DCT-II
-and DST-II kernels run from a configuration's second call on above
-``dct2.PLAN_MAX_SIZE``, kept on the size's shared tables, so one recording
-serves both directions.  Both networks are compacted as they are made
+(from its breadth-first row recursion, see :mod:`fastdcst.fft_real`) and
+transposed edge-by-edge, so even a DCT-III's first call runs a network,
+and pays its record (about 30 ms at N=4096).  The forward network is the
+one the DCT-II and DST-II kernels run from a configuration's second call
+on above ``dct2.PLAN_MAX_SIZE``, kept on the size's shared tables, so one
+recording serves both directions.  Both networks are compacted as they are made
 (the transpose reverses the compacted forward network and compacts the
 reversal) and keep their vertices in evaluation order (every edge runs
 to a higher vertex id) with their edges in numpy columns.  From N=128 on

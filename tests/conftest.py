@@ -1,3 +1,5 @@
+from itertools import groupby
+from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -113,6 +115,27 @@ def assert_compaction_of(full, net):
     again = compacted(net)
     assert again.n_vertices == net.n_vertices
     assert again.edges.tobytes() == net.edges.tobytes()
+
+
+def canonical_forms(*nets):
+    """Each network up to the numbering of its vertices, comparable between
+    the networks given together: every vertex is hash-consed by its
+    ordered in-edges ``(source, weight)``, a source by its own name and an
+    input by its place among the inputs, and a network's form is the sorted
+    names of all its vertices with the names of its outputs in order.  Two
+    networks have equal forms when one is the other renumbered, so that
+    they compute the same sums of the same products in the same order."""
+    names = {}
+    forms = []
+    for net in nets:
+        name = [None] * net.n_vertices
+        for i, v in enumerate(net.inputs):
+            name[v] = names.setdefault(("input", i), len(names))
+        # in evaluation order, so every source is named before it is read
+        for d, terms in groupby(net.edges.tolist(), key=itemgetter(1)):
+            name[d] = names.setdefault(tuple((name[s], w) for s, _, w in terms), len(names))
+        forms.append((sorted(name), [name[v] for v in net.outputs]))
+    return forms
 
 
 def reference_program(net):

@@ -1,9 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from conftest import max_rel, rng
 
 from fastdcst import (
     FlopLedger,
+    ScaleTables,
     fft_conjpair,
     formula_M,
     formula_MS,
@@ -15,6 +18,14 @@ from fastdcst import (
     scale,
     unit_root,
 )
+from fastdcst.fft_real import (
+    _rfft_scaled_lanes,
+    _rfft_scaled_rows,
+    _rfft_std_lanes,
+    _rfft_std_rows,
+    pack_lanes,
+)
+from fastdcst.scale_factors import twiddle_columns
 
 
 def test_constant_input_dc_only():
@@ -138,3 +149,39 @@ def test_rejects_bad_length(tables1024):
         rfft_conjpair([0.0] * 6)
     with pytest.raises(ValueError):
         rfft_scaled([0.0] * 8, 5, tables1024)
+
+
+# ------------------------------------------ the row recursion, breadth first
+
+ROW_SIZES = [1 << e for e in range(1, 13)] + [1 << 14, 1 << 16]
+
+
+def _rows_of(n, count, seed):
+    # count rows of n samples, with signed zeros among them
+    x = rng(36, n, seed).standard_normal((count, n))
+    x[:, ::5] = 0.0
+    x[:, 2::7] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("n", ROW_SIZES)
+def test_row_recursion_equals_the_scalar_one_bitwise(n):
+    # every rescaled variant and the plain DFT, on a block of one row and on
+    # a block of several: each row's lanes are the scalar recursion's, bit
+    # for bit, and the block's ledger is the sum of the rows' ledgers
+    tab, twiddles = ScaleTables(n), twiddle_columns(n)
+    x = _rows_of(n, 3 if n <= 4096 else 2, 0)
+    kernels = [(f"rescaled{typ}", partial(_rfft_scaled_lanes, typ, tab=tab),
+                partial(_rfft_scaled_rows, typ, tab=tab)) for typ in (0, 1, 2, 4)]
+    kernels.append(("plain", _rfft_std_lanes, partial(_rfft_std_rows, twiddles=twiddles)))
+    for name, lanes, rows in kernels:
+        want, leds = [], []
+        for row in x:
+            leds.append(FlopLedger())
+            want.append(pack_lanes(*lanes(x=row.tolist(), led=leds[-1])))
+        want = np.array(want)
+        for block in (x[:1], x):
+            led = FlopLedger()
+            got = rows(x=block, led=led)
+            assert got.tobytes() == want[:len(block)].tobytes(), (name, len(block))
+            assert led.as_tuple() == tuple(np.sum([l.as_tuple() for l in leds[:len(block)]], axis=0)), name

@@ -32,7 +32,7 @@ from fastdcst import (
     scale_factors,
     transpose_net,
 )
-from fastdcst.fft_real import half_spectrum_lanes
+from fastdcst.transpose_net import record_rows
 from fastdcst.trig_family import _transposed_spectrum_net
 
 NORMS = list(Normalization)
@@ -98,6 +98,37 @@ def test_later_calls_match_the_first_bitwise(n):
     assert isinstance(dct2._classic_state(n).plans["spectrum"], LinearNetwork)
 
 
+@pytest.mark.parametrize("n", [4096, 1 << 16])
+def test_first_call_rows_and_later_programs_agree_bitwise(n):
+    # a forward kernel's first call runs the row recursion of its real DFT
+    # and its later calls the recorded program; every kernel gives the
+    # same bytes and ledger on both, on finite input.  The rescaled
+    # kernels share the size's cached tables, so that one forward and one
+    # transposed network are recorded
+    x = rng(96, n).standard_normal(n).tolist()
+    tab = build_tables(n)
+    _forget_classic(n)
+    try:
+        for fn, args in ((dct2_classic, (Normalization.UNITARY,)),
+                         (dct2_new, (Normalization.TWO_SIDED, tab)),
+                         (dct2_scaled, (tab,)),
+                         (dst2_new, (Normalization.UNITARY_SQRT_N, tab)),
+                         (dct3_new, (Normalization.UNITARY, tab)),
+                         (dst3_new, (Normalization.TWO_SIDED, tab))):
+            calls = []
+            for _ in range(3):
+                led = FlopLedger()
+                out = fn(x, *args, ledger=led)
+                out = out.values if fn is dct2_scaled else out
+                calls.append((np.array(out).tobytes(), led.as_tuple()))
+            assert calls[1] == calls[2] == calls[0], fn.__name__
+            _forget_classic(n)  # the plain network of this size need not stay
+        assert isinstance(tab.plans["spectrum"], LinearNetwork)
+    finally:
+        _transposed_spectrum_net.cache_clear()
+        scale_factors._cached_tables.cache_clear()
+
+
 @pytest.mark.parametrize("n", [128, 512])
 def test_signed_zero_inputs_keep_their_bits(n):
     for x in ([-0.0] * n, [0.0] * n, [(-0.0, 0.0)[i % 2] for i in range(n)]):
@@ -115,7 +146,8 @@ def test_first_call_records_no_forward_network():
         _forget_classic(n)
         x = _signed_zeros(n, 2)
         calls = _forward_calls(tab)
-        with mock.patch.object(dct2, "record", wraps=record) as rec:
+        with mock.patch.object(dct2, "record_rows", wraps=record_rows) as rec, \
+             mock.patch.object(dct2, "record", wraps=record) as plan:
             for _, call in calls:
                 call(x)
             assert rec.call_count == 0, n
@@ -128,6 +160,7 @@ def test_first_call_records_no_forward_network():
                 for _, call in calls:
                     call(x)
             assert rec.call_count == 2, n
+            assert plan.call_count == 0, n
         for plans in (tab.plans, dct2._classic_state(n).plans):
             assert isinstance(plans.pop("spectrum"), LinearNetwork), n
             assert set(plans.values()) == {0}, n
@@ -171,8 +204,7 @@ def test_own_tables_get_their_own_network(make, fn):
 
 
 def _rescaled_recording(n):
-    tab = build_tables(n)
-    return record(lambda xs: half_spectrum_lanes(xs, tab, FlopLedger()), n)
+    return dct2._record_spectrum(build_tables(n))
 
 
 def test_transposed_net_is_the_transpose_of_the_forward_one():
@@ -277,13 +309,13 @@ def test_first_evaluations_of_a_shared_network_under_threads():
 
 def _spectrum_nets(n, fresh=False):
     """The rescaled, plain and transposed spectrum networks of size ``n``,
-    each with the network it compacts: the full recording, or the plain
-    reversal of the compacted forward network.  ``fresh`` records the
-    rescaled one, and transposes it, anew."""
+    each with the network it compacts: the full recording of its row
+    kernel, or the plain reversal of the compacted forward network.
+    ``fresh`` records the rescaled one, and transposes it, anew."""
     tab, classic = ScaleTables(n) if fresh else build_tables(n), dct2._classic_state(n)
     nets = []
     for t in (tab, classic):
-        full = uncompacted(lambda: record(lambda xs: dct2._spectrum(xs, t, FlopLedger()), n))
+        full = uncompacted(lambda: dct2._record_spectrum(t))
         nets.append((dct2._spectrum_net(t), full))
     forward = dct2._spectrum_net(tab)
     transposed = forward.transpose() if fresh else _transposed_spectrum_net(n)

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import corrupted_tables, rng
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from fastdcst import (
@@ -25,6 +25,7 @@ from fastdcst import (
     transpose_net,
 )
 from fastdcst.cli import _NORMS, KERNELS
+from fastdcst.transpose_net import record_rows
 
 K = dct2.PLAN_AFTER_CALLS
 TRIG = [k for k in KERNELS if k.family == "trig"]
@@ -95,10 +96,11 @@ def test_no_plans_above_the_size_cap():
     n = 2 * dct2.PLAN_MAX_SIZE
     tab = ScaleTables(n)
     x = _signed_zeros(n, 2)
-    with mock.patch.object(dct2, "record", wraps=record) as rec:
+    with mock.patch.object(dct2, "record_rows", wraps=record_rows) as rec, \
+         mock.patch.object(dct2, "record", wraps=record) as plan:
         for _ in range(K + 1):
             dct2_new(x, Normalization.UNITARY, tab)
-    assert rec.call_count == 1
+    assert (rec.call_count, plan.call_count) == (1, 0)
     assert isinstance(tab.plans.pop("spectrum"), LinearNetwork)
     assert set(tab.plans.values()) == {0}
 
@@ -273,7 +275,8 @@ def _assert_round_trip(forward, inverse, tables, path, x):
 
 # ------------------------------------------- properties at the program sizes
 
-PROGRAM_SIZES = [128, 256]
+# ROWS_MIN_SIZE: from there on a first call runs the real DFT as rows
+PROGRAM_SIZES = [128, 256, dct2.ROWS_MIN_SIZE]
 PROGRAM_PATHS = ["first", "later"]
 # a failing example is reported as found: shrinking lists of 256 floats takes minutes
 NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
@@ -284,8 +287,9 @@ def _program_path(path, n, first_call):
     ``path`` on the table set ``tables()`` inside ``context``.
 
     "first": every call is its configuration's first (see
-    :func:`_fresh_state`), so it runs the scalar real DFT, its lanes
-    wrapped in an array.  "later": after
+    :func:`_fresh_state`), so it runs the real DFT itself: the scalar
+    recursion, its lanes wrapped in an array, below ``ROWS_MIN_SIZE`` and
+    the row recursion from it on.  "later": after
     ``first_call(tab)``, so the forward kernels run their real DFT as a
     levelized program.  The DCT-III/DST-III run their transposed program
     on both.
@@ -295,6 +299,13 @@ def _program_path(path, n, first_call):
     tab = ScaleTables(n)
     first_call(tab)
     return (lambda: tab), contextlib.nullcontext()
+
+
+def _at_rows_size(seed):
+    # a signal of ROWS_MIN_SIZE samples, so that every property runs on the
+    # first calls' row recursion whatever the sizes drawn
+    return (rng(91, seed).uniform(1e-3, 1e3, dct2.ROWS_MIN_SIZE)
+            * rng(92, seed).choice([-1.0, 1.0], dct2.ROWS_MIN_SIZE)).tolist()
 
 
 def _program_signals(count):
@@ -307,6 +318,7 @@ def _program_signals(count):
 @pytest.mark.parametrize("kernel,norm_name", CONFIGS)
 @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
 @given(_program_signals(2), finite, finite)
+@example((_at_rows_size(0), _at_rows_size(1)), 0.5, -3.0)
 def test_linearity_and_value_free_ledger_at_program_sizes(kernel, norm_name, path, xy, a, b):
     x, y = xy
     tables, on_path = _program_path(
@@ -319,6 +331,7 @@ def test_linearity_and_value_free_ledger_at_program_sizes(kernel, norm_name, pat
                          ids=["dct", "dst"])
 @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
 @given(_program_signals(1))
+@example((_at_rows_size(2),))
 def test_unitary_round_trip_at_program_sizes(forward, inverse, path, signals):
     (x,) = signals
     tables, on_path = _program_path(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     assert_compaction_of,
+    canonical_forms,
     compacted,
     max_rel,
     reference_compaction,
@@ -28,9 +29,11 @@ from fastdcst import (
     transpose_net,
 )
 from fastdcst.cli import _NORMS, KERNELS
-from fastdcst.dct2 import _classic_state, _dct2_new_lanes, _dct2_scaled_lanes, _spectrum
-from fastdcst.fft_complex import _fft_scaled_lanes, _fft_std_lanes
-from fastdcst.fft_real import half_spectrum_lanes
+from fastdcst.dct2 import _classic_state, _dct2_new_lanes, _dct2_scaled_lanes
+from fastdcst.fft_complex import _fft_scaled_lanes, _fft_std_lanes, _tmul
+from fastdcst.fft_real import _tmul_rows, half_spectrum_lanes, pack_lanes
+from fastdcst.scale_factors import _column_cases
+from fastdcst.transpose_net import record_rows
 from fastdcst.trig_family import (
     _dct3_new_lanes,
     _dst2_new_lanes,
@@ -376,7 +379,7 @@ def _complex_adapter(fn, n):
 
 
 KERNEL_CASES = []
-for n in (4, 16, 32):
+for n in (4, 16, 32, dct2.ROWS_MIN_SIZE):
     tab_n = build_tables(n)
     KERNEL_CASES += [
         pytest.param(n, "dct2_classic",
@@ -499,55 +502,45 @@ def test_dumps_edge_list():
     int(src), int(dst), float(w)
 
 
-def _full_trace(monkeypatch):
-    # the recorder without splicing: every call is traced scalar by scalar
-    monkeypatch.setattr(transpose_net._Trace, "splice", lambda self, kernel, *args: kernel(*args))
+def _row_recording(tab):
+    # tab's real DFT recorded by its row kernel, as dct2 records it, and its ledger
+    _, _, rows = dct2._real_dft(tab)
+    led = FlopLedger()
+    return record_rows(lambda ins: rows(ins[None], led), tab.size), led.as_tuple()
+
+
+def _scalar_recording(tab):
+    # tab's real DFT recorded by its scalar kernel on TraceScalar values, and its ledger
+    _, lanes, _ = dct2._real_dft(tab)
+    led = FlopLedger()
+    return record(lambda ins: pack_lanes(*lanes(list(ins), led)), tab.size), led.as_tuple()
 
 
 def _spectrum_record(tab):
-    led = FlopLedger()
-    net = record(lambda ins: _spectrum(ins, tab, led), tab.size)
-    return net.dumps(), led.as_tuple()
-
-
-def _full_recordings(tabs):
-    # the recordings of both real DFTs uncompacted, so a splice fault that
-    # compaction would erase (an input read mapped to an alias's source, say)
-    # shows
-    return uncompacted(lambda: [_spectrum_record(t) for t in tabs])
+    net, led = _row_recording(tab)
+    return net.dumps(), led
 
 
 SPECTRUM_SIZES = [1 << e for e in range(1, 13)]
 
 
-def test_spliced_spectrum_recordings_equal_the_full_trace(monkeypatch):
-    # both real DFTs at N=2..4096: the same vertex ids, edge order and ledger
-    tabs = [t for n in SPECTRUM_SIZES for t in (build_tables(n), _classic_state(n))]
-    spliced = _full_recordings(tabs)
-    _full_trace(monkeypatch)
-    assert _full_recordings(tabs) == spliced
-
-
-def test_a_recording_splices_its_repeated_sub_transforms(monkeypatch):
-    traced, calls = [], []
-    traced_call, splice = transpose_net._traced_call, transpose_net._Trace.splice
-    monkeypatch.setattr(transpose_net, "_traced_call",
-                        lambda *a: traced.append(a) or traced_call(*a))
-    monkeypatch.setattr(transpose_net._Trace, "splice",
-                        lambda self, *a: calls.append(a) or splice(self, *a))
-    _spectrum_record(build_tables(1024))
-    # at most three distinct (variant, size) sub-transforms per size are
-    # traced, and every other call is spliced in
-    assert len(traced) <= 3 * 10 and len(calls) > 2 * len(traced)
-
-
-def _plans(n):
-    # every plan of the cosine/sine kernels at size n, recorded uncompacted
-    # on the first call, each on fresh tables
-    return uncompacted(lambda: _recorded_plans(n))
+@pytest.mark.parametrize("make", [uncompacted, lambda f: f()], ids=["full", "compacted"])
+def test_spectrum_recordings_are_isomorphic_to_the_full_trace(make):
+    # both real DFTs at N=2..4096: the row kernel's recording is the scalar
+    # trace renumbered, with the same ledger, before compaction and after
+    for n in SPECTRUM_SIZES:
+        for tab in (ScaleTables(n), _classic_state(n)):
+            (rows, led_rows), (scalar, led_scalar) = make(
+                lambda t=tab: (_row_recording(t), _scalar_recording(t)))
+            assert led_rows == led_scalar == rows.structural_flops(), n
+            form_rows, form_scalar = canonical_forms(rows, scalar)
+            assert form_rows == form_scalar, n
+            assert (rows.n_vertices, len(rows.edges)) == (scalar.n_vertices, len(scalar.edges))
 
 
 def _recorded_plans(n):
+    # every plan of the cosine/sine kernels at size n, recorded on the first
+    # call, each on fresh tables, with its ledger
     out = []
     with mock.patch.object(dct2, "PLAN_AFTER_CALLS", 1):
         for kernel in KERNELS:
@@ -559,7 +552,7 @@ def _recorded_plans(n):
                 kernel.run([0.0] * n, _NORMS[norm_name], tab, led)
                 nets = [p for p in tab.plans.values() if isinstance(p, LinearNetwork)]
                 assert len(nets) == 1
-                out.append((nets[0].dumps(), led.as_tuple()))
+                out.append((nets[0], led.as_tuple()))
     return out
 
 
@@ -572,69 +565,82 @@ def _fresh_tables(kernel, n):
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
-def test_spliced_plans_equal_the_full_trace(monkeypatch, n):
+def test_plans_are_isomorphic_to_the_full_trace(monkeypatch, n):
+    # the DCT-III/DST-III plans record through the transposed spectrum
+    # network; with the spectrum network the scalar trace in place of the
+    # row recording, every plan is the same graph renumbered, with its ledger
     _transposed_spectrum_net.cache_clear()
-    spliced = _plans(n)
-    _full_trace(monkeypatch)
+    plans = uncompacted(lambda: _recorded_plans(n))
+    monkeypatch.setattr(dct2, "_record_spectrum", lambda tab: _scalar_recording(tab)[0])
     _transposed_spectrum_net.cache_clear()
-    assert _plans(n) == spliced
-
-
-def _leaf(x, led):
-    # an n=1 leaf: its output is its input, passed through
-    return [x[0]], [None]
-
-
-def _pair(x, led):
-    led.adds += 2
-    return [x[0] + x[1], x[0] - 2.0 * x[1]], [None, None]
-
-
-@pytest.mark.parametrize("case", ["leaf", "pair", "repeated input", "repeated first",
-                                  "reads outside", "returns outside", "returns a constant"])
-def test_splice_edge_cases_equal_the_full_trace(monkeypatch, case):
-    outside = {}
-
-    def reads_outside(x, led):
-        return [x[0] + outside["v"]], [None]
-
-    def returns_outside(x, led):
-        return [outside["v"]], [x[0] * 3.0]
-
-    def returns_a_constant(x, led):
-        return [x[0] * 3.0], [0.0]
-
-    kernel = {"leaf": _leaf, "pair": _pair, "repeated input": _pair, "repeated first": _pair,
-              "reads outside": reads_outside, "returns outside": returns_outside,
-              "returns a constant": returns_a_constant}[case]
-
-    def whole(ins):
-        led, outs = ledgers[-1], []
-        tr = ins[0].trace
-        for i in range(4):
-            outside["v"] = ins[(i + 2) % 5]
-            repeated = {"repeated input": i % 2, "repeated first": i == 0}.get(case)
-            x = [ins[i], ins[i] if repeated else ins[i + 1]]
-            for lane in tr.splice(kernel, x, led):
-                outs += [v for v in lane if isinstance(v, transpose_net.TraceScalar)]
-        return outs
-
-    ledgers = [FlopLedger()]
-    spliced = uncompacted(lambda: record(whole, 5)).dumps()
-    _full_trace(monkeypatch)
-    ledgers.append(FlopLedger())
-    assert uncompacted(lambda: record(whole, 5)).dumps() == spliced
-    assert ledgers[0] == ledgers[1]
+    full = uncompacted(lambda: _recorded_plans(n))
+    _transposed_spectrum_net.cache_clear()
+    assert [led for _, led in plans] == [led for _, led in full]
+    for (net, _), (want, _) in zip(plans, full):
+        form, form_full = canonical_forms(net, want)
+        assert form == form_full
 
 
 def test_two_recordings_in_threads_agree():
-    # the full recordings, and the compacted networks record() returns
+    # the full recordings, and the compacted networks record_rows() returns
     tabs = [build_tables(1024), _classic_state(1024)]
     with ThreadPoolExecutor(2) as pool:
         for make in (uncompacted, lambda f: f()):
             want = make(lambda: [_spectrum_record(t) for t in tabs])
             got = make(lambda: list(pool.map(_spectrum_record, tabs * 2)))
             assert got == want * 2
+
+
+def test_row_tmul_runs_each_case_on_its_own_columns():
+    # the real DFTs meet only t-factors 1 - i*tan, so all four cases of
+    # _tmul are put side by side here, one column each at least: on floats
+    # the row form gives the scalar form's bits and ledger, and recorded it
+    # is the scalar trace renumbered
+    unit = np.array([True, False, True, False, True, False, True])
+    negated = np.array([False, False, True, True, False, True, True])
+    coef = rng(57).standard_normal(7)
+    cases = _column_cases(unit, negated, coef)
+    assert len(cases) == 4
+    signed = [(bool(u), -1.0 if g else 1.0, c) for u, g, c in zip(unit, negated, coef.tolist())]
+    zr, zi = rng(58).standard_normal((2, 3, 7))
+    led, scalar_led = FlopLedger(), FlopLedger()
+    re, im = _tmul_rows(cases, zr, zi, led)
+    want = [[_tmul(ts, a, b, scalar_led) for ts, a, b in zip(signed, ra, rb)]
+            for ra, rb in zip(zr.tolist(), zi.tolist())]
+    assert np.stack((re, im), axis=-1).tobytes() == np.array(want).tobytes()
+    assert led == scalar_led
+
+    def rows(ins):
+        re, im = _tmul_rows(cases, ins[None, :7], ins[None, 7:], FlopLedger())
+        out = ins.empty((2, 7))
+        out[0], out[1] = re[0], im[0]
+        return out
+
+    def scalars(ins):
+        pairs = [_tmul(ts, a, b, FlopLedger()) for ts, a, b in zip(signed, ins[:7], ins[7:])]
+        return [p[0] for p in pairs] + [p[1] for p in pairs]
+
+    for make in (uncompacted, lambda f: f()):
+        by_rows, by_scalars = make(lambda: (record_rows(rows, 14), record(scalars, 14)))
+        form_rows, form_scalars = canonical_forms(by_rows, by_scalars)
+        assert form_rows == form_scalars
+
+
+def test_trace_rows_refuse_what_is_not_linear():
+    for kernel, match in ((lambda x: x + 1.0, "adding a constant"),
+                          (lambda x: np.ones(2) + x, "adding a constant"),
+                          (lambda x: 1.0 - x, "from a constant"),
+                          (lambda x: x * x, "product of two traced values"),
+                          (lambda x: x / 2.0, "must not divide"),
+                          (lambda x: np.zeros(2), "not traced")):
+        with pytest.raises(TraceError, match=match):
+            record_rows(kernel, 2)
+
+
+def test_trace_rows_weigh_each_column_by_its_constant():
+    net = record_rows(lambda x: np.array([0.5, 3.0]) * x[None] + x[None] * 2.0, 2)
+    assert net.eval([1.0, 10.0]) == [2.5, 50.0]
+    assert sorted(w for _, _, w in net.edges.tolist()) == [0.5, 1.0, 1.0, 2.0, 2.0, 3.0]
 
 
 def test_traced_multiplication_takes_any_real_as_a_float_weight():

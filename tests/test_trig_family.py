@@ -127,7 +127,7 @@ def test_rejects_bad_sizes():
 
 
 def test_dct3_at_65536():
-    # the spliced record and the sliced tables make the transposed network
+    # the row recording and the sliced tables make the transposed network
     # affordable here; numpy.fft of the 4N extension is the reference
     n = 1 << 16
     x = rng(49, n).standard_normal(n)
