@@ -145,10 +145,18 @@ class Kernel:
         return got
 
     def reference(self, x, norm):
+        """The oracle's outputs for ``x``, one signal or one per row.
+
+        ``norm`` is one Normalization or a tuple of them, which stacks the
+        outputs on a leading axis from one oracle sum; the DFT families
+        have no norm, so each entry of their stack is the same array.
+        """
         if self.family == "trig":
             return _NAIVE[self.kind](x, norm)
         want = naive_dft(x)
-        return want if self.family == "fft" else want[: len(x) // 2 + 1]
+        if self.family == "rfft":
+            want = want[..., : np.shape(x)[-1] // 2 + 1]
+        return [want] * len(norm) if isinstance(norm, tuple) else want
 
     def ledger_fault(self, n, norm_name, led, seen):
         """Why ``led`` breaks this kernel's expectation, or None."""
@@ -321,16 +329,20 @@ def _verify_size(n, trials, seed, tab, reports):
     for family in _TAGS:
         kernels = [k for k in KERNELS if k.family == family]
         inputs = [_signal(family, seed, n, trial) for trial in range(trials)]
-        for normname in dict.fromkeys(nm for k in kernels for nm in k.norms):
-            norm = _NORMS.get(normname)
-            wants = {}
+        normnames = tuple(dict.fromkeys(nm for k in kernels for nm in k.norms))
+        norms = tuple(_NORMS.get(nm) for nm in normnames)
+        # each kind's references over every trial and norm, from one sum
+        block = np.array(inputs)
+        wants = {}
+        for k in kernels:
+            if k.kind not in wants:
+                wants[k.kind] = k.reference(block, norms)
+        for i, (normname, norm) in enumerate(zip(normnames, norms)):
             for k in kernels:
                 if normname not in k.norms:
                     continue
-                if k.kind not in wants:
-                    wants[k.kind] = [k.reference(x, norm) for x in inputs]
                 ledgers, errors = [], []
-                for x, want in zip(inputs, wants[k.kind]):
+                for x, want in zip(inputs, wants[k.kind][i]):
                     led = FlopLedger()
                     got = k.outputs(x, norm, tab, diag, led)
                     errors.append(_rel_errors(got, want))
@@ -390,7 +402,7 @@ def cmd_accuracy(max_size=4096, trials=5, seed=0, out=None):
             xs = inputs[k.family]
             norm = _NORMS.get(k.norms[0])
             if (k.kind, norm) not in wants:
-                wants[k.kind, norm] = [k.reference(x, norm) for x in xs]
+                wants[k.kind, norm] = k.reference(np.array(xs), norm)
             want = wants[k.kind, norm]
             d = [np.asarray(k.outputs(x, norm, tab, diag, None)) - w
                  for x, w in zip(xs, want)]

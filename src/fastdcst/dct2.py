@@ -60,7 +60,7 @@ from .fft_real import (
     pack_lanes,
 )
 from .flops import FlopLedger, checked_log2
-from .scale_factors import ScaleTables, unit_root
+from .scale_factors import ScaleTables
 from .transpose_net import record, record_rows
 
 __all__ = [
@@ -117,7 +117,11 @@ def _classic_state(n):
     # cost a build it never reads: its output-stage constants 2*unit_root(k,
     # 4N) folded per normalization, the plain twiddles of the row kernel,
     # and its call counts, plans and plain spectrum network
-    stage = sf.dct_stage(n, [2.0 * unit_root(k, 4 * n) for k in range(n // 2)])
+    # k < N/2 stays in unit_root's first octant, where its argument is the
+    # trig row's 2*pi*k/(4N) bit for bit
+    cos, sin = sf._trig_row(4 * n)
+    h = n // 2
+    stage = sf.dct_stage(n, 2.0 * (cos[:h] - 1j * sin[:h]))
     return SimpleNamespace(size=n, plans={}, dct_stage=stage.__getitem__,
                            twiddles=sf.twiddle_columns(n))
 

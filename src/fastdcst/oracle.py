@@ -11,7 +11,14 @@ to extended precision:
 * accumulation is compensated: the exact rounding error of every
   addition (Knuth's TwoSum, the same term Neumaier's ordered form
   yields) is carried per output bin, vectorized across bins and
-  sequential over the summation index.
+  signals, sequential over the summation index.
+
+Every oracle takes one signal or a 2-D block of signals, one per row,
+and the cosine/sine oracles one normalization or a tuple of them: a
+block gives one output row per signal, a tuple stacks the outputs on a
+leading axis, one entry per norm, from one compensated sum.  Each output
+element sees the float operations of the one-signal sum, in its order,
+so batching changes no bit.
 """
 
 from __future__ import annotations
@@ -68,83 +75,108 @@ def _quarter_wave(n4):
     return w.real.copy(), (-w.imag).copy()
 
 
+def _block(x, dtype):
+    # x as a 2-D block of signals, one per row, and whether it was one signal
+    xs = np.asarray(x, dtype=dtype)
+    if xs.ndim not in (1, 2):
+        raise ValueError(f"expected one signal or a 2-D block of them, "
+                         f"got {xs.ndim} dimensions")
+    return np.atleast_2d(xs), xs.ndim == 1
+
+
 def naive_dft(x):
-    """X[k] = sum_n x[n] * exp(-2*pi*i*n*k/N) by direct summation."""
-    xs = np.asarray(x, dtype=complex)
-    n = len(xs)
+    """X[k] = sum_n x[n] * exp(-2*pi*i*n*k/N) by direct summation, per row."""
+    xs, one = _block(x, complex)
+    n = xs.shape[1]
     if n == 0:
         raise ValueError("empty signal")
     w = _roots(n)
     ks = np.arange(n, dtype=np.int64)
-    acc = _Accumulator(2 * n)  # interleaved real and imaginary parts
+    acc = _Accumulator((len(xs), 2 * n))  # interleaved real and imaginary parts
     for j in range(n):
-        acc.add((xs[j] * w[(j * ks) % n]).view(float))
-    return acc.value().view(complex)
+        acc.add((xs[:, j, None] * w[(j * ks) % n]).view(float))
+    out = acc.value().view(complex)
+    return out[0] if one else out
 
 
 def _cos_sum(xs, phases_for, weights, use_sin):
-    # sum_j weights[j] * xs[j] * trig(2*pi*phase/(4N)), one bin per phase row
-    n = len(xs)
+    # sum_j weights[w, j] * xs[r, j] * trig(2*pi*phase/(4N)), one bin per
+    # phase row, for every weight row w and signal row r: (weights, rows, N)
+    rows, n = xs.shape
     cos_t, sin_t = _quarter_wave(4 * n)
     table = sin_t if use_sin else cos_t
-    acc = _Accumulator(n)
+    acc = _Accumulator((len(weights), rows, n))
     ks = np.arange(n, dtype=np.int64)
-    for j, xv in enumerate(xs):
+    for j in range(n):
         idx = phases_for(j, ks) % (4 * n)
-        acc.add((weights[j] * xv) * table[idx])
+        acc.add((weights[:, j, None] * xs[:, j])[..., None] * table[idx])
     return acc.value()
 
 
-def _dct2_prefactor(n, norm, k):
-    # row factors applied after the raw cosine sum
+def _trig_oracle(x, norm, factors, phases_for, use_sin, transposed):
+    # factors(n, norm) scale the raw sum's outputs (DCT-II, DST-II), or
+    # weight its inputs when transposed (DCT-III, DST-III)
+    xs, one = _block(x, float)
+    norms = norm if isinstance(norm, tuple) else (norm,)
+    n = xs.shape[1]
+    f = np.array([factors(n, nm) for nm in norms])
+    if transposed:
+        out = _cos_sum(xs, phases_for, f, use_sin)
+    else:
+        out = f[:, None] * _cos_sum(xs, phases_for, np.ones((1, n)), use_sin)
+    if one:
+        out = out[:, 0]
+    return out if isinstance(norm, tuple) else out[0]
+
+
+def _dct2_prefactor(n, norm):
+    # the factor of bin k = 0 .. N-1
     if norm is Normalization.TWO_SIDED:
-        return np.full(len(k), 2.0)
-    delta = (k == 0).astype(float)
+        return np.full(n, 2.0)
+    delta = (np.arange(n) == 0).astype(float)
+    if norm is Normalization.UNITARY:
+        return np.sqrt((2.0 - delta) / n)
+    return np.sqrt(2.0 - delta)
+
+
+def _dst2_prefactor(n, norm):
+    # the factor of bin k = 1 .. N; the half-weight sits on k = N
+    if norm is Normalization.TWO_SIDED:
+        return np.full(n, 2.0)
+    delta = (np.arange(1, n + 1) == n).astype(float)
     if norm is Normalization.UNITARY:
         return np.sqrt((2.0 - delta) / n)
     return np.sqrt(2.0 - delta)
 
 
 def naive_dct2(x, norm=Normalization.TWO_SIDED):
-    """C[k] = f(k) * sum_n x[n] * cos(pi*(n + 1/2)*k/N)."""
-    xs = np.asarray(x, dtype=float)
-    n = len(xs)
-    raw = _cos_sum(xs, lambda j, ks: (2 * j + 1) * ks, np.ones(n), False)
-    return _dct2_prefactor(n, norm, np.arange(n)) * raw
+    """C[k] = f(k) * sum_n x[n] * cos(pi*(n + 1/2)*k/N).
+
+    ``x`` is one signal or a 2-D block of them, one per row.  ``norm`` is
+    one Normalization or a tuple of them, which stacks the outputs on a
+    leading axis from one sum.  The same holds for the other three
+    cosine/sine oracles.
+    """
+    return _trig_oracle(x, norm, _dct2_prefactor,
+                        lambda j, ks: (2 * j + 1) * ks, False, False)
 
 
 def naive_dct3(x, norm=Normalization.TWO_SIDED):
     """C[k] = sum_n g(n) * x[n] * cos(pi*n*(k + 1/2)/N): the dct2 transpose."""
-    xs = np.asarray(x, dtype=float)
-    n = len(xs)
-    weights = _dct2_prefactor(n, norm, np.arange(n))  # column factors now
-    return _cos_sum(xs, lambda j, ks: j * (2 * ks + 1), weights, False)
-
-
-def _dst2_prefactor(n, norm, k):
-    # k runs 1..N here; the half-weight sits on k = N
-    if norm is Normalization.TWO_SIDED:
-        return np.full(len(k), 2.0)
-    delta = (k == n).astype(float)
-    if norm is Normalization.UNITARY:
-        return np.sqrt((2.0 - delta) / n)
-    return np.sqrt(2.0 - delta)
+    return _trig_oracle(x, norm, _dct2_prefactor,
+                        lambda j, ks: j * (2 * ks + 1), False, True)
 
 
 def naive_dst2(x, norm=Normalization.TWO_SIDED):
     """S[k] = f(k) * sum_n x[n] * sin(pi*(n + 1/2)*k/N), slot j = k - 1."""
-    xs = np.asarray(x, dtype=float)
-    n = len(xs)
-    raw = _cos_sum(xs, lambda j, ks: (2 * j + 1) * (ks + 1), np.ones(n), True)
-    return _dst2_prefactor(n, norm, np.arange(1, n + 1)) * raw
+    return _trig_oracle(x, norm, _dst2_prefactor,
+                        lambda j, ks: (2 * j + 1) * (ks + 1), True, False)
 
 
 def naive_dst3(x, norm=Normalization.TWO_SIDED):
     """S[k] = sum_m g(m) * x[m] * sin(pi*m*(k + 1/2)/N), input slot j = m - 1."""
-    xs = np.asarray(x, dtype=float)
-    n = len(xs)
-    weights = _dst2_prefactor(n, norm, np.arange(1, n + 1))
-    return _cos_sum(xs, lambda j, ks: (j + 1) * (2 * ks + 1), weights, True)
+    return _trig_oracle(x, norm, _dst2_prefactor,
+                        lambda j, ks: (j + 1) * (2 * ks + 1), True, True)
 
 
 def embed_4n(x):

@@ -311,8 +311,8 @@ def dct_stage(size: int, twiddles) -> dict:
     ``sqrt(2)`` over a power of two, so on ``2*unit_root`` twiddles the
     products round exactly like those factors times the unit root.
     """
-    re = np.array([c.real for c in twiddles])
-    im = np.array([c.imag for c in twiddles])
+    tw = np.asarray(twiddles, dtype=complex)
+    re, im = tw.real.copy(), tw.imag.copy()
     u = math.sqrt(2.0 / size) / 2.0
     r = math.sqrt(0.5)
     c0 = 1.0 / math.sqrt(size)

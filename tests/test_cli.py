@@ -1,3 +1,4 @@
+import io
 from unittest import mock
 
 import numpy as np
@@ -250,6 +251,30 @@ def test_verify_seed_stability(capsys):
     first = capsys.readouterr().out
     assert main(["verify", "--max-size", "16", "--trials", "2", "--seed", "9"]) == 0
     assert capsys.readouterr().out == first
+
+
+def _one_signal_at_a_time(oracle):
+    # the unbatched reference: one oracle call per signal and norm
+    def per_signal(xs, norm=None):
+        norms = norm if isinstance(norm, tuple) else (norm,)
+        args = [() if nm is None else (nm,) for nm in norms]
+        out = np.array([[oracle(x.copy(), *a) for x in np.atleast_2d(xs)] for a in args])
+        out = out if np.ndim(xs) == 2 else out[:, 0]
+        return out if isinstance(norm, tuple) else out[0]
+    return per_signal
+
+
+def test_verify_report_is_the_per_signal_oracles_report(monkeypatch):
+    # the batched references give the report byte for byte
+    batched = io.StringIO()
+    assert cli.cmd_verify(max_size=256, trials=3, out=batched) == 0
+    monkeypatch.setattr(cli, "naive_dft", _one_signal_at_a_time(cli.naive_dft))
+    monkeypatch.setattr(cli, "_NAIVE", {kind: _one_signal_at_a_time(fn)
+                                        for kind, fn in cli._NAIVE.items()})
+    single = io.StringIO()
+    assert cli.cmd_verify(max_size=256, trials=3, out=single) == 0
+    assert batched.getvalue() == single.getvalue()
+    assert len(batched.getvalue().splitlines()) == 1 + 26 * 8
 
 
 def test_verify_fault_injection(capsys):

@@ -143,3 +143,59 @@ def test_accumulator_matches_ordered_neumaier():
     got = acc.value()
     assert np.array_equal(got, s + c)
     assert np.array_equal(np.signbit(got), np.signbit(s + c))
+
+
+_KINDS = (naive_dct2, naive_dct3, naive_dst2, naive_dst3)
+_ALL_NORMS = tuple(Normalization)
+
+
+@pytest.mark.parametrize("n, rows", [
+    *((n, rows) for n in (2, 3, 4, 8, 16, 32, 64, 100, 128) for rows in (1, 2, 3, 7)),
+    (256, 7), (512, 3), (1024, 2),  # each per-signal sum costs O(N^2)
+])
+def test_batched_oracles_equal_the_per_signal_oracle_bitwise(n, rows):
+    # one sum over every row and norm: each element sees the float operations
+    # of the one-signal, one-norm sum, in its order
+    g = rng(70, n, rows)
+    xr = g.standard_normal((rows, n))
+    xc = g.standard_normal((rows, n)) + 1j * g.standard_normal((rows, n))
+    for fn in _KINDS:
+        got = fn(xr, _ALL_NORMS)
+        assert got.shape == (len(_ALL_NORMS), rows, n)
+        for norm, block in zip(_ALL_NORMS, got):
+            assert block.tobytes() == fn(xr, norm).tobytes()  # one norm, all rows
+            for x, want in zip(xr, block):
+                assert want.tobytes() == fn(x.copy(), norm).tobytes()
+    for xs in (xc, xr):  # complex rows, and real rows read as complex
+        got = naive_dft(xs)
+        assert got.shape == (rows, n) and got.dtype == complex
+        for x, want in zip(xs, got):
+            assert want.tobytes() == naive_dft(x.copy()).tobytes()
+
+
+def test_accumulator_on_a_block_equals_a_run_per_row():
+    g = rng(71)
+    terms = g.standard_normal((200, 3, 64)) * 10.0 ** g.integers(-12, 12, (200, 3, 64))
+    block = _Accumulator((3, 64))
+    rows = [_Accumulator(64) for _ in range(3)]
+    for term in terms:
+        block.add(term)
+        for acc, t in zip(rows, term):
+            acc.add(t.copy())
+    got = block.value()
+    for r, acc in enumerate(rows):
+        assert got[r].tobytes() == acc.value().tobytes()
+
+
+@pytest.mark.parametrize("fn", _KINDS + (naive_dft,))
+def test_one_signal_gives_one_row(fn):
+    x = rng(72).standard_normal(8)
+    assert fn(x).shape == (8,)
+    assert fn(list(x)).shape == (8,)
+    assert fn(x[None]).shape == (1, 8)
+    if fn is not naive_dft:
+        assert fn(x, _ALL_NORMS[:2]).shape == (2, 8)
+        assert fn(x, (Normalization.UNITARY,)).shape == (1, 8)
+        assert fn(x[None], _ALL_NORMS).shape == (3, 1, 8)
+    with pytest.raises(ValueError, match="2-D block"):
+        fn(np.zeros((2, 2, 8)))
