@@ -94,15 +94,21 @@ def write_signal(path, values):
 
 
 def _rel_errors(got, want):
+    # the max and rms relative errors of each row of got (trials x bins)
+    # against want's, as two lists; each norm is one dot per row, as
+    # np.linalg.norm takes it, so every error is that of the row alone
     got = np.asarray(got, dtype=complex)
     want = np.asarray(want, dtype=complex)
     diff = np.abs(got - want)
-    scale = np.max(np.abs(want))
-    if scale == 0.0:
-        worst = float(np.max(diff) if len(diff) else 0.0)
-        return (0.0, 0.0) if worst == 0.0 else (math.inf, math.inf)
-    denom = np.linalg.norm(want)
-    return float(np.max(diff) / scale), float(np.linalg.norm(diff) / denom)
+    scale = np.abs(want).max(axis=1)
+    worst = diff.max(axis=1)
+    rms = np.sqrt([d.dot(d) for d in diff])
+    denom = np.sqrt([w.real.dot(w.real) + w.imag.dot(w.imag) for w in want])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        max_rel, rms_rel = worst / scale, rms / denom
+    zero = scale == 0.0
+    max_rel[zero] = rms_rel[zero] = np.where(worst[zero] == 0.0, 0.0, math.inf)
+    return max_rel.tolist(), rms_rel.tolist()
 
 
 def _is_pow2(n):
@@ -341,18 +347,16 @@ def _verify_size(n, trials, seed, tab, reports):
             for k in kernels:
                 if normname not in k.norms:
                     continue
-                ledgers, errors = [], []
-                for x, want in zip(inputs, wants[k.kind][i]):
-                    led = FlopLedger()
-                    got = k.outputs(x, norm, tab, diag, led)
-                    errors.append(_rel_errors(got, want))
-                    ledgers.append(led)
+                ledgers, gots = [], []
+                for x in inputs:
+                    ledgers.append(FlopLedger())
+                    gots.append(k.outputs(x, norm, tab, diag, ledgers[-1]))
                 row = (k.kind, k.algo, normname)
                 if any(led != ledgers[0] for led in ledgers):
                     return row + ("ledger varies with input values",)
-                max_rel = max(e[0] for e in errors)
-                reports.append((n, *row, *ledgers[0].as_tuple(), max_rel,
-                                max(e[1] for e in errors)))
+                max_rels, rms_rels = _rel_errors(gots, wants[k.kind][i])
+                max_rel = max(max_rels)
+                reports.append((n, *row, *ledgers[0].as_tuple(), max_rel, max(rms_rels)))
                 reason = k.ledger_fault(n, normname, ledgers[0], seen)
                 if reason:
                     return row + (reason,)

@@ -116,14 +116,19 @@ def _classic_state(n):
     # what dct2_classic keeps per size in place of a table set, which would
     # cost a build it never reads: its output-stage constants 2*unit_root(k,
     # 4N) folded per normalization, the plain twiddles of the row kernel,
-    # and its call counts, plans and plain spectrum network
-    # k < N/2 stays in unit_root's first octant, where its argument is the
-    # trig row's 2*pi*k/(4N) bit for bit
+    # and its call counts, plans and plain spectrum network.  All are first-
+    # octant entries of one trig row of size 4N, whose argument 2*pi*j/(4N)
+    # rounds exactly like unit_root's: the stage takes k < N/2, and level m
+    # of the row kernel takes unit_root(k, m) for k = 1 .. m/8 - 1 as the
+    # columns (re, im, -im), at stride 4N/m
     cos, sin = sf._trig_row(4 * n)
     h = n // 2
     stage = sf.dct_stage(n, 2.0 * (cos[:h] - 1j * sin[:h]))
-    return SimpleNamespace(size=n, plans={}, dct_stage=stage.__getitem__,
-                           twiddles=sf.twiddle_columns(n))
+    twiddles = {}
+    for m in sf._levels(16, n):
+        c, s = cos[::4 * n // m][1:m >> 3], sin[::4 * n // m][1:m >> 3]
+        twiddles[m] = (c, -s, s)
+    return SimpleNamespace(size=n, plans={}, dct_stage=stage.__getitem__, twiddles=twiddles)
 
 
 def _rotate(stage, led, u0, uh, u, v):

@@ -406,7 +406,7 @@ def _rfft_std_rows(x, twiddles, led):
     :class:`~fastdcst.transpose_net.TraceRows`), breadth first, in the
     lanes of :func:`pack_lanes`, one row each.  ``twiddles`` maps each size
     16 <= m <= N to the columns of ``unit_root(k, m)`` for k = 1 .. m/8 - 1
-    (see :func:`fastdcst.scale_factors.twiddle_columns`)."""
+    (see :func:`fastdcst.dct2._classic_state`)."""
     return _pack_rows(_breadth_first(x, None, lambda v: (v, v), lambda key, b, led: _leaf(b, led),
                                      lambda *a: _std_combine(twiddles, *a), led))
 

@@ -9,11 +9,14 @@ multiplications instead of 4.
 All trigonometry happens here, once, at table-build time, with arguments
 reduced to [0, pi/4] before calling cos/sin; the transform kernels never
 evaluate a trigonometric function.  :class:`ScaleTables` calls them for
-one row, that of the top level, and takes every lower level's twiddles as
-a strided slice of it; the recurrence, the ratios and the checks then run
-as numpy elementwise operations on the same operands in the same order,
-so every entry is bitwise that of the scalar definitions :func:`scale`
-and :func:`t_factor`.
+one row, that of the top level, and takes every lower level's twiddles
+and the DCT output stage's as strided slices of it; the recurrence, the
+ratios and the checks then run as numpy elementwise operations on the
+same operands in the same order, so every entry is bitwise that of the
+scalar definitions :func:`scale`, :func:`t_factor` and :func:`unit_root`.
+Each constant is kept once, in the form its reader takes: the kernels
+read t-factors at levels up to the root size only, so the levels above
+it are checked but not kept as tuples.
 """
 
 from __future__ import annotations
@@ -123,11 +126,13 @@ class ScaleTables:
     """Every constant the rescaled kernels need, precomputed eagerly.
 
     Materializes all recursion levels for a root size ``n`` (scale values
-    up to size ``4n``), the fused t-factors, the folded scale ratios used
-    by the four mutually recursive kernel variants, and the DCT output
-    stage constants.  The scalar kernels read them one at a time through
-    the accessors; the row kernels of :mod:`fastdcst.fft_real` read each
-    level's twiddle-loop constants as float64 columns (:meth:`columns`).
+    up to size ``4n``), the fused t-factors of the levels the kernels read
+    (4 .. ``n``; those up to ``4n`` are checked too), the folded scale
+    ratios used by the four mutually recursive kernel variants, and the
+    DCT output stage constants, taken from the same trig row.  The scalar
+    kernels read them one at a time through the accessors; the row
+    kernels of :mod:`fastdcst.fft_real` read each level's twiddle-loop
+    constants as float64 columns (:meth:`columns`).
     The constants are immutable after construction.
     The one mutable part is ``plans``: per kernel configuration, a call
     count and then the recorded whole-kernel network at sizes up to
@@ -162,7 +167,9 @@ class ScaleTables:
             im.append(-sin[::r] * ratio)
         self._s: dict[int, list[float]] = {m: v.tolist() for m, v in rows.items() if m > 4}
 
-        # level m's t-factors start at m/4 - 1 in the concatenation
+        # level m's t-factors start at m/4 - 1 in the concatenation; every
+        # level is checked, and the kernels read those of levels 4 .. size,
+        # the first size/2 - 1, as tuples
         self._tstruct: dict[int, list[tuple]] = {}
         if size >= 2:
             re, im = np.concatenate(re), np.concatenate(im)
@@ -172,8 +179,8 @@ class ScaleTables:
                 m = 4 << (i + 1).bit_length() - 1
                 t = complex(re[i], im[i])
                 raise TableError(f"t({m},{i + 1 - (m >> 2)}) = {t} has no unit component")
-            ts, (unit, up, coef) = _t_structs(re, im)
-            self._tstruct = {m: ts[(m >> 2) - 1:(m >> 1) - 1] for m in rows}
+            ts, (unit, up, coef) = _t_structs(re, im, size // 2 - 1)
+            self._tstruct = {m: ts[(m >> 2) - 1:(m >> 1) - 1] for m in _levels(4, size)}
 
         # folded ratios: divisions happen here, never at transform time
         self._r2a: dict[int, list[float]] = {}
@@ -197,15 +204,12 @@ class ScaleTables:
 
         self.inv_s8_1 = 1.0 / self.s(8, 1) if size >= 2 else None
 
-        # DCT-II output stage: twiddle_dct[k] = 2 * unit_root(k, 4n) * s(n, k);
-        # for k < n/2 unit_root(k, 4n) stays in the first octant, where its
-        # argument is the top row's 2*pi*k/(4n) bit for bit
+        # DCT-II output stage 2 * unit_root(k, 4n) * s(n, k): for k < n/2
+        # unit_root(k, 4n) stays in the first octant, where its argument is
+        # the top row's 2*pi*k/(4n) bit for bit
         h = size // 2
-        self.twiddle_dct: list[complex] = [
-            2.0 * complex(c, -sn) * self.s(size, k)
-            for k, (c, sn) in enumerate(zip(cos[:h].tolist(), sin[:h].tolist()))
-        ]
-        self._stage = dct_stage(size, self.twiddle_dct)
+        s_row = np.tile(rows[size], 2) if size > 4 else 1.0
+        self._stage = dct_stage(size, 2.0 * (cos[:h] - 1j * sin[:h]) * s_row)
 
         # scaled-output DCT-II: stage constants become t(4n, k) = 1 - i*tan,
         # stored as (True, 1.0, -tan), and every output k carries the known
@@ -257,46 +261,35 @@ class ScaleTables:
         denominators differ (e.g. s(2m, m/4 - k) vs s(2m, k + m/4)); those
         foldings are only sound if the mirror/periodicity identities hold,
         so they are verified here before any transform trusts the tables.
-        All levels are checked at once, elementwise, and the first failure
-        in the order of (m, k, check) is reported.
+        Each level is checked in one pass, elementwise, and the first
+        failure in the order of (m, k, check) is reported.
         """
-        ms = list(_levels(4, self.size))
-        if not ms:
-            return
-        # level m's k-th entry is entry m/4 - 1 + k of each check, and s(m, k)
-        # entry m/4 - 2 + k of the s rows from m = 8 on, so s(2m, q) is at
-        # m/2 - 2 + q and s(4m, q) at m - 2 + q; each identity compares
-        # s[a - k] with s[b + k]
-        m = np.repeat(ms, [v >> 2 for v in ms])
-        q = m >> 2
-        k = np.arange(len(m)) + 1 - q
-        s = np.concatenate([self._s[v] for v in sorted(self._s)])
-        at2, at4 = (m >> 1) - 2 + q, m - 2 + q
-        bad = [_far(s[a - k], s[b + k]) for a, b in
-               ((at2, at2), (at4, at4 + 2 * q), (at4 + q, at4 + q))]
-        # generically weighted slots must stay non-trivial or the structural
-        # flop counts would silently drift.  Only weights of exactly +-1 are
-        # free there and a zero drops a term, so exactly those are trivial: a
-        # tolerance would reject ratio4(m, ...), which nears 1 like 1/m^2
-        generic = (k > 0) & (k != m // 8)
-        rows = [("ratio2a({m},{k})", self._r2a), ("ratio2b({m},{k})", self._r2b)]
-        rows += [(f"ratio4({{m}},{j},{{k}})", {v: r[j] for v, r in self._r4.items()})
-                 for j in range(4)]
-        for _, row in rows:
-            w = np.concatenate([row[v] for v in ms])
-            bad.append(generic & ((w == 0.0) | (np.abs(w) == 1.0)))
-        bad = np.array(bad)
-        if not bad.any():
-            return
-        i, c = divmod(int(bad.T.argmax()), len(bad))
-        m, q, k = int(m[i]), int(q[i]), int(k[i])
-        if c < 3:
-            mm, a, b = ((2 * m, q - k, k + q), (4 * m, q - k, k + 3 * q),
-                        (4 * m, 2 * q - k, k + 2 * q))[c]
-            raise TableError(f"identity violated: s({mm},{a}) vs s({mm},{b}): "
-                             f"{self.s(mm, a)!r} != {self.s(mm, b)!r}")
-        name, row = rows[c - 3]
-        raise TableError(f"{name.format(m=m, k=k)} = {row[m][k]} is trivial")
+        rows = {m: np.asarray(row) for m, row in self._s.items()}
+        for m in _levels(4, self.size):
+            q = m >> 2
+            # identity c compares s(mm, a - k) with s(mm, b + k), for
+            # (mm, a, b) = pairs[c], both within the stored quarter period
+            pairs = ((2 * m, q, q), (4 * m, q, 3 * q), (4 * m, 2 * q, 2 * q))
+            s2, s4 = rows[2 * m], rows[4 * m]
+            bad = _far(np.array([s2[q:0:-1], s4[q:0:-1], s4[2 * q:q:-1]]),
+                       np.array([s2[q:], s4[3 * q:], s4[2 * q:3 * q]]))
+            # generically weighted slots must stay non-trivial or the structural
+            # flop counts would silently drift.  Only weights of exactly +-1 are
+            # free there and a zero drops a term, so exactly those are trivial: a
+            # tolerance would reject ratio4(m, ...), which nears 1 like 1/m^2
+            k = np.arange(q)
+            w = np.array([self._r2a[m], self._r2b[m], *self._r4[m]])
+            trivial = ((k > 0) & (k != m // 8)) & ((w == 0.0) | (np.abs(w) == 1.0))
+            bad = np.concatenate((bad, trivial))
+            if not bad.any():
+                continue
+            k, c = divmod(int(bad.T.argmax()), len(bad))
+            if c < 3:
+                mm, a, b = pairs[c]
+                raise TableError(f"identity violated: s({mm},{a - k}) vs s({mm},{b + k}): "
+                                 f"{self.s(mm, a - k)!r} != {self.s(mm, b + k)!r}")
+            name = f"ratio4({m},{c - 5}," if c >= 5 else f"ratio2{'ab'[c - 3]}({m},"
+            raise TableError(f"{name}{k}) = {float(w[c - 3, k])} is trivial")
 
     def __repr__(self):
         return f"ScaleTables(size={self.size})"
@@ -341,21 +334,22 @@ def _trig_row(n):
     return np.concatenate((c, s[e - 1:0:-1])), np.concatenate((s, c[e - 1:0:-1]))
 
 
-def _t_structs(re, im):
+def _t_structs(re, im, count):
     # per t = re + i*im, (unit_re, sign, coef) for t and for conj(t):
     #   unit_re:  t = sign * (1 + i*coef)
     #   else:     t = sign * (coef + i)
-    # as a list of pairs of tuples, and unit_re, sign > 0 and the coefs of t
-    # as arrays (conj(t) has unit_re, sign > 0 where sign > 0 == unit_re,
-    # and -coef)
+    # as a list of pairs of tuples for the first count, and unit_re, sign > 0
+    # and the coefs of t as arrays for all (conj(t) has unit_re, sign > 0
+    # where sign > 0 == unit_re, and -coef)
     unit = np.abs(np.abs(re) - 1.0) <= np.abs(np.abs(im) - 1.0)
     up = np.where(unit, re, im) > 0
     coef = np.where(unit, im, re) * np.where(up, 1.0, -1.0)
-    units = unit.tolist()
+    u, p, c = unit[:count], up[:count], coef[:count]
+    units = u.tolist()
     # the signs as the two shared floats -1.0 and 1.0, not one object each
-    sign, conj_sign = _SIGNS[up.view(np.int8)].tolist(), _SIGNS[(up == unit).view(np.int8)].tolist()
-    conj = zip(units, conj_sign, (-coef).tolist())
-    return list(zip(zip(units, sign, coef.tolist()), conj)), (unit, up, coef)
+    sign, conj_sign = _SIGNS[p.view(np.int8)].tolist(), _SIGNS[(p == u).view(np.int8)].tolist()
+    conj = zip(units, conj_sign, (-c).tolist())
+    return list(zip(zip(units, sign, c.tolist()), conj)), (unit, up, coef)
 
 
 def _column_cases(unit, negated, coef):
@@ -370,20 +364,6 @@ def _column_cases(unit, negated, coef):
         if len(cols):
             cases.append((cols, u, g, coef[cols]))
     return cases
-
-
-def twiddle_columns(n: int) -> dict:
-    """``unit_root(k, m)`` for k = 1 .. m/8 - 1 at every level 16 <= m <=
-    n, as float64 columns ``(re, im, -im)`` per level.
-
-    Each level's are a strided slice of one trig row of size n: for
-    8k < m, ``unit_root`` takes cos and sin of (pi/4)*8k/m, which rounds
-    exactly like the row's 2*pi*(k*n/m)/n, so the columns are bitwise
-    ``unit_root``'s parts.
-    """
-    cos, sin = _trig_row(n)
-    return {m: (cos[::n // m][1:m >> 3], -sin[::n // m][1:m >> 3], sin[::n // m][1:m >> 3])
-            for m in _levels(16, n)}
 
 
 _SIGNS = np.array([-1.0, 1.0], dtype=object)

@@ -18,6 +18,7 @@ from fastdcst import (
     scale,
     unit_root,
 )
+from fastdcst.dct2 import _classic_state
 from fastdcst.fft_real import (
     _rfft_scaled_lanes,
     _rfft_scaled_rows,
@@ -25,7 +26,6 @@ from fastdcst.fft_real import (
     _rfft_std_rows,
     pack_lanes,
 )
-from fastdcst.scale_factors import twiddle_columns
 
 
 def test_constant_input_dc_only():
@@ -169,7 +169,7 @@ def test_row_recursion_equals_the_scalar_one_bitwise(n):
     # every rescaled variant and the plain DFT, on a block of one row and on
     # a block of several: each row's lanes are the scalar recursion's, bit
     # for bit, and the block's ledger is the sum of the rows' ledgers
-    tab, twiddles = ScaleTables(n), twiddle_columns(n)
+    tab, twiddles = ScaleTables(n), _classic_state(n).twiddles
     x = _rows_of(n, 3 if n <= 4096 else 2, 0)
     kernels = [(f"rescaled{typ}", partial(_rfft_scaled_lanes, typ, tab=tab),
                 partial(_rfft_scaled_rows, typ, tab=tab)) for typ in (0, 1, 2, 4)]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,7 +103,7 @@ def _decode_t_struct(struct):
 
 def test_unit_component_form_of_stored_t():
     tab = build_tables(256)
-    assert sorted(tab._tstruct) == [4 << e for e in range(9)]  # 4 .. 4*256
+    assert sorted(tab._tstruct) == [4 << e for e in range(7)]  # 4 .. 256, the levels read
     for m, row in tab._tstruct.items():
         assert len(row) == m // 4
         for k, (ts, tcs) in enumerate(row):
@@ -122,7 +123,8 @@ def test_build_tables_basics():
             assert row[k] > 0.0
             assert tab.s(m, k + q) == tab.s(m, k)
             assert tab.s(m, q - k) == pytest.approx(tab.s(m, k), rel=1e-13)
-    assert build_tables(64).twiddle_dct[0] == 2.0
+    c0, ch, re, im = build_tables(64).dct_stage("two-sided")
+    assert (re[0], im[0]) == (2.0, 0.0)
 
 
 def test_tables_match_recursive_scale():
@@ -174,7 +176,9 @@ def test_build_tables_cached():
     assert _transposed_spectrum_net.cache_info().currsize <= CACHED_SIZES
     again = build_tables(sizes[-1])
     assert again is not first
-    assert again.twiddle_dct == first.twiddle_dct
+    for key in ("two-sided", "unitary", "unitary-sqrtn"):
+        for a, b in zip(again.dct_stage(key), first.dct_stage(key)):
+            assert np.array_equal(a, b), key
     assert again.dct_scales == first.dct_scales
 
 
@@ -201,6 +205,8 @@ def test_table_rows_equal_the_recursive_references_bitwise(n):
     assert sorted(tab._s) == [1 << e for e in range(3, top.bit_length())]
     for m, row in tab._s.items():
         assert _bits(row) == _bits(scale(m, k) for k in range(m // 4)), m
+    # tuples for the levels the kernels read, 4 .. n
+    assert sorted(tab._tstruct) == [1 << e for e in range(2, n.bit_length())]
     for m, row in tab._tstruct.items():
         assert repr(row) == repr([_t_structs_of(t_factor(m, k)) for k in range(m // 4)]), m
     for m in tab._r2a:
@@ -214,8 +220,9 @@ def test_table_rows_equal_the_recursive_references_bitwise(n):
         assert tab.inv_s8_1 == 1.0 / scale(8, 1)
         tan = [-_t_structs_of(t_factor(top, k))[0][2] for k in range(1, n // 2)]
         assert _bits(tab.scaled_stage_tan) == _bits([0.0] + tan)
-    assert repr(tab.twiddle_dct) == repr(
-        [2.0 * unit_root(k, top) * scale(n, k) for k in range(n // 2)])
+    c0, ch, re, im = tab.dct_stage("two-sided")
+    assert repr(list(zip(re.tolist(), im.tolist()))) == repr(
+        [(t.real, t.imag) for t in (2.0 * unit_root(k, top) * scale(n, k) for k in range(n // 2))])
     assert _bits(tab.dct_scales) == _bits(2.0 * scale(top, k) for k in range(n))
 
 
@@ -236,4 +243,19 @@ def test_validate_names_the_one_bent_scale():
     tab = ScaleTables(256)
     tab._s[512][37] *= 1 + 1e-12  # s(512, q - k) for m = 256, q = 64, k = 27
     with pytest.raises(TableError, match=r"identity violated: s\(512,37\) vs s\(512,91\)"):
+        tab.validate()
+
+
+def test_validate_reports_the_first_failure_by_level_bin_and_check():
+    # two bent entries at a time: the message names the first in the order
+    # of (m, k, check)
+    tab = ScaleTables(256)
+    tab._s[512][37] *= 1 + 1e-12  # read by level 256's identities
+    tab._r2a[64][5] = 0.0
+    with pytest.raises(TableError, match=r"ratio2a\(64,5\) = 0.0 is trivial"):
+        tab.validate()
+    tab = ScaleTables(256)
+    tab._r4[64][2][3] = 1.0  # ratio4 is checked after ratio2b, but k = 3 < 7
+    tab._r2b[64][7] = -1.0
+    with pytest.raises(TableError, match=r"ratio4\(64,2,3\) = 1.0 is trivial"):
         tab.validate()
