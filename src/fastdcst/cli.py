@@ -111,6 +111,12 @@ def _rel_errors(got, want):
     return max_rel.tolist(), rms_rel.tolist()
 
 
+def _worst(errors):
+    # the largest error, or NaN if any is NaN: Python's max keeps a finite
+    # first value over a later NaN, which compares False either way
+    return max(errors, key=lambda r: (r != r, r))
+
+
 def _is_pow2(n):
     return n >= 1 and n & (n - 1) == 0
 
@@ -355,12 +361,12 @@ def _verify_size(n, trials, seed, tab, reports):
                 if any(led != ledgers[0] for led in ledgers):
                     return row + ("ledger varies with input values",)
                 max_rels, rms_rels = _rel_errors(gots, wants[k.kind][i])
-                max_rel = max(max_rels)
-                reports.append((n, *row, *ledgers[0].as_tuple(), max_rel, max(rms_rels)))
+                max_rel = _worst(max_rels)
+                reports.append((n, *row, *ledgers[0].as_tuple(), max_rel, _worst(rms_rels)))
                 reason = k.ledger_fault(n, normname, ledgers[0], seen)
                 if reason:
                     return row + (reason,)
-                if max_rel >= _VERIFY_TOL:
+                if not max_rel < _VERIFY_TOL:  # a NaN error fails too
                     return row + (f"max_rel_error {max_rel:.3e} >= {_VERIFY_TOL:.0e}",)
                 seen[row] = ledgers[0].as_tuple()
     return None
@@ -392,7 +398,8 @@ def cmd_accuracy(max_size=4096, trials=5, seed=0, out=None):
 
     A row is flagged when its error reaches ``_VERIFY_TOL`` (a kernel that
     is uniformly wrong) or exceeds twice the kernel's own median
-    ``rms / sqrt(lg N)`` scaled to that size (error that grows too fast).
+    ``rms / sqrt(lg N)`` scaled to that size (error that grows too fast),
+    and when its error or that bound is NaN.
     """
     out = out if out is not None else sys.stdout
     sizes = list(_sizes(max_size, lowest=16))
@@ -419,7 +426,7 @@ def cmd_accuracy(max_size=4096, trials=5, seed=0, out=None):
         c = sorted(cs)[len(cs) // 2]
         for n, r in zip(sizes, rms[name]):
             bound = 2.0 * c * math.sqrt(math.log2(n))
-            flagged = r > bound or r >= _VERIFY_TOL
+            flagged = not (r <= bound and r < _VERIFY_TOL)  # a NaN error is flagged too
             status |= int(flagged)
             out.write(f"{name},{n},{r:.3e},{c:.3e},{bound:.3e},{flagged}\n")
     return status

@@ -16,28 +16,30 @@ the same output bits and the same ledger.  At N <= :data:`PLAN_MAX_SIZE`
 a configuration (kernel, normalization, table set) that has been called
 :data:`PLAN_AFTER_CALLS` times records the whole kernel once as a linear
 network, its *plan*, and runs every later call as that network's
-compiled codelet.  Above :data:`PLAN_MAX_SIZE`, from a configuration's
-second call on, the forward kernels run their real DFT as a recorded
-network (a codelet or a vertex-major numpy program, by edge count): the
-rescaled one for ``dct2_new``, ``dct2_scaled`` and ``dst2_new`` (the same
-recording whose transpose the DCT-III runs), one per table set, and the
-plain one for ``dct2_classic``, one per size.  ``dct2_classic`` runs
-``dct2_new``'s kernel on its per-size state (:func:`_classic_state`) in
-place of a table set: the plain real DFT and the stage constants
-2*unit_root(k, 4N).
+compiled codelet.  Above :data:`PLAN_MAX_SIZE` and up to
+:data:`NET_MAX_SIZE`, from a configuration's second call on, the forward
+kernels run their real DFT as a recorded network (a codelet or a
+vertex-major numpy program, by edge count): the rescaled one for
+``dct2_new``, ``dct2_scaled`` and ``dst2_new`` (the same recording whose
+transpose the DCT-III runs), one per table set, and the plain one for
+``dct2_classic``, one per size.  Above NET_MAX_SIZE no network is
+recorded.  ``dct2_classic`` runs ``dct2_new``'s kernel on its per-size
+state (:func:`_classic_state`) in place of a table set: the plain real DFT
+and the stage constants 2*unit_root(k, 4N).
 
 Every call that is not a plan runs array-in, array-out: one float64
 array from the input, numpy indexing for the even/odd reorder, and an
 output stage of elementwise expressions that keep the scalar formula's
 float operations in its order, so no bit changes; the caller gets a list.
-A call that runs no network (a forward kernel's first call) computes the
-real DFT itself: by the breadth-first row recursion of
-:mod:`fastdcst.fft_real` from :data:`ROWS_MIN_SIZE` on, and by the scalar
-recursion below it, with the same bits either way.  A spectrum network
-is recorded from the row recursion on one traced row
-(:func:`~fastdcst.transpose_net.record_rows`); a plan records the whole
-kernel on object arrays of ``TraceScalar``, and runs its codelet on
-Python floats.
+A call that runs no network (a forward kernel's first call, and every call
+above NET_MAX_SIZE) computes the real DFT itself: by the breadth-first row
+recursion of :mod:`fastdcst.fft_real` from :data:`ROWS_MIN_SIZE` on, and
+by the scalar recursion below it, with the same bits either way; the
+DCT-III/DST-III run the row recursion backwards there (see
+:mod:`fastdcst.trig_family`).  A spectrum network is recorded from the row
+recursion on one traced row (:func:`~fastdcst.transpose_net.record_rows`);
+a plan records the whole kernel on object arrays of ``TraceScalar``, and
+runs its codelet on Python floats.
 """
 
 from __future__ import annotations
@@ -167,12 +169,14 @@ def _real_dft(tab):
 
 
 # A call that runs no network (a forward kernel's first call above
-# PLAN_MAX_SIZE, or a call at N <= PLAN_MAX_SIZE before its plan) takes the
-# real DFT breadth first, as rows, from this size on, and the scalar
-# recursion below it.  On cached tables (2-CPU Xeon, Python 3.11, numpy
-# 2.4, medians of 31 interleaved calls) the rescaled real DFT took 0.36
-# against 0.93 ms as rows at N=128, 0.50 against 1.15 at N=256, 0.92 against
-# 0.97 at N=512, 2.2 against 1.3 at N=1024 and 16.3 against 3.2 at N=4096;
+# PLAN_MAX_SIZE, any call above NET_MAX_SIZE, or a call at N <= PLAN_MAX_SIZE
+# before its plan) takes the real DFT breadth first, as rows, from this size
+# on, and the scalar recursion below it; a DCT-III's first call takes the
+# transposed rows from this size on, and its transposed network below it.
+# On cached tables (2-CPU Xeon, Python 3.11, numpy 2.4, medians of 31
+# interleaved calls) the rescaled real DFT took 0.36 against 0.93 ms as rows
+# at N=128, 0.50 against 1.15 at N=256, 0.92 against 0.97 at N=512, 2.2
+# against 1.3 at N=1024 and 16.3 against 3.2 at N=4096;
 # the plain one 0.32 against 0.53 at N=128, 0.41 against 0.40 at N=256,
 # 0.83 against 0.45 at N=512 and 14.0 against 1.6 at N=4096.  From N=512 on
 # the rows are level or ahead for both.
@@ -220,12 +224,23 @@ def _dct2_scaled_lanes(xs, tab, led, net=None):
 # 128 leaves a configuration called only a few dozen times free of them
 # too.  Plans for N=32 and N=64 held after a `verify --max-size 64` sweep
 # cost about 10% more peak memory, so they stop at N=16.
-# Above PLAN_MAX_SIZE the forward kernels run their real DFT as a network
-# from a configuration's second call on; the first call computes it
-# directly, so a one-shot call pays no record.
+# Above PLAN_MAX_SIZE every kernel runs its real DFT (or its transpose) as a
+# network from a configuration's second call on, up to NET_MAX_SIZE; from
+# ROWS_MIN_SIZE on the first call computes it as rows, so a one-shot call
+# pays no record.
 PLAN_MAX_SIZE = 16
 PLAN_AFTER_CALLS = 128
 _COUNT_LOCK = threading.Lock()
+
+# Above NET_MAX_SIZE no spectrum network is recorded, and every call runs
+# the real DFT (or its transpose) as rows.  Fresh processes on cached tables
+# (2-CPU Xeon, Python 3.11, numpy 2.4, medians of 9) ran the rescaled real
+# DFT as rows / its program in 4.2 / 1.6 ms at N=16384, 5.5 / 2.4 ms at
+# 32768 and 6.8 / 9.2 ms at 65536, the transposed one in 4.2 / 1.6, 5.6 /
+# 2.6 and 8.6 / 9.8 ms.  Recording, transposing and building both programs
+# took 0.34, 0.73 and 1.8 s, and the process peaked at 103, 177 and 334 MB.
+# So 32768 is the last size where a network still pays.
+NET_MAX_SIZE = 32768
 
 
 def _counted(net, led, what):
@@ -258,20 +273,22 @@ def _record_spectrum(tab):
     return _counted(net, rec, f"of the {name} real DFT at size {tab.size}")
 
 
-def _planned(tab, key, xs, led, lanes, *args, forward=False):
+def _planned(tab, key, xs, led, lanes, *args, network):
     """``lanes(xs, *args, led)``, or what repeated calls make of it, as a list.
 
     ``xs`` comes from :func:`_check_input`.  At N <= PLAN_MAX_SIZE it is
     a list, and ``tab.plans[key]`` counts the calls until the
     PLAN_AFTER_CALLS-th, which records the plan from the constants of
     ``tab`` itself; a plan runs on the list ``xs`` and ``lanes`` on it as
-    a float64 array.  Above PLAN_MAX_SIZE ``xs`` is that array already;
-    the first call of a ``forward`` kernel marks ``key`` in ``tab.plans``,
-    and from the second call on ``lanes`` gets the real DFT of ``tab`` as
-    the network of :func:`_spectrum_net`, in ``net``.  The count is kept
-    under a lock, taken only while the entry is still a count, so a plan's
-    calls take none.  Threads that race on a spectrum network may record
-    it twice, but a network is stored only once it is complete.
+    a float64 array.  Above PLAN_MAX_SIZE ``xs`` is that array already,
+    and up to NET_MAX_SIZE the first call marks ``key`` in ``tab.plans``;
+    from the second call on ``lanes`` gets ``network(tab)``, a function of
+    the table set (:func:`_spectrum_net` for the forward kernels, the
+    transposed one for the DCT-III/DST-III), in ``net``.  Above
+    NET_MAX_SIZE every call runs without one.  The count is kept under a lock, taken only while the
+    entry is still a count, so a plan's calls take none.  Threads that race
+    on a spectrum network may record it twice, but a network is stored only
+    once it is complete.
     """
     n = len(xs)
     if n <= PLAN_MAX_SIZE:
@@ -288,9 +305,9 @@ def _planned(tab, key, xs, led, lanes, *args, forward=False):
         if type(plan) is not int:
             return plan.eval(xs, led)
         xs = np.fromiter(xs, np.float64, n)
-    elif forward:
+    elif n <= NET_MAX_SIZE:
         if key in tab.plans:
-            lanes = partial(lanes, net=_spectrum_net(tab))
+            lanes = partial(lanes, net=network(tab))
         else:
             tab.plans[key] = 0
     # as on Python floats, an overflow or inf - inf gives its IEEE result silently
@@ -344,7 +361,8 @@ def dct2_classic(
     led = ledger if ledger is not None else FlopLedger()
     key = norm.value
     tab = _classic_state(len(xs))
-    return _planned(tab, ("dct2_classic", key), xs, led, _dct2_new_lanes, key, tab, forward=True)
+    return _planned(tab, ("dct2_classic", key), xs, led, _dct2_new_lanes, key, tab,
+                   network=_spectrum_net)
 
 
 def _prep(x, tables):
@@ -381,7 +399,8 @@ def dct2_new(
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
     key = norm.value
-    return _planned(tab, ("dct2_new", key), xs, led, _dct2_new_lanes, key, tab, forward=True)
+    return _planned(tab, ("dct2_new", key), xs, led, _dct2_new_lanes, key, tab,
+                   network=_spectrum_net)
 
 
 def dct2_scaled(
@@ -396,5 +415,6 @@ def dct2_scaled(
     """
     xs, tab = _prep(x, tables)
     led = ledger if ledger is not None else FlopLedger()
-    values = _planned(tab, ("dct2_scaled",), xs, led, _dct2_scaled_lanes, tab, forward=True)
+    values = _planned(tab, ("dct2_scaled",), xs, led, _dct2_scaled_lanes, tab,
+                      network=_spectrum_net)
     return ScaledDctOutput(values=values, scales=list(tab.dct_scales))

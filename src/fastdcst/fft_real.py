@@ -28,6 +28,15 @@ float64 arrays and, unchanged, on :class:`~fastdcst.transpose_net.TraceRows`
 (one vertex id per element), whose every operation appends whole edge
 columns to a recording: each vertex gets the in-edges it gets in the
 scalar trace, only numbered in another order.
+
+The rescaled rows also run backwards, as the transpose of their recorded
+network (:func:`_rfft_scaled_rows_T`, Bernstein's transposition
+principle applied per key): the lanes are unpacked, each key's transposed
+combine runs top down over the same (variant, size) keys, the leaves are
+transposed, and the split is undone bottom up as pure data movement.  The
+transpose of a network sums at each vertex the terms of its readers in the
+order they were recorded, so each transposed loop sums in the forward
+loop's write order, and its outputs are bitwise the transposed network's.
 """
 
 from __future__ import annotations
@@ -256,13 +265,34 @@ def _empty(like, shape):
     return np.empty(shape, like.dtype)
 
 
-def _stacked(parts):
-    # the rows of the blocks in parts, one block after another
-    if len(parts) == 1:
-        return parts[0]
-    if isinstance(parts[0], TraceRows):
-        return TraceRows.concatenate(parts)
-    return np.concatenate(parts)
+def _split_plan(variant, n, rows, children):
+    """The split of the sub-transform ``(variant, N)`` on ``rows`` rows,
+    breadth first: the splits ``(key, rows, even child, its first row,
+    quarter child, its first row)`` top down, one size after another, and
+    the row count of every key.
+
+    The rows of each (variant, size) key are split together: even samples
+    to the key ``(children(variant)[0], size/2)``, samples 4j+1 and then
+    4j-1 (mod size) to ``(children(variant)[1], size/4)``, each as one run
+    of rows there, placed after the runs of the keys split before it.
+    """
+    count = {(variant, n): rows}
+    splits = []
+    m = n
+    while m > 2:
+        for key in [k for k in count if k[1] == m]:
+            even, quarter = children(key[0])
+            ek, qk = (even, m >> 1), (quarter, m >> 2)
+            r, a, b = count[key], count.get(ek, 0), count.get(qk, 0)
+            count[ek], count[qk] = a + r, b + 2 * r
+            splits.append((key, r, ek, a, qk, b))
+        m >>= 1
+    return splits, count
+
+
+def _quarter_cols(m):
+    # the samples 4j-1 (mod m) of a size-m row, j = 0 .. m/4 - 1
+    return np.arange(-1, m - 1, 4) % m
 
 
 def _breadth_first(x, variant, children, leaf, combine, led):
@@ -270,48 +300,47 @@ def _breadth_first(x, variant, children, leaf, combine, led):
     on each of the N-sample rows of ``x``, as blocks of N/2 + 1 columns
     (the imaginary parts of bins 0 and N/2 are left unset).
 
-    Top down, size after size, the rows of each (variant, size) key are
-    stacked into one block and split: even samples to the key
-    ``(children(variant)[0], size/2)``, samples 4j+1 and then 4j-1 (mod
-    size) to ``(children(variant)[1], size/4)``, each as one run of rows
-    there.  Bottom up, ``leaf(key, block, led)`` transforms the keys of
-    size 1 and 2, and ``combine(key, u, z, g, led)`` every other key from
-    the half spectra of its three runs of child rows.  A key's half spectra
-    are dropped once every key that reads them is done.
+    Top down, each key's block is split into its children's
+    (:func:`_split_plan`).  Bottom up, ``leaf(key, block, led)`` transforms
+    the keys of size 1 and 2, and ``combine(key, u, z, g, led)`` every
+    other key from the half spectra of its three runs of child rows.  A
+    key's half spectra are dropped once every key that reads them is done.
     """
     n = x.shape[1]
-    rows, count = {(variant, n): [x]}, {}
-    splits = []  # (key, rows, even child, its first row, quarter child, its first row)
+    splits, count = _split_plan(variant, n, len(x), children)
+    blocks = {(variant, n): x}
+    for key, r, ek, a, qk, b in splits:
+        block = blocks.pop(key)
+        m = key[1]
+        for k in (ek, qk):
+            if k not in blocks:
+                blocks[k] = _empty(x, (count[k], k[1]))
+        blocks[ek][a:a + r] = block[:, 0::2]
+        blocks[qk][b:b + r] = block[:, 1::4]
+        blocks[qk][b + r:b + 2 * r] = block[:, _quarter_cols(m)]
+    done = {key: leaf(key, block, led) for key, block in blocks.items()}
+    del blocks
 
-    def put(key, block):
-        rows.setdefault(key, []).append(block)
-        first = count.get(key, 0)
-        count[key] = first + len(block)
-        return first
+    def step(split, u, z):
+        key, r, _, a, _, b = split
+        (ure, uim), (zre, zim) = u, z
+        return combine(key, (ure[a:a + r], uim[a:a + r]), (zre[b:b + r], zim[b:b + r]),
+                       (zre[b + r:b + 2 * r], zim[b + r:b + 2 * r]), led)
+    return _bottom_up(splits, done, step)[(variant, n)]
 
-    m = n
-    while m > 2:
-        for key in [k for k in rows if k[1] == m]:
-            block = _stacked(rows.pop(key))
-            even, quarter = children(key[0])
-            ek, qk = (even, m >> 1), (quarter, m >> 2)
-            a = put(ek, block[:, 0::2])
-            b = put(qk, block[:, 1::4])
-            put(qk, block[:, np.arange(-1, m - 1, 4) % m])
-            splits.append((key, len(block), ek, a, qk, b))
-        m >>= 1
-    done = {key: leaf(key, _stacked(parts), led) for key, parts in rows.items()}
-    del rows
+
+def _bottom_up(splits, done, step):
+    # done[key] = step(split, done[even child], done[quarter child]) for the
+    # splits, bottom up; a child's entry is dropped after its last reader
     readers = Counter(child for split in splits for child in (split[2], split[4]))
-    for key, r, ek, a, qk, b in reversed(splits):
-        (ure, uim), (zre, zim) = done[ek], done[qk]
-        done[key] = combine(key, (ure[a:a + r], uim[a:a + r]), (zre[b:b + r], zim[b:b + r]),
-                            (zre[b + r:b + 2 * r], zim[b + r:b + 2 * r]), led)
+    for split in reversed(splits):
+        key, _, ek, _, qk, _ = split
+        done[key] = step(split, done[ek], done[qk])
         for child in (ek, qk):
             readers[child] -= 1
             if not readers[child]:
                 del done[child]
-    return done[(variant, n)]
+    return done
 
 
 def _pack_rows(res):
@@ -512,6 +541,221 @@ def _rfft_scaled_rows(typ, x, tab, led):
         x, typ, lambda t: (_SUBTYPE[t], 1),
         lambda key, b, led: _leaf(b, led, tab.inv_s8_1 if key[0] == 4 else None),
         lambda *a: _scaled_combine(tab, *a), led))
+
+
+# The transposed rows.  Reversing the network of the rows sums, at each
+# vertex, the terms of its forward readers in the order they were made, so
+# each transposed loop below is the forward loop read backwards with its sums
+# in the forward write order.  The adjoint of a value that the forward loop
+# only writes negated (a bin -(...), or a -1 t-factor case) sums its readers'
+# terms negated, which keeps the sign of an exact zero; the imaginary bins
+# q .. q + e of a key (q alone for variant 4) are such values.
+
+
+def _signed(a, b, neg, plain, negated):
+    # plain(a, b), and negated(a, b) at the columns of the slice neg
+    if neg is None:
+        return plain(a, b)
+    s = np.empty_like(a)
+    for cols in (slice(None, neg.start), slice(neg.stop, None)):
+        s[:, cols] = plain(a[:, cols], b[:, cols])
+    s[:, neg] = negated(a[:, neg], b[:, neg])
+    return s
+
+
+def _add(a, b, neg):
+    # a + b, and at the columns neg (-a) - b: the same terms negated
+    return _signed(a, b, neg, lambda a, b: a + b, lambda a, b: -a - b)
+
+
+def _sub(a, b, neg):
+    # a - b, and at the columns neg b - a
+    return _signed(a, b, neg, lambda a, b: a - b, lambda a, b: b - a)
+
+
+def _tmul_rows_T(cases, w, v, sign, led, neg):
+    # the transpose of _tmul_rows: the adjoints of its operands at each
+    # column, those at the columns neg summed negated, from the adjoints w
+    # and v of the two sums that read its products (w + v for z's, w - v for
+    # g's as sign is 1 or -1)
+    led.mults += 2 * w[0].size
+    led.adds += 2 * w[0].size
+    if len(cases) == 1:
+        return _tmul_case_T(*cases[0][1:], *w, *v, sign, neg)
+    re, im = np.empty_like(w[0]), np.empty_like(w[0])
+    for cols, *case in cases:
+        terms = [t[:, cols] for t in (*w, *v)]
+        # the case's columns in neg, a run of them as cols ascend
+        at = slice(*np.searchsorted(cols, (neg.start, neg.stop)))
+        re[:, cols], im[:, cols] = _tmul_case_T(*case, *terms, sign, at)
+    return re, im
+
+
+def _tmul_case_T(unit_re, negated, coef, wr, wi, vr, vi, sign, neg):
+    # the adjoints pr, pi of the case's products, their terms negated in a
+    # negated case, then those of its operands in the order _tmul_case reads them
+    if sign > 0:
+        pr, pi = (-wr - vr, -wi - vi) if negated else (wr + vr, wi + vi)
+    else:
+        pr, pi = (vr - wr, vi - wi) if negated else (wr - vr, wi - vi)
+    if unit_re:
+        return pr + coef * pi, _sub(pi, coef * pr, neg)
+    return coef * pr + pi, _sub(coef * pi, pr, neg)
+
+
+def _scaled_combine_T(tab, key, out, u, z, g, led):
+    # the transpose of _scaled_combine: from the adjoints (ar, ai) of the
+    # bins of key, those of the bins of its children, written to u, z and g
+    (ar, ai), (ur, ui), (zr, zi), (gr, gi) = out, u, z, g
+    typ, n = key
+    r = len(ar)
+    q, h, e = n >> 2, n >> 1, n >> 3
+    led.adds += 4 * r
+    if typ == 4:
+        led.mults += 3 * r
+        r1 = tab.ratio4(n, 1, 0)
+        d = tab.ratio4(n, 2, 0) * ar[:, h]
+        ur[:, 0] = ar[:, 0] + d
+        a = ar[:, 0] - d
+        ur[:, q] = r1 * ar[:, q]
+        v = r1 * ai[:, q]
+    else:
+        ur[:, 0] = ar[:, 0] + ar[:, h]
+        a = ar[:, 0] - ar[:, h]
+        ur[:, q] = ar[:, q]
+        v = ai[:, q]
+        if typ == 2:
+            led.mults += r
+            v = tab.ratio2b(n, 0) * v
+    zr[:, 0] = a + v
+    gr[:, 0] = a - v
+    if e == 0:
+        return
+    led.adds += 6 * r
+    e1, e2, e3, e4 = ar[:, e], ai[:, e], ar[:, h - e], ai[:, h - e]
+    if typ == 4:
+        led.mults += 4 * r
+        r0, r1 = tab.ratio4(n, 0, e), tab.ratio4(n, 1, e)
+        e1, e2, e3, e4 = r0 * e1, r0 * e2, r1 * e3, -(r1 * e4)
+    ur[:, e] = e1 + e3
+    ui[:, e] = -e2 - e4  # u's bin N/8, a quarter of its size, is written negated
+    a = e1 - e3
+    b = e4 - e2
+    if typ == 0 or typ == 2:
+        c = tab.s(n, e) if typ == 0 else tab.ratio2a(n, e)
+        led.mults += 2 * r
+        a = c * a
+        b = c * b
+    zr[:, e] = a + b
+    gr[:, e] = a - b
+    if e == 1:
+        return
+    tz, tg, s, ra, rb, r4 = tab.columns(n)
+    k, qk = slice(1, e), slice(q - 1, q - e, -1)
+    b1, b2, b3, b4 = ar[:, k], ai[:, k], ar[:, h - 1:h - e:-1], ai[:, h - 1:h - e:-1]
+    b5, b6, b7, b8 = ar[:, q + 1:q + e], ai[:, q + 1:q + e], ar[:, qk], ai[:, qk]
+    size = b1.size
+    led.adds += 12 * size
+    if typ == 4:
+        led.mults += 8 * size
+        b1, b2, b3, b4 = r4[0] * b1, r4[0] * b2, r4[2] * b3, r4[2] * b4
+        b5, b6, b7, b8 = r4[1] * b5, -(r4[1] * b6), r4[3] * b7, r4[3] * b8
+    ur[:, k] = b1 + b3
+    ui[:, k] = b2 - b4
+    ur[:, qk] = b5 + b7
+    # bins N/4 - k of u for k >= N/16 are written negated, but not by variant 4
+    ui[:, qk] = _add(b6, b8, None if typ == 2 else slice((e >> 1) - 1, e - 1))
+    wr, wi, vr, vi = b1 - b3, b2 + b4, b6 - b8, b5 - b7
+    if typ == 0:
+        led.mults += 4 * size
+        wr, wi, vr, vi = s * wr, s * wi, s * vr, s * vi
+    elif typ == 2:
+        led.mults += 4 * size
+        wr, wi, vr, vi = ra * wr, ra * wi, rb * vr, rb * vi
+    # bins N/16 .. 3N/32 of z and g are written negated
+    neg = slice((e >> 1) - 1, 3 * e >> 2)
+    zr[:, k], zi[:, k] = _tmul_rows_T(tz, (wr, wi), (vr, vi), 1, led, neg)
+    gr[:, k], gi[:, k] = _tmul_rows_T(tg, (wr, wi), (vr, vi), -1, led, neg)
+
+
+def _leaf_T(adj, led, c=None):
+    # the transpose of _leaf: the samples' adjoints from those of the bins
+    ar = adj[0]
+    if ar.shape[1] == 1:
+        return ar
+    led.adds += 2 * len(ar)
+    hi = ar[:, 1]
+    if c is not None:
+        led.mults += len(ar)
+        hi = c * hi
+    x = np.empty_like(ar)
+    x[:, 0] = ar[:, 0] + hi
+    x[:, 1] = ar[:, 0] - hi
+    return x
+
+
+def _unpack_rows(lanes, typ):
+    # the transpose of _pack_rows on the rows of the top key (typ, N): the
+    # adjoints of its bins, those written negated reading their lanes negated
+    r, n = lanes.shape
+    h = n // 2
+    ar, ai = np.empty((r, h + 1), lanes.dtype), np.empty((r, h + 1), lanes.dtype)
+    ar[:, 0] = lanes[:, 0]
+    ar[:, h] = lanes[:, n - 1]
+    ar[:, 1:h] = lanes[:, 1:n - 1:2]
+    ai[:, 1:h] = lanes[:, 2:n - 1:2]
+    if n >= 4:
+        q = n >> 2
+        neg = slice(q, q + 1 if typ == 4 else q + (n >> 3) + 1)
+        ai[:, neg] = -ai[:, neg]
+    return ar, ai
+
+
+def _breadth_first_T(adj, variant, n, children, leaf, combine, led):
+    """The transpose of :func:`_breadth_first`: from the adjoints ``adj``
+    of the rows' half spectra (as blocks ``(re, im)``, of the vertices
+    that write them), the adjoints of the rows' samples.
+
+    Over the keys of :func:`_split_plan`, top down, ``combine(key, adj,
+    u, z, g, led)`` writes the adjoints of the half spectra of its three
+    runs of child rows into the views ``u``, ``z`` and ``g``; then
+    ``leaf(key, adj, led)`` gives the samples' adjoints of each key of size
+    1 and 2, and bottom up each key gathers those of its rows from its
+    children's runs, the split read backwards.
+    """
+    dtype = adj[0].dtype
+    splits, count = _split_plan(variant, n, len(adj[0]), children)
+    adjs = {(variant, n): adj}
+    for key, r, ek, a, qk, b in splits:
+        for k in (ek, qk):
+            if k not in adjs:
+                shape = (count[k], (k[1] >> 1) + 1)
+                adjs[k] = (np.empty(shape, dtype), np.empty(shape, dtype))
+        (ur, ui), (zr, zi) = adjs[ek], adjs[qk]
+        combine(key, adjs.pop(key), (ur[a:a + r], ui[a:a + r]), (zr[b:b + r], zi[b:b + r]),
+                (zr[b + r:b + 2 * r], zi[b + r:b + 2 * r]), led)
+    xs = {key: leaf(key, adj, led) for key, adj in adjs.items()}
+    del adjs
+
+    def gather(split, u, z):
+        (_, m), r, _, a, _, b = split
+        x = np.empty((r, m), dtype)
+        x[:, 0::2] = u[a:a + r]
+        x[:, 1::4] = z[b:b + r]
+        x[:, _quarter_cols(m)] = z[b + r:b + 2 * r]
+        return x
+    return _bottom_up(splits, xs, gather)[(variant, n)]
+
+
+def _rfft_scaled_rows_T(typ, y, tab, led):
+    """The transpose of :func:`_rfft_scaled_rows` on each row of the 2-D
+    array ``y`` (lanes as in :func:`pack_lanes`): on finite floats bitwise
+    what the transpose of its recorded network gives, with the same ledger
+    as the forward rows."""
+    return _breadth_first_T(
+        _unpack_rows(y, typ), typ, y.shape[1], lambda t: (_SUBTYPE[t], 1),
+        lambda key, adj, led: _leaf_T(adj, led, tab.inv_s8_1 if key[0] == 4 else None),
+        lambda *a: _scaled_combine_T(tab, *a), led)
 
 
 def _as_real_lanes(x):

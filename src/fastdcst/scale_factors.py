@@ -137,13 +137,13 @@ class ScaleTables:
     The one mutable part is ``plans``: per kernel configuration, a call
     count and then the recorded whole-kernel network at sizes up to
     ``dct2.PLAN_MAX_SIZE`` (see :func:`fastdcst.dct2._planned`), or above
-    it a mark of a forward kernel's first call; and the rescaled real DFT
-    of this size recorded as a network, which the forward kernels run
-    from their second call above ``dct2.PLAN_MAX_SIZE`` on (see
-    :func:`fastdcst.dct2._spectrum_net`).  All are recorded from
-    these constants.  Instances are safe to share between threads: a race at
-    most records the same network twice and never publishes a half-built
-    one.
+    it, up to ``dct2.NET_MAX_SIZE``, a mark of a kernel's first call; and
+    the rescaled real DFT of this size recorded as a network, which the
+    forward kernels run from their second call above
+    ``dct2.PLAN_MAX_SIZE`` on (see :func:`fastdcst.dct2._spectrum_net`).
+    All are recorded from these constants.  Instances are safe to share
+    between threads: a race at most records the same network twice and
+    never publishes a half-built one.
     """
 
     def __init__(self, size: int):

@@ -53,11 +53,13 @@ one vertex per element with the in-edges a :class:`TraceScalar` would
 give it, and appends their edges to the same columns, in place, as whole
 columns.  So one recording costs a few numpy passes per (variant, size)
 of the recursion, not one Python call per operation, and it is the scalar
-trace renumbered.  The DCT-III kernel evaluates one of these
-networks directly, which is how it inherits the DCT-II flop count without
-a hand-derived decimation-in-frequency FFT; the forward DCT-II/DST-II
-kernels run the network it transposes; and the small public transforms are
-recorded whole as networks (plans) that run as codelets.
+trace renumbered.  The DCT-III kernel evaluates the transpose of one of
+these networks from its second call on, which is how it inherits the DCT-II
+flop count without a hand-derived decimation-in-frequency FFT (its first
+calls run the row recursion backwards, with the transpose's bits); the
+forward DCT-II/DST-II kernels run the network it transposes; and the small
+public transforms are recorded whole as networks (plans) that run as
+codelets.
 """
 
 from __future__ import annotations
@@ -252,11 +254,6 @@ class TraceRows:
     def empty(self, shape):
         """Values of this trace still to be set: id -1, which no edge may read."""
         return TraceRows(self.trace, np.full(shape, -1, dtype=np.int64))
-
-    @staticmethod
-    def concatenate(parts):
-        """The parts' rows one after another, as ``np.concatenate``."""
-        return TraceRows(parts[0].trace, np.concatenate([parts[0]._ids(p) for p in parts]))
 
     def _ids(self, other):
         if type(other) is not TraceRows or other.trace is not self.trace:

@@ -1,4 +1,5 @@
 import io
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -325,6 +326,36 @@ def test_accuracy_flags_uniform_error(capsys, monkeypatch):
     rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
             if l.startswith("dct2_new,")]
     assert len(rows) == 3 and all(r[-1] == "True" for r in rows)
+
+
+def _faulty(real, fault):
+    # real's outputs all NaN or all inf, or NaN on every second call only,
+    # which verify and accuracy make on their second trial
+    calls = itertools.count()
+
+    def run(*args, **kwargs):
+        out = np.array(real(*args, **kwargs), dtype=float)
+        if fault != "later-nan" or next(calls) % 2:
+            out[:] = np.inf if fault == "inf" else np.nan
+        return out.tolist()
+    return run
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "later-nan"])
+@pytest.mark.parametrize("command", ["verify", "accuracy"])
+def test_non_finite_errors_fail(command, fault, capsys, monkeypatch):
+    # an error that compares False with every bound (NaN) still fails the row
+    monkeypatch.setattr(cli, "dst2_new", _faulty(cli.dst2_new, fault))
+    assert main([command, "--max-size", "16", "--trials", "2"]) == 1
+    out, err = capsys.readouterr()
+    rows = [line.split(",") for line in out.splitlines()]
+    rows = [r for r in rows if r[1:3] == ["dst2", "new"] or r[0] == "dst2_new"]
+    assert rows
+    if command == "verify":
+        assert "FAIL dst2/new" in err
+        assert all(r[-2] == ("inf" if fault == "inf" else "nan") for r in rows)
+    else:
+        assert all(r[-1] == "True" for r in rows)
 
 
 def test_accuracy_zero_error_on_zero_input():

@@ -6,26 +6,37 @@ from conftest import max_rel, rng
 
 from fastdcst import (
     FlopLedger,
+    Normalization,
     ScaleTables,
+    dct3_new,
+    dst3_new,
     fft_conjpair,
     formula_M,
     formula_MS,
+    formula_new_dct2,
     formula_splitradix_real,
     naive_dft,
     rfft_conjpair,
     rfft_scaled,
     rfft_scaled4,
     scale,
+    scale_factors,
     unit_root,
 )
 from fastdcst.dct2 import _classic_state
 from fastdcst.fft_real import (
     _rfft_scaled_lanes,
     _rfft_scaled_rows,
+    _rfft_scaled_rows_T,
     _rfft_std_lanes,
     _rfft_std_rows,
+    _tmul_rows,
+    _tmul_rows_T,
     pack_lanes,
 )
+from fastdcst.scale_factors import _column_cases
+from fastdcst.transpose_net import record_rows
+from fastdcst.trig_family import _transposed_spectrum_net
 
 
 def test_constant_input_dc_only():
@@ -185,3 +196,101 @@ def test_row_recursion_equals_the_scalar_one_bitwise(n):
             got = rows(x=block, led=led)
             assert got.tobytes() == want[:len(block)].tobytes(), (name, len(block))
             assert led.as_tuple() == tuple(np.sum([l.as_tuple() for l in leds[:len(block)]], axis=0)), name
+
+
+# -------------------------------------- the transposed rows, breadth first
+
+
+def _hard_rows(n, count, seed):
+    # rows whose sums cancel exactly and meet signed zeros: small integers,
+    # zeros of either sign and of random signs, a unit impulse, and normals
+    # with zeros among them
+    x = rng(37, n, seed)
+    rows = [x.integers(-1, 2, n).astype(float), np.zeros(n), -np.zeros(n),
+            np.where(x.random(n) < 0.5, 0.0, -0.0), np.eye(1, n, n // 3)[0]]
+    return np.concatenate((np.array(rows), _rows_of(n, count, seed)))
+
+
+@pytest.mark.parametrize("n", [1 << e for e in range(0, 11)])
+def test_transposed_rows_are_the_transposed_recording_bitwise(n):
+    # every rescaled variant, on a block of rows: each row's adjoints are
+    # what the transpose of the forward rows' recording gives, bit for bit
+    # (signed zeros too), and the ledger is the forward rows' ledger
+    tab = ScaleTables(max(n, 2))
+    y = _hard_rows(n, 2, 1)
+    for typ in (0, 1, 2, 4):
+        rec = FlopLedger()
+        net = record_rows(lambda ins: _rfft_scaled_rows(typ, ins[None], tab, rec), n).transpose()
+        led, forward = FlopLedger(), FlopLedger()
+        got = _rfft_scaled_rows_T(typ, y, tab, led)
+        assert got.tobytes() == np.array([net.eval(row) for row in y]).tobytes(), typ
+        _rfft_scaled_rows(typ, y, tab, forward)
+        assert led == forward and net.structural_flops() == rec.as_tuple(), typ
+
+
+@pytest.mark.parametrize("n", [1 << e for e in range(9, 16)])
+def test_transposed_rows_are_the_cached_transposed_network_bitwise(n):
+    # from ROWS_MIN_SIZE to NET_MAX_SIZE a DCT-III's first call runs the
+    # transposed rows and its later calls _transposed_spectrum_net(n)
+    try:
+        tab = ScaleTables(n)
+        y = _hard_rows(n, 1, 2)
+        got = _rfft_scaled_rows_T(1, y, tab, FlopLedger())
+        net = _transposed_spectrum_net(n)
+        assert got.tobytes() == np.array([net.eval(row) for row in y]).tobytes()
+    finally:
+        _transposed_spectrum_net.cache_clear()
+        scale_factors._cached_tables.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1 << e for e in range(9, 18)])
+def test_transposed_rows_ledger_is_the_closed_form(n):
+    # the rows' ledger, and under every norm that of the DCT-III/DST-III
+    # first calls that run them
+    tab = ScaleTables(n)
+    y = rng(38, n).standard_normal((1, n))
+    led, forward = FlopLedger(), FlopLedger()
+    _rfft_scaled_rows_T(1, y, tab, led)
+    _rfft_scaled_rows(1, y, tab, forward)
+    assert led == forward
+    assert led.total() == formula_splitradix_real(n) - formula_MS(n) // 2
+    for norm in Normalization:
+        saving = 2 if norm is Normalization.UNITARY_SQRT_N else 0
+        leds = [FlopLedger(), FlopLedger()]
+        dct3_new(y[0], norm, tab, leds[0])
+        dst3_new(y[0], norm, tab, leds[1])
+        assert leds[0] == leds[1] and leds[0].total() == formula_new_dct2(n) - saving, norm
+
+
+def test_transposed_row_tmul_runs_each_case_on_its_own_columns():
+    # the four cases of _tmul side by side (the real DFTs meet only one):
+    # the forward loop reads z = (zr, a + b) and g = (gr, c + d), the
+    # second parts written negated at columns 2..4, and gives w = p + q
+    # and v = p - q of their products p and q.  Its transposed recording
+    # is what _tmul_rows_T gives the operands, bit for bit
+    unit = np.array([True, False, True, False, True, False, True])
+    up = np.array([True, True, False, False, True, False, True])
+    coef = rng(59).standard_normal(7)
+    tz, tg = _column_cases(unit, ~up, coef), _column_cases(unit, up != unit, -coef)
+    assert len(tz) == len(tg) == 4
+    neg = slice(2, 5)
+
+    def forward(ins):
+        zr, a, b, gr, c, d = (ins[None, 7 * i:7 * i + 7] for i in range(6))
+        zi, gi = a + b, c + d
+        zi[:, neg], gi[:, neg] = -zi[:, neg], -gi[:, neg]
+        pr, pi = _tmul_rows(tz, zr, zi, FlopLedger())
+        qr, qi = _tmul_rows(tg, gr, gi, FlopLedger())
+        out = ins.empty((4, 7))
+        out[0], out[1], out[2], out[3] = (pr + qr)[0], (pi + qi)[0], (pr - qr)[0], (pi - qi)[0]
+        return out
+
+    net = record_rows(forward, 42).transpose()
+    for y in _hard_rows(28, 2, 3):
+        w, v = (y[None, :7], y[None, 7:14]), (y[None, 14:21], y[None, 21:])
+        led = FlopLedger()
+        zr, zi = _tmul_rows_T(tz, w, v, 1, led, neg)
+        gr, gi = _tmul_rows_T(tg, w, v, -1, led, neg)
+        want = np.concatenate((zr[0], zi[0], zi[0], gr[0], gi[0], gi[0]))
+        assert np.array(net.eval(y)).tobytes() == want.tobytes()
+        assert led.as_tuple() == (28, 28)

@@ -100,14 +100,16 @@ def test_later_calls_match_the_first_bitwise(n):
 
 @pytest.mark.parametrize("n", [4096, 1 << 16])
 def test_first_call_rows_and_later_programs_agree_bitwise(n):
-    # a forward kernel's first call runs the row recursion of its real DFT
-    # and its later calls the recorded program; every kernel gives the
-    # same bytes and ledger on both, on finite input.  The rescaled
-    # kernels share the size's cached tables, so that one forward and one
-    # transposed network are recorded
+    # a kernel's first call runs the row recursion of its real DFT (or of
+    # its transpose) and its later calls the recorded program; every kernel
+    # gives the same bytes and ledger on both, on finite input.  The
+    # rescaled kernels share the size's cached tables, so that one forward
+    # and one transposed network are recorded.  Above NET_MAX_SIZE no
+    # network is recorded, and later calls run the rows again
     x = rng(96, n).standard_normal(n).tolist()
     tab = build_tables(n)
     _forget_classic(n)
+    transposed = _transposed_spectrum_net.cache_info().misses
     try:
         for fn, args in ((dct2_classic, (Normalization.UNITARY,)),
                          (dct2_new, (Normalization.TWO_SIDED, tab)),
@@ -122,8 +124,14 @@ def test_first_call_rows_and_later_programs_agree_bitwise(n):
                 out = out.values if fn is dct2_scaled else out
                 calls.append((np.array(out).tobytes(), led.as_tuple()))
             assert calls[1] == calls[2] == calls[0], fn.__name__
+            if n > dct2.NET_MAX_SIZE:
+                assert "spectrum" not in dct2._classic_state(n).plans
             _forget_classic(n)  # the plain network of this size need not stay
-        assert isinstance(tab.plans["spectrum"], LinearNetwork)
+        if n <= dct2.NET_MAX_SIZE:
+            assert isinstance(tab.plans["spectrum"], LinearNetwork)
+        else:
+            assert "spectrum" not in tab.plans
+            assert _transposed_spectrum_net.cache_info().misses == transposed
     finally:
         _transposed_spectrum_net.cache_clear()
         scale_factors._cached_tables.cache_clear()
@@ -136,6 +144,42 @@ def test_signed_zero_inputs_keep_their_bits(n):
         _forget_classic(n)
         for name, call in _forward_calls(tab):
             assert call(x) == call(x) == call(x), name
+
+
+@pytest.mark.parametrize("n", [dct2.ROWS_MIN_SIZE, 1024, 4096, 1 << 17])
+def test_inverse_first_call_rows_and_later_calls_agree_bitwise(n):
+    # from ROWS_MIN_SIZE on the DCT-III/DST-III's first call runs the
+    # transposed rows and the later calls the transposed network (up to
+    # NET_MAX_SIZE) or the rows again: the same bytes and ledger, signed
+    # zeros and exact cancellations too
+    r = rng(97, n)
+    signals = [_signed_zeros(n, 3), r.integers(-1, 2, n).astype(float).tolist(),
+               [(-0.0, 0.0)[i % 3 == 0] for i in range(n)]]
+    tab = ScaleTables(n)
+    try:
+        for x in signals:
+            for name, call in _all_calls(tab)[-6:]:
+                assert call(x) == call(x) == call(x), name
+            tab.plans.clear()  # the next signal's calls are first calls again
+    finally:
+        _transposed_spectrum_net.cache_clear()
+
+
+def test_inverse_first_call_records_no_network():
+    # a DCT-III's first call at N=4096 on cached tables runs the transposed
+    # rows: nothing is recorded, transposed or compiled, and it runs in a
+    # few ms against the 30-80 of a record, transpose and compile
+    n = 4096
+    tab = build_tables(n)
+    tab.plans.pop(("dct3_new", "unitary"), None)
+    x = rng(98, n).standard_normal(n).tolist()
+    misses, plans = _transposed_spectrum_net.cache_info().misses, set(tab.plans)
+    with mock.patch.object(dct2, "record_rows", wraps=record_rows) as rec:
+        first = dct3_new(x, Normalization.UNITARY)
+    assert rec.call_count == 0
+    assert _transposed_spectrum_net.cache_info().misses == misses
+    assert set(tab.plans) == plans | {("dct3_new", "unitary")}
+    assert dct3_new(x, Normalization.UNITARY) == first
 
 
 def test_first_call_records_no_forward_network():
