@@ -1,4 +1,4 @@
-"""Type-II DCT kernels.
+"""Type-II DCT kernels, and the call path of all six cosine/sine transforms.
 
 Both fast algorithms reduce the DCT-II to one real-input DFT of the same
 length: permute the input to even-indexed samples followed by the
@@ -11,19 +11,19 @@ the output-stage constants, which removes half of M_S(N) flops;
 positive diagonal, trading N more multiplications away (the generalized
 form of the classic scaled 8-point DCT used by JPEG quantizers).
 
-Repeated calls run on networks recorded from the kernels themselves, with
-the same output bits and the same ledger.  At N <= :data:`PLAN_MAX_SIZE`
-a configuration (kernel, normalization, table set) that has been called
-:data:`PLAN_AFTER_CALLS` times records the whole kernel once as a linear
-network, its *plan*, and runs every later call as that network's
-compiled codelet.  Above :data:`PLAN_MAX_SIZE` and up to
-:data:`NET_MAX_SIZE`, from a configuration's second call on, the forward
-kernels run their real DFT as a recorded network (a codelet or a
-vertex-major numpy program, by edge count): the rescaled one for
-``dct2_new``, ``dct2_scaled`` and ``dst2_new`` (the same recording whose
-transpose the DCT-III runs), one per table set, and the plain one for
-``dct2_classic``, one per size.  Above NET_MAX_SIZE no network is
-recorded.  ``dct2_classic`` runs ``dct2_new``'s kernel on its per-size
+Each public transform is an entry of a small registry (:class:`_Kernel`),
+and one call path runs them all (:func:`_transform`): read the samples,
+take the table set, look the configuration (kernel, normalization, table
+set) up in the table set's ``plans``.  At N <= :data:`PLAN_MAX_SIZE` a
+configuration called :data:`PLAN_AFTER_CALLS` times records the whole
+kernel once as a linear network, its *plan*, so each later call is one
+``float()`` pass, that lookup and the plan's compiled codelet, with the
+same output bits and ledger.  Above PLAN_MAX_SIZE and up to
+:data:`NET_MAX_SIZE`, from a configuration's second call on, the kernels
+run their real DFT as a recorded network (a codelet or a vertex-major
+numpy program, by edge count): the rescaled one, one per table set, whose
+transpose the DCT-III/DST-III run, and for ``dct2_classic`` the plain one,
+one per size.  ``dct2_classic`` runs ``dct2_new``'s kernel on a per-size
 state (:func:`_classic_state`) in place of a table set: the plain real DFT
 and the stage constants 2*unit_root(k, 4N).
 
@@ -31,15 +31,13 @@ Every call that is not a plan runs array-in, array-out: one float64
 array from the input, numpy indexing for the even/odd reorder, and an
 output stage of elementwise expressions that keep the scalar formula's
 float operations in its order, so no bit changes; the caller gets a list.
-A call that runs no network (a forward kernel's first call, and every call
-above NET_MAX_SIZE) computes the real DFT itself: by the breadth-first row
-recursion of :mod:`fastdcst.fft_real` from :data:`ROWS_MIN_SIZE` on, and
-by the scalar recursion below it, with the same bits either way; the
-DCT-III/DST-III run the row recursion backwards there (see
-:mod:`fastdcst.trig_family`).  A spectrum network is recorded from the row
-recursion on one traced row (:func:`~fastdcst.transpose_net.record_rows`);
-a plan records the whole kernel on object arrays of ``TraceScalar``, and
-runs its codelet on Python floats.
+A call that runs no network computes the real DFT itself: by the
+breadth-first row recursion of :mod:`fastdcst.fft_real` from
+:data:`ROWS_MIN_SIZE` on, and by the scalar recursion below it, with the
+same bits either way (the DCT-III/DST-III run the rows backwards, see
+:mod:`fastdcst.trig_family`).  A spectrum network is recorded from the
+rows on one traced row (:func:`~fastdcst.transpose_net.record_rows`), a
+plan from the whole kernel on object arrays of ``TraceScalar``.
 """
 
 from __future__ import annotations
@@ -48,8 +46,9 @@ import enum
 import threading
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,7 +62,7 @@ from .fft_real import (
 )
 from .flops import FlopLedger, checked_log2
 from .scale_factors import ScaleTables
-from .transpose_net import record, record_rows
+from .transpose_net import LinearNetwork, record, record_rows
 
 __all__ = [
     "Normalization",
@@ -200,7 +199,8 @@ def _dct2_new_lanes(xs, norm_key, tab, led, net=None):
     return _stage_outputs(tab.dct_stage(norm_key), z, led)
 
 
-def _dct2_scaled_lanes(xs, tab, led, net=None):
+def _dct2_scaled_lanes(xs, norm_key, tab, led, net=None):
+    # norm_key is unused: the scaled outputs have no normalization
     z = _spectrum(reorder_even_odd(xs), tab, led, net)
     n = len(z)
     h = n // 2
@@ -216,13 +216,14 @@ def _dct2_scaled_lanes(xs, tab, led, net=None):
 
 
 # Plans are built for sizes up to PLAN_MAX_SIZE, on a configuration's
-# PLAN_AFTER_CALLS-th call.  Recording and compiling a dct2_new plan takes
-# 0.4/0.7/1.3 ms at N=4/8/16, the time of 30 to 50 scalar calls (13/17/27 us
-# each), and a DCT-III plan 0.3/0.5/1.1 ms, 35 to 110 of its faster scalar
-# calls (2-CPU Xeon, medians).  Any value above 2 keeps a one-shot
-# `fastdcst verify`, which calls each configuration twice, free of plans;
-# 128 leaves a configuration called only a few dozen times free of them
-# too.  Plans for N=32 and N=64 held after a `verify --max-size 64` sweep
+# PLAN_AFTER_CALLS-th call.  Recording and compiling a dct2_new plan took
+# 0.8/1.2/1.9 ms at N=4/8/16 and a plan hit 2.5/3.5/5.4 us against 29/37/59
+# us for a call before the plan, so a plan pays after 30 to 38 calls; a
+# DCT-III plan took 0.7/1.0/1.8 ms and pays after 36 to 86 of its faster
+# calls (2-CPU Xeon, medians of 6 processes).  Any value above 2 keeps a
+# one-shot `fastdcst verify`, which calls each configuration twice, free of
+# plans; 128 leaves a configuration called only a few dozen times free of
+# them too.  Plans for N=32 and N=64 held after a `verify --max-size 64` sweep
 # cost about 10% more peak memory, so they stop at N=16.
 # Above PLAN_MAX_SIZE every kernel runs its real DFT (or its transpose) as a
 # network from a configuration's second call on, up to NET_MAX_SIZE; from
@@ -273,69 +274,103 @@ def _record_spectrum(tab):
     return _counted(net, rec, f"of the {name} real DFT at size {tab.size}")
 
 
-def _planned(tab, key, xs, led, lanes, *args, network):
-    """``lanes(xs, *args, led)``, or what repeated calls make of it, as a list.
+class _Kernel(NamedTuple):
+    """A cosine/sine transform, as the call path :func:`_transform` runs it."""
 
-    ``xs`` comes from :func:`_check_input`.  At N <= PLAN_MAX_SIZE it is
-    a list, and ``tab.plans[key]`` counts the calls until the
-    PLAN_AFTER_CALLS-th, which records the plan from the constants of
-    ``tab`` itself; a plan runs on the list ``xs`` and ``lanes`` on it as
-    a float64 array.  Above PLAN_MAX_SIZE ``xs`` is that array already,
-    and up to NET_MAX_SIZE the first call marks ``key`` in ``tab.plans``;
-    from the second call on ``lanes`` gets ``network(tab)``, a function of
-    the table set (:func:`_spectrum_net` for the forward kernels, the
-    transposed one for the DCT-III/DST-III), in ``net``.  Above
-    NET_MAX_SIZE every call runs without one.  The count is kept under a lock, taken only while the
-    entry is still a count, so a plan's calls take none.  Threads that race
-    on a spectrum network may record it twice, but a network is stored only
-    once it is complete.
-    """
+    name: str  # the public name: plan keys are (name, norm value)
+    lanes: Callable  # lanes(xs, norm_key, tab, led, net=None) on an array
+    network: Callable  # network(tab): the net of later calls above PLAN_MAX_SIZE
+    # state(n): what a call that passes no tables runs on, if not build_tables(n)
+    state: Callable | None = None
+    output: Callable | None = None  # output(values, tab), if not the list itself
+
+
+def _transform(kernel, x, norm_key, tables, ledger):
+    """``kernel`` on ``x``, as the module docstring describes.  A list or
+    tuple of at most PLAN_MAX_SIZE samples is read here as by
+    :func:`_check_input`.  A plan hit charges the plan's structural count
+    and runs its codelet, compiled before the plan was stored, without
+    :meth:`LinearNetwork.eval`'s checks; other calls go to :func:`_unplanned`."""
+    if type(x) in (list, tuple) and len(x) <= PLAN_MAX_SIZE:
+        xs = list(map(float, x))
+        if len(xs) not in (2, 4, 8, 16):
+            checked_log2(len(xs), lowest=2)
+    else:
+        xs = _check_input(x)
     n = len(xs)
+    tab = tables
+    if tab is None:
+        tab = sf.build_tables(n) if kernel.state is None else kernel.state(n)
+    elif tab.size != n:
+        # the DCT output stage is root-size specific, so an exact match is
+        # required (sub-level kernel tables alone are not enough)
+        raise ValueError(f"tables built for size {tab.size}, transform is {n}")
+    key = (kernel.name, norm_key)
+    plan = tab.plans.get(key)
+    if type(plan) is LinearNetwork:
+        if ledger is not None:
+            adds, mults = plan.structural_flops()
+            ledger.adds += adds
+            ledger.mults += mults
+        values = plan._codelet(xs)
+    else:
+        values = _unplanned(kernel, key, xs, tab, ledger if ledger is not None else FlopLedger())
+    return values if kernel.output is None else kernel.output(values, tab)
+
+
+def _unplanned(kernel, key, xs, tab, led):
+    """A call with no plan: ``kernel.lanes`` on ``xs`` as an array, as a list.
+    At N <= PLAN_MAX_SIZE ``tab.plans[key]`` counts the calls, under a lock
+    that plan hits never take, and the PLAN_AFTER_CALLS-th records the plan
+    from the constants of ``tab``, compiles, stores and runs it.  Up to
+    NET_MAX_SIZE the first call marks ``key``, and later ones pass
+    ``kernel.network(tab)`` as ``net``.  Threads that race on a network
+    may record it twice, but a network is stored only once it is complete."""
+    n = len(xs)
+    net = None
     if n <= PLAN_MAX_SIZE:
-        plan = tab.plans.get(key, 0)
-        if type(plan) is int:
-            with _COUNT_LOCK:
-                plan = tab.plans.get(key, 0)
-                if type(plan) is int and plan + 1 < PLAN_AFTER_CALLS:
-                    tab.plans[key] = plan + 1
-                elif type(plan) is int:
-                    rec = FlopLedger()
-                    plan = tab.plans[key] = _counted(
-                        record(lambda ins: lanes(ins, *args, rec), n), rec, f"of {key} at size {n}")
+        with _COUNT_LOCK:
+            plan = tab.plans.get(key, 0)
+            if type(plan) is int and plan + 1 < PLAN_AFTER_CALLS:
+                tab.plans[key] = plan + 1
+            elif type(plan) is int:
+                rec = FlopLedger()
+                plan = _counted(record(lambda ins: kernel.lanes(ins, key[1], tab, rec), n),
+                                rec, f"of {key} at size {n}")
+                plan.codelet()
+                tab.plans[key] = plan
         if type(plan) is not int:
             return plan.eval(xs, led)
         xs = np.fromiter(xs, np.float64, n)
     elif n <= NET_MAX_SIZE:
         if key in tab.plans:
-            lanes = partial(lanes, net=network(tab))
+            net = kernel.network(tab)
         else:
             tab.plans[key] = 0
     # as on Python floats, an overflow or inf - inf gives its IEEE result silently
     with np.errstate(over="ignore", invalid="ignore"):
-        return lanes(xs, *args, led).tolist()
+        return kernel.lanes(xs, key[1], tab, led, net).tolist()
 
 
 def _check_input(x):
     """The samples of ``x`` as by ``float()``: a list at N <= PLAN_MAX_SIZE,
     where plans run on Python floats, and a float64 array above it.
 
-    At N <= PLAN_MAX_SIZE each sample goes through ``float()``.  Above it
-    a list or tuple is converted in one pass by ``array("d")``, which
-    reads each sample as ``float()`` does (but a float subclass by its
-    value, not by an overriding ``__float__``), and a 1-D array of bools,
-    integers or floats by ``astype``, which rounds each sample as
-    ``float()`` does.  A sample that pass refuses with ``TypeError`` (a
-    string, ``None``, a complex number) sends the whole input through
-    ``float()``, which then accepts it or raises its own exception.  Any
-    other iterable, a generator too, goes through ``float()`` once.
+    Above PLAN_MAX_SIZE a list or tuple is converted in one pass by
+    ``array("d")``, which reads each sample as ``float()`` does (but a
+    float subclass by its value, not by an overriding ``__float__``), and
+    a 1-D array of bools, integers or floats by ``astype``, which rounds
+    each sample as ``float()`` does.  A sample that pass refuses with
+    ``TypeError`` (a string, ``None``, a complex number) sends the whole
+    input through ``float()``, which then accepts it or raises its own
+    exception.  Any other input goes through ``float()`` once.
     """
     xs = None
-    if type(x) in (list, tuple):
-        if len(x) > PLAN_MAX_SIZE:
-            try:
-                xs = np.frombuffer(array("d", x))
-            except TypeError:
-                pass
+    if type(x) in (list, tuple):  # longer ones: _transform reads the others
+        try:
+            xs = np.frombuffer(array("d", x))
+        except TypeError:
+            pass
     elif isinstance(x, np.ndarray):
         # float() would only warn on the elements of a complex array, and
         # drop their imaginary parts
@@ -351,37 +386,25 @@ def _check_input(x):
     return xs
 
 
-def dct2_classic(
-    x,
-    norm: Normalization = Normalization.TWO_SIDED,
-    ledger: FlopLedger | None = None,
-):
+# build_tables and _classic_state are looked up on each call, so that a
+# wrapper put on their names (a tracer's span, a test's fresh state) sees it
+_DCT2_CLASSIC = _Kernel("dct2_classic", _dct2_new_lanes, _spectrum_net,
+                        lambda n: _classic_state(n))
+_DCT2_NEW = _Kernel("dct2_new", _dct2_new_lanes, _spectrum_net)
+_DCT2_SCALED = _Kernel(
+    "dct2_scaled", _dct2_scaled_lanes, _spectrum_net,
+    output=lambda values, tab: ScaledDctOutput(values, list(tab.dct_scales)))
+
+
+# each passes norm._value_: an attribute, where the value property costs ten times as much
+def dct2_classic(x, norm: Normalization = Normalization.TWO_SIDED,
+                 ledger: FlopLedger | None = None):
     """DCT-II via the plain real-input split-radix DFT."""
-    xs = _check_input(x)
-    led = ledger if ledger is not None else FlopLedger()
-    key = norm.value
-    tab = _classic_state(len(xs))
-    return _planned(tab, ("dct2_classic", key), xs, led, _dct2_new_lanes, key, tab,
-                   network=_spectrum_net)
+    return _transform(_DCT2_CLASSIC, x, norm._value_, None, ledger)
 
 
-def _prep(x, tables):
-    # the DCT output stage is root-size specific, so an exact match is
-    # required (sub-level kernel tables alone are not enough)
-    xs = _check_input(x)
-    if tables is None:
-        tables = sf.build_tables(len(xs))
-    elif tables.size != len(xs):
-        raise ValueError(f"tables built for size {tables.size}, transform is {len(xs)}")
-    return xs, tables
-
-
-def dct2_new(
-    x,
-    norm: Normalization = Normalization.TWO_SIDED,
-    tables: ScaleTables | None = None,
-    ledger: FlopLedger | None = None,
-):
+def dct2_new(x, norm: Normalization = Normalization.TWO_SIDED,
+             tables: ScaleTables | None = None, ledger: FlopLedger | None = None):
     """DCT-II via the rescaled real-input DFT (record flop count).
 
     ``x`` is a sequence whose length is a power of two, at least 2;
@@ -396,16 +419,11 @@ def dct2_new(
     finite input only: a NaN output's sign bit can differ between them.
     The other cosine/sine transforms answer bad input the same way.
     """
-    xs, tab = _prep(x, tables)
-    led = ledger if ledger is not None else FlopLedger()
-    key = norm.value
-    return _planned(tab, ("dct2_new", key), xs, led, _dct2_new_lanes, key, tab,
-                   network=_spectrum_net)
+    return _transform(_DCT2_NEW, x, norm._value_, tables, ledger)
 
 
-def dct2_scaled(
-    x, tables: ScaleTables | None = None, ledger: FlopLedger | None = None
-) -> ScaledDctOutput:
+def dct2_scaled(x, tables: ScaleTables | None = None,
+                ledger: FlopLedger | None = None) -> ScaledDctOutput:
     """DCT-II with every output divided by its diagonal 2*scale(4N, k).
 
     The output stage multiplies by unit-component constants instead of
@@ -413,8 +431,4 @@ def dct2_scaled(
     the diagonal is returned so it can be folded downstream (e.g. into a
     quantization table).
     """
-    xs, tab = _prep(x, tables)
-    led = ledger if ledger is not None else FlopLedger()
-    values = _planned(tab, ("dct2_scaled",), xs, led, _dct2_scaled_lanes, tab,
-                      network=_spectrum_net)
-    return ScaledDctOutput(values=values, scales=list(tab.dct_scales))
+    return _transform(_DCT2_SCALED, x, None, tables, ledger)

@@ -133,14 +133,15 @@ class ScaleTables:
     kernels read them one at a time through the accessors; the row
     kernels of :mod:`fastdcst.fft_real` read each level's twiddle-loop
     constants as float64 columns (:meth:`columns`).
-    The constants are immutable after construction.
-    The one mutable part is ``plans``: per kernel configuration, a call
-    count and then the recorded whole-kernel network at sizes up to
-    ``dct2.PLAN_MAX_SIZE`` (see :func:`fastdcst.dct2._planned`), or above
-    it, up to ``dct2.NET_MAX_SIZE``, a mark of a kernel's first call; and
-    the rescaled real DFT of this size recorded as a network, which the
-    forward kernels run from their second call above
-    ``dct2.PLAN_MAX_SIZE`` on (see :func:`fastdcst.dct2._spectrum_net`).
+    The constants are immutable after construction.  The one mutable part
+    is ``plans``: per kernel configuration, a call count and then the
+    recorded whole-kernel network at sizes up to ``dct2.PLAN_MAX_SIZE``
+    (see :func:`fastdcst.dct2._unplanned`), or above it, up to
+    ``dct2.NET_MAX_SIZE``, a mark of a kernel's first call; the rescaled
+    real DFT of this size as a network, which the forward kernels run from
+    their second call above ``dct2.PLAN_MAX_SIZE`` on (see
+    :func:`fastdcst.dct2._spectrum_net`), and, on a set other than the
+    cached one, its transpose (:func:`fastdcst.trig_family._transposed_net`).
     All are recorded from these constants.  Instances are safe to share
     between threads: a race at most records the same network twice and
     never publishes a half-built one.
@@ -378,7 +379,8 @@ def _levels(lo, hi):
 
 # sizes the table and transposed-network caches keep (least recently used go)
 CACHED_SIZES = 8
-_cached_tables = lru_cache(maxsize=CACHED_SIZES)(ScaleTables)
+# typed: 8.0 is no hit for 8, and ScaleTables refuses it on its miss
+_cached_tables = lru_cache(maxsize=CACHED_SIZES, typed=True)(ScaleTables)
 
 
 def build_tables(n: int) -> ScaleTables:
@@ -386,7 +388,11 @@ def build_tables(n: int) -> ScaleTables:
 
     Eagerly materializes every recursion level so transform calls do no
     trigonometric work and no allocation beyond their own buffers.  The
-    last :data:`CACHED_SIZES` sizes used are kept.
+    last :data:`CACHED_SIZES` sizes used are kept.  ``n`` is checked on a
+    miss only: a size that is not a power of two raises ``ValueError``.
     """
-    checked_log2(n, lowest=1)
-    return _cached_tables(n)
+    try:
+        return _cached_tables(n)
+    except TypeError:  # unhashable, so no size
+        checked_log2(n, lowest=1)
+        raise

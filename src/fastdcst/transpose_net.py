@@ -426,12 +426,18 @@ class LinearNetwork:
             if xs.dtype == np.float64 or xs.dtype == object:
                 y = self._run(xs)
                 return y if xs is x else y.tolist()
+        codelet = self.codelet()
+        if type(x) is not list and isinstance(x, np.ndarray):
+            dtype = object if x.dtype == object else np.float64
+            return np.fromiter(codelet(x.tolist()), dtype, len(self.outputs))
+        return codelet(x)
+
+    def codelet(self):
+        """The network as straight-line Python from a list to a list, compiled
+        on first use and kept; it checks nothing and counts no flops."""
         if self._codelet is None:
             self._codelet = _codelet(self)
-        if type(x) is not list and isinstance(x, np.ndarray):  # a list is the plans' hot path
-            dtype = object if x.dtype == object else np.float64
-            return np.fromiter(self._codelet(x.tolist()), dtype, len(self.outputs))
-        return self._codelet(x)
+        return self._codelet
 
     def _run(self, xs):
         program = self._program if self._program is not None else self._compile()

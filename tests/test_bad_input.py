@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from fastdcst import (
+    FlopLedger,
+    LinearNetwork,
     Normalization,
     ScaleTables,
     ScaledDctOutput,
@@ -122,3 +124,85 @@ def test_every_input_kind_is_read_as_float_would(fn, spelled):
     floats = list(map(float, spelled(x)))
     for _ in range(2):
         assert call(spelled(x)).tobytes() == call(floats).tobytes()
+
+
+# ------------------------------------------------------------ on plan hits
+
+PLAN_SIZES = [2, 4, 8, 16]
+
+
+def _configuration(fn, n):
+    """fn's configuration on fresh tables: ``run(x, tables)`` gives the
+    output bytes and the ledger, and ``plans`` holds its call count and
+    then its plan."""
+    classic = dct2._classic_state(n)
+    classic.plans.clear()
+    tab = ScaleTables(n)
+
+    def run(x, tables=tab):
+        led = FlopLedger()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if fn is dct2_classic:
+                out = fn(x, Normalization.UNITARY, led)
+            elif fn is dct2_scaled:
+                out = fn(x, tables, led)
+                out = out.values + out.scales
+            else:
+                out = fn(x, Normalization.UNITARY, tables, led)
+        return np.array(out).tobytes(), led.as_tuple()
+
+    return run, (classic if fn is dct2_classic else tab).plans
+
+
+def _warm(fn, n):
+    # the configuration after PLAN_AFTER_CALLS calls, so its next call is a plan hit
+    run, plans = _configuration(fn, n)
+    x = _floats(n)
+    for _ in range(dct2.PLAN_AFTER_CALLS):
+        run(x)
+    assert any(isinstance(p, LinearNetwork) for p in plans.values())
+    return run
+
+
+def _signed(n):
+    x = [1000.0 * v for v in _floats(n)]
+    x[::3] = [0.0] * len(x[::3])
+    x[1::4] = [-0.0] * len(x[1::4])
+    return x
+
+
+@pytest.mark.parametrize("n", PLAN_SIZES)
+@pytest.mark.parametrize("fn", FUNCS, ids=lambda f: f.__name__)
+def test_plan_hits_read_every_input_kind_as_call_one(fn, n):
+    spellings = [list, tuple, lambda x: np.array(x).astype(np.int64),
+                 lambda x: np.array(x) > 0, lambda x: [repr(v) for v in x],
+                 lambda x: (v for v in x)]
+    x = _signed(n)
+    first = [_configuration(fn, n)[0](spell(x)) for spell in spellings]
+    run = _warm(fn, n)
+    assert [run(spell(x)) for spell in spellings] == first
+
+
+def _raised(run, x, tables):
+    # tables=None: the configuration's own
+    with pytest.raises((TypeError, ValueError)) as err:
+        run(x) if tables is None else run(x, tables)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("n", PLAN_SIZES)
+@pytest.mark.parametrize("fn", FUNCS, ids=lambda f: f.__name__)
+def test_plan_hits_reject_bad_input_as_call_one(fn, n):
+    bad = [([0.5] * m, None) for m in (0, 1, 3, 12)]
+    bad += [([[0.5, -0.5]] * n, None), ([0.5] * (n - 1) + [None], None), (None, None),
+            (["0.5"] * (n - 1) + ["half"], None), (np.full(n, 0.5 + 1j), None),
+            (np.full((n, 2), 0.5), None)]
+    if fn is not dct2_classic:
+        bad.append(([0.5] * n, ScaleTables(2 * n)))
+    first = []
+    for x, tables in bad:
+        run, _ = _configuration(fn, n)
+        first.append(_raised(run, x, tables))
+    run = _warm(fn, n)
+    assert [_raised(run, x, tables) for x, tables in bad] == first

@@ -217,7 +217,7 @@ def test_below_the_net_size_nothing_is_recorded():
         tab = ScaleTables(n)
         _forget_classic(n)
         x = _signed_zeros(n, 3)
-        with mock.patch.object(dct2, "_spectrum_net", wraps=dct2._spectrum_net) as net:
+        with mock.patch.object(dct2, "_record_spectrum", wraps=dct2._record_spectrum) as net:
             for _ in range(K + 1):
                 for _, call in _forward_calls(tab):
                     call(x)
@@ -245,6 +245,41 @@ def test_own_tables_get_their_own_network(make, fn):
     assert net.dumps() == _rescaled_recording(n).dumps()
     if make is corrupted_tables and fn is not dct2_scaled:
         assert scalar != run(ScaleTables(n))
+
+
+def _bent_columns(n, column):
+    """A fresh table set with one column of the row kernels' twiddle-loop
+    constants (3: ratio2a, 4: ratio2b, 5: ratio4) scaled by 1.001 at every
+    level, which every path of the real DFT and of its transpose reads."""
+    tab = ScaleTables(n)
+    for m in scale_factors._levels(16, n):
+        tab.columns(m)[column][...] *= 1.001
+    return tab
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("column", [3, 4, 5], ids=["r2a", "r2b", "r4"])
+@pytest.mark.parametrize("fn", [dct3_new, dst3_new])
+def test_inverse_calls_run_on_the_callers_tables(fn, column, n):
+    # the transposed network comes from the caller's tables, so calls 1-3
+    # agree on bent ones (at N=1024 call 1 runs the transposed rows, at
+    # N=64 every call the network) and differ from the cached set's; a
+    # fresh unbent set gives the cached set's bytes
+    x = rng(97, n).standard_normal(n).tolist()
+
+    def calls(tab):
+        out = []
+        for _ in range(3):
+            led = FlopLedger()
+            got = fn(x, Normalization.UNITARY, tab, led)
+            out.append((np.array(got).tobytes(), led.as_tuple()))
+        return out
+
+    cached = calls(None)
+    bent = calls(_bent_columns(n, column))
+    assert bent == [bent[0]] * 3
+    assert bent[0][0] != cached[0][0]
+    assert calls(ScaleTables(n)) == cached == [cached[0]] * 3
 
 
 def _rescaled_recording(n):
@@ -317,7 +352,8 @@ def test_first_evaluations_of_a_shared_network_under_threads():
     # four threads make the first evaluation of one program-sized network,
     # a fraction of a build apart (0.25 to 2.5 ms, over the rounds) and
     # switching every microsecond: each must find the edge array or the
-    # whole program, never neither
+    # whole program, never neither.  The DCT-III calls on the cached tables
+    # share that size's transposed network
     import sys
     import time
     from concurrent.futures import ThreadPoolExecutor
@@ -329,10 +365,9 @@ def test_first_evaluations_of_a_shared_network_under_threads():
     barrier = Barrier(4)
 
     def first_call(i, apart):
-        tab = ScaleTables(n)
         barrier.wait(timeout=10)
         time.sleep(i * apart)
-        return np.array(dct3_new(x, tables=tab)).tobytes()
+        return np.array(dct3_new(x)).tobytes()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -389,7 +389,7 @@ for n in (4, 16, 32, dct2.ROWS_MIN_SIZE):
                      lambda xs, led, t=tab_n: _dct2_new_lanes(xs, "two-sided", t, led),
                      id=f"dct2_new-{n}"),
         pytest.param(n, "dct2_scaled",
-                     lambda xs, led, t=tab_n: _dct2_scaled_lanes(xs, t, led),
+                     lambda xs, led, t=tab_n: _dct2_scaled_lanes(xs, None, t, led),
                      id=f"dct2_scaled-{n}"),
         pytest.param(n, "dct3_new",
                      lambda xs, led, t=tab_n: _dct3_new_lanes(xs, "two-sided", t, led),
@@ -550,7 +550,10 @@ def _recorded_plans(n):
                 tab = _fresh_tables(kernel, n)
                 led = FlopLedger()
                 kernel.run([0.0] * n, _NORMS[norm_name], tab, led)
-                nets = [p for p in tab.plans.values() if isinstance(p, LinearNetwork)]
+                # the plan, under its configuration's key (a table set also
+                # keeps its own spectrum networks)
+                nets = [p for k, p in tab.plans.items()
+                        if isinstance(k, tuple) and isinstance(p, LinearNetwork)]
                 assert len(nets) == 1
                 out.append((nets[0], led.as_tuple()))
     return out
