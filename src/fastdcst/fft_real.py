@@ -20,14 +20,17 @@ once over all of its calls, stacked as the rows of one 2-D block.  The
 split goes top down, one size after another, gathering each call's
 sub-inputs into its children's blocks; the combine goes bottom up, and
 each key's twiddle loop is a handful of elementwise expressions over
-columns k = 1 .. N/8 - 1 of its block, with the constants as float64
-columns of the tables.  The expressions keep the scalar formula's float
-operations in the scalar order, so the outputs are bitwise the scalar
-recursion's and the ledger is the same.  The row functions run on
-float64 arrays and, unchanged, on :class:`~fastdcst.transpose_net.TraceRows`
-(one vertex id per element), whose every operation appends whole edge
-columns to a recording: each vertex gets the in-edges it gets in the
-scalar trace, only numbered in another order.
+columns k = 1 .. N/8 - 1 of its block, with the constants read in place
+from the float64 arrays of the tables' levels
+(:meth:`~fastdcst.scale_factors.ScaleTables.level`); every t-factor there
+is 1 + i*c, which the table build checks.  The expressions keep the
+scalar formula's float operations in the scalar order, so the outputs
+are bitwise the scalar recursion's and the ledger is the same.  The row
+functions run on float64 arrays and, unchanged, on
+:class:`~fastdcst.transpose_net.TraceRows` (one vertex id per element),
+whose every operation appends whole edge columns to a recording: each
+vertex gets the in-edges it gets in the scalar trace, only numbered in
+another order.
 
 The rescaled rows also run backwards, as the transpose of their recorded
 network (:func:`_rfft_scaled_rows_T`, Bernstein's transposition
@@ -440,49 +443,28 @@ def _rfft_std_rows(x, twiddles, led):
                                      lambda *a: _std_combine(twiddles, *a), led))
 
 
-def _tmul_rows(cases, zr, zi, led):
-    # _tmul on each column by its own unit-component constant; cases are
-    # (columns, unit_re, sign < 0, coef of those columns), so each column
-    # runs its own case's formula only
-    led.mults += 2 * zr.size
-    led.adds += 2 * zr.size
-    if len(cases) == 1:
-        return _tmul_case(*cases[0][1:], zr, zi)
-    re, im = _empty(zr, zr.shape), _empty(zr, zr.shape)
-    for cols, *case in cases:
-        re[:, cols], im[:, cols] = _tmul_case(*case, zr[:, cols], zi[:, cols])
-    return re, im
-
-
-def _tmul_case(unit_re, negated, coef, zr, zi):
-    if unit_re:
-        re, im = zr - coef * zi, zi + coef * zr
-    else:
-        re, im = coef * zr - zi, coef * zi + zr
-    return (-re, -im) if negated else (re, im)
-
-
 def _scaled_combine(tab, key, u, z, g, led):
     # the twiddle loop of _rfft_scaled_lanes over the rows
     (ure, uim), (zre, zim), (gre, gim) = u, z, g
     typ, n = key
     r = len(ure)
     q, h, e = n >> 2, n >> 1, n >> 3
+    lv = tab.level(n)
     outr, outi = _empty(ure, (r, h + 1)), _empty(ure, (r, h + 1))
     led.adds += 4 * r
     a = zre[:, 0] + gre[:, 0]
     v = zre[:, 0] - gre[:, 0]
     if typ == 4:
         led.mults += 3 * r
-        r1 = tab.ratio4(n, 1, 0)
+        r1 = lv.ratio4[1, 0]
         outr[:, 0] = ure[:, 0] + a
-        outr[:, h] = tab.ratio4(n, 2, 0) * (ure[:, 0] - a)
+        outr[:, h] = lv.ratio4[2, 0] * (ure[:, 0] - a)
         outr[:, q] = r1 * ure[:, q]
         outi[:, q] = -(r1 * v)
     else:
         if typ == 2:
             led.mults += r
-            v = tab.ratio2b(n, 0) * v
+            v = lv.ratio2b[0] * v
         _first_bins(outr, outi, ure, a, v, q, h)
     if e == 0:
         return outr, outi
@@ -492,10 +474,10 @@ def _scaled_combine(tab, key, u, z, g, led):
     if typ == 4:
         led.mults += 4 * r
         bins = _eighth_bins(ure, uim, e, a, b)
-        bins = [(c * re, c * im) for c, (re, im) in zip((tab.ratio4(n, 0, e), tab.ratio4(n, 1, e)), bins)]
+        bins = [(c * re, c * im) for c, (re, im) in zip(lv.ratio4[:2, e], bins)]
     else:
         if typ != 1:
-            c = tab.s(n, e) if typ == 0 else tab.ratio2a(n, e)
+            c = lv.s[e] if typ == 0 else lv.ratio2a[e]
             led.mults += 2 * r
             a = c * a
             b = c * b
@@ -503,11 +485,16 @@ def _scaled_combine(tab, key, u, z, g, led):
     _put(outr, outi, q, e, bins)
     if e == 1:
         return outr, outi
-    tz, tg, s, ra, rb, r4 = tab.columns(n)
-    pr, pi = _tmul_rows(tz, zre[:, 1:e], zim[:, 1:e], led)
-    qr, qi = _tmul_rows(tg, gre[:, 1:e], gim[:, 1:e], led)
+    # z times t = 1 + i*c and g times conj(t), for k = 1 .. N/8 - 1
+    k = slice(1, e)
+    s, ra, rb, r4, c = lv.s[k], lv.ratio2a[k], lv.ratio2b[k], lv.ratio4[:, k], lv.coef[k]
+    nc = -c
+    zr, zi, gr, gi = zre[:, k], zim[:, k], gre[:, k], gim[:, k]
+    pr, pi = zr - c * zi, zi + c * zr
+    qr, qi = gr - nc * gi, gi + nc * gr
     size = pr.size
-    led.adds += 12 * size
+    led.mults += 4 * size
+    led.adds += 16 * size
     wr = pr + qr
     wi = pi + qi
     vr = pr - qr
@@ -536,7 +523,7 @@ def _rfft_scaled_rows(typ, x, tab, led):
     """:func:`_rfft_scaled_lanes` of each row of ``x`` (a 2-D float64
     array or :class:`~fastdcst.transpose_net.TraceRows`), breadth first,
     in the lanes of :func:`pack_lanes`, one row each; the constants of the
-    twiddle loops come from ``tab.columns``."""
+    twiddle loops come from ``tab.level``."""
     return _pack_rows(_breadth_first(
         x, typ, lambda t: (_SUBTYPE[t], 1),
         lambda key, b, led: _leaf(b, led, tab.inv_s8_1 if key[0] == 4 else None),
@@ -547,9 +534,9 @@ def _rfft_scaled_rows(typ, x, tab, led):
 # vertex, the terms of its forward readers in the order they were made, so
 # each transposed loop below is the forward loop read backwards with its sums
 # in the forward write order.  The adjoint of a value that the forward loop
-# only writes negated (a bin -(...), or a -1 t-factor case) sums its readers'
-# terms negated, which keeps the sign of an exact zero; the imaginary bins
-# q .. q + e of a key (q alone for variant 4) are such values.
+# only writes negated (a bin -(...)) sums its readers' terms negated, which
+# keeps the sign of an exact zero; the imaginary bins q .. q + e of a key (q
+# alone for variant 4) are such values.
 
 
 def _signed(a, b, neg, plain, negated):
@@ -573,36 +560,6 @@ def _sub(a, b, neg):
     return _signed(a, b, neg, lambda a, b: a - b, lambda a, b: b - a)
 
 
-def _tmul_rows_T(cases, w, v, sign, led, neg):
-    # the transpose of _tmul_rows: the adjoints of its operands at each
-    # column, those at the columns neg summed negated, from the adjoints w
-    # and v of the two sums that read its products (w + v for z's, w - v for
-    # g's as sign is 1 or -1)
-    led.mults += 2 * w[0].size
-    led.adds += 2 * w[0].size
-    if len(cases) == 1:
-        return _tmul_case_T(*cases[0][1:], *w, *v, sign, neg)
-    re, im = np.empty_like(w[0]), np.empty_like(w[0])
-    for cols, *case in cases:
-        terms = [t[:, cols] for t in (*w, *v)]
-        # the case's columns in neg, a run of them as cols ascend
-        at = slice(*np.searchsorted(cols, (neg.start, neg.stop)))
-        re[:, cols], im[:, cols] = _tmul_case_T(*case, *terms, sign, at)
-    return re, im
-
-
-def _tmul_case_T(unit_re, negated, coef, wr, wi, vr, vi, sign, neg):
-    # the adjoints pr, pi of the case's products, their terms negated in a
-    # negated case, then those of its operands in the order _tmul_case reads them
-    if sign > 0:
-        pr, pi = (-wr - vr, -wi - vi) if negated else (wr + vr, wi + vi)
-    else:
-        pr, pi = (vr - wr, vi - wi) if negated else (wr - vr, wi - vi)
-    if unit_re:
-        return pr + coef * pi, _sub(pi, coef * pr, neg)
-    return coef * pr + pi, _sub(coef * pi, pr, neg)
-
-
 def _scaled_combine_T(tab, key, out, u, z, g, led):
     # the transpose of _scaled_combine: from the adjoints (ar, ai) of the
     # bins of key, those of the bins of its children, written to u, z and g
@@ -610,11 +567,12 @@ def _scaled_combine_T(tab, key, out, u, z, g, led):
     typ, n = key
     r = len(ar)
     q, h, e = n >> 2, n >> 1, n >> 3
+    lv = tab.level(n)
     led.adds += 4 * r
     if typ == 4:
         led.mults += 3 * r
-        r1 = tab.ratio4(n, 1, 0)
-        d = tab.ratio4(n, 2, 0) * ar[:, h]
+        r1 = lv.ratio4[1, 0]
+        d = lv.ratio4[2, 0] * ar[:, h]
         ur[:, 0] = ar[:, 0] + d
         a = ar[:, 0] - d
         ur[:, q] = r1 * ar[:, q]
@@ -626,7 +584,7 @@ def _scaled_combine_T(tab, key, out, u, z, g, led):
         v = ai[:, q]
         if typ == 2:
             led.mults += r
-            v = tab.ratio2b(n, 0) * v
+            v = lv.ratio2b[0] * v
     zr[:, 0] = a + v
     gr[:, 0] = a - v
     if e == 0:
@@ -635,14 +593,14 @@ def _scaled_combine_T(tab, key, out, u, z, g, led):
     e1, e2, e3, e4 = ar[:, e], ai[:, e], ar[:, h - e], ai[:, h - e]
     if typ == 4:
         led.mults += 4 * r
-        r0, r1 = tab.ratio4(n, 0, e), tab.ratio4(n, 1, e)
+        r0, r1 = lv.ratio4[:2, e]
         e1, e2, e3, e4 = r0 * e1, r0 * e2, r1 * e3, -(r1 * e4)
     ur[:, e] = e1 + e3
     ui[:, e] = -e2 - e4  # u's bin N/8, a quarter of its size, is written negated
     a = e1 - e3
     b = e4 - e2
     if typ == 0 or typ == 2:
-        c = tab.s(n, e) if typ == 0 else tab.ratio2a(n, e)
+        c = lv.s[e] if typ == 0 else lv.ratio2a[e]
         led.mults += 2 * r
         a = c * a
         b = c * b
@@ -650,12 +608,13 @@ def _scaled_combine_T(tab, key, out, u, z, g, led):
     gr[:, e] = a - b
     if e == 1:
         return
-    tz, tg, s, ra, rb, r4 = tab.columns(n)
     k, qk = slice(1, e), slice(q - 1, q - e, -1)
+    s, ra, rb, r4, c = lv.s[k], lv.ratio2a[k], lv.ratio2b[k], lv.ratio4[:, k], lv.coef[k]
     b1, b2, b3, b4 = ar[:, k], ai[:, k], ar[:, h - 1:h - e:-1], ai[:, h - 1:h - e:-1]
     b5, b6, b7, b8 = ar[:, q + 1:q + e], ai[:, q + 1:q + e], ar[:, qk], ai[:, qk]
     size = b1.size
-    led.adds += 12 * size
+    led.mults += 4 * size
+    led.adds += 16 * size
     if typ == 4:
         led.mults += 8 * size
         b1, b2, b3, b4 = r4[0] * b1, r4[0] * b2, r4[2] * b3, r4[2] * b4
@@ -672,10 +631,14 @@ def _scaled_combine_T(tab, key, out, u, z, g, led):
     elif typ == 2:
         led.mults += 4 * size
         wr, wi, vr, vi = ra * wr, ra * wi, rb * vr, rb * vi
-    # bins N/16 .. 3N/32 of z and g are written negated
+    # the adjoints of the products p = z*t and q = g*conj(t) (w = p + q, v
+    # = p - q), then those of z and g in the order the products read them,
+    # t = 1 + i*c; bins N/16 .. 3N/32 of z and g are written negated
     neg = slice((e >> 1) - 1, 3 * e >> 2)
-    zr[:, k], zi[:, k] = _tmul_rows_T(tz, (wr, wi), (vr, vi), 1, led, neg)
-    gr[:, k], gi[:, k] = _tmul_rows_T(tg, (wr, wi), (vr, vi), -1, led, neg)
+    nc = -c
+    pr, pi, qr, qi = wr + vr, wi + vi, wr - vr, wi - vi
+    zr[:, k], zi[:, k] = pr + c * pi, _sub(pi, c * pr, neg)
+    gr[:, k], gi[:, k] = qr + nc * qi, _sub(qi, nc * qr, neg)
 
 
 def _leaf_T(adj, led, c=None):

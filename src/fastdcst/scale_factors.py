@@ -14,15 +14,18 @@ and the DCT output stage's as strided slices of it; the recurrence, the
 ratios and the checks then run as numpy elementwise operations on the
 same operands in the same order, so every entry is bitwise that of the
 scalar definitions :func:`scale`, :func:`t_factor` and :func:`unit_root`.
-Each constant is kept once, in the form its reader takes: the kernels
-read t-factors at levels up to the root size only, so the levels above
-it are checked but not kept as tuples.
+Each level's constants are kept once, as float64 arrays, which the row
+kernels read in place; the scalar kernels read Python floats that a
+level's first scalar read makes from its arrays.  The kernels read
+t-factors at levels up to the root size only, so the levels above it are
+checked but not kept.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,6 +125,18 @@ class TableError(ValueError):
     """A precomputed constant failed its build-time self check."""
 
 
+class _Level(NamedTuple):
+    """The constants of level ``m`` as float64 arrays over k < m/4: the
+    scale row at every level, the rest at the levels the kernels read (4 ..
+    the root size) only, None above them."""
+
+    s: np.ndarray  # scale(m, k)
+    ratio2a: np.ndarray | None  # s(m, k) / s(2m, k)
+    ratio2b: np.ndarray | None  # s(m, k) / s(2m, k + m/4)
+    ratio4: np.ndarray | None  # s(m, k) / s(4m, k + j*m/4), one row per j
+    coef: np.ndarray | None  # t(m, k) = 1 + i*coef for k <= m/8, else -(coef + i)
+
+
 class ScaleTables:
     """Every constant the rescaled kernels need, precomputed eagerly.
 
@@ -129,10 +144,13 @@ class ScaleTables:
     up to size ``4n``), the fused t-factors of the levels the kernels read
     (4 .. ``n``; those up to ``4n`` are checked too), the folded scale
     ratios used by the four mutually recursive kernel variants, and the
-    DCT output stage constants, taken from the same trig row.  The scalar
-    kernels read them one at a time through the accessors; the row
-    kernels of :mod:`fastdcst.fft_real` read each level's twiddle-loop
-    constants as float64 columns (:meth:`columns`).
+    DCT output stage constants, taken from the same trig row.  Each
+    level's constants are kept once, as float64 arrays (:meth:`level`),
+    which the row kernels of :mod:`fastdcst.fft_real` read in place.  The
+    scalar kernels read one constant at a time through the accessors
+    (``s``, ``t_struct``, ``ratio2a``, ``ratio2b``, ``ratio4``), from
+    Python floats that a level's first scalar read makes from its arrays
+    and publishes whole, once.
     The constants are immutable after construction.  The one mutable part
     is ``plans``: per kernel configuration, a call count and then the
     recorded whole-kernel network at sizes up to ``dct2.PLAN_MAX_SIZE``
@@ -156,54 +174,40 @@ class ScaleTables:
         # _cos2pi(k, m) == _cos2pi(k*r, m*r) bit for bit for a power of two
         # r, as 2*pi*k*r/(m*r) rounds exactly like 2*pi*k/m (sines alike)
         cos, sin = _trig_row(top)
-        rows = {}  # level m -> s(m, k) for k < m/4, as float64
-        re, im = [], []  # t(m, k) for k < m/4, level after level
+        rows = {}  # level m -> s(m, k) for k < m/4
+        re, im, low = [], [], []  # t(m, k) for k < m/4 and k <= m/8, level after level
         for m in _levels(4, top):
             q = m >> 2
             r = top // m
             sq = np.tile(rows[q], 4) if q > 4 else 1.0
-            rows[m] = sq * np.where(8 * np.arange(q) <= m, cos[::r], sin[::r])
+            low.append(8 * np.arange(q) <= m)
+            rows[m] = sq * np.where(low[-1], cos[::r], sin[::r])
             ratio = sq / rows[m]
             re.append(cos[::r] * ratio)
             im.append(-sin[::r] * ratio)
-        self._s: dict[int, list[float]] = {m: v.tolist() for m, v in rows.items() if m > 4}
+        # level m's t-factors start at m/4 - 1 in the concatenation
+        coef = _t_coef(np.concatenate(re), np.concatenate(im), np.concatenate(low))
+        # the kernels read those of levels 4 .. size, the first size/2 - 1
+        kept = coef[:(size >> 1) - 1].copy()
 
-        # level m's t-factors start at m/4 - 1 in the concatenation; every
-        # level is checked, and the kernels read those of levels 4 .. size,
-        # the first size/2 - 1, as tuples
-        self._tstruct: dict[int, list[tuple]] = {}
-        if size >= 2:
-            re, im = np.concatenate(re), np.concatenate(im)
-            bad = np.minimum(np.abs(np.abs(re) - 1.0), np.abs(np.abs(im) - 1.0)) > 1e-12
-            if bad.any():
-                i = int(bad.argmax())
-                m = 4 << (i + 1).bit_length() - 1
-                t = complex(re[i], im[i])
-                raise TableError(f"t({m},{i + 1 - (m >> 2)}) = {t} has no unit component")
-            ts, (unit, up, coef) = _t_structs(re, im, size // 2 - 1)
-            self._tstruct = {m: ts[(m >> 2) - 1:(m >> 1) - 1] for m in _levels(4, size)}
-
-        # folded ratios: divisions happen here, never at transform time
+        self._arrays: dict[int, _Level] = {}
+        for m in _levels(4, top):
+            q = m >> 2
+            if m > size:
+                self._arrays[m] = _Level(rows[m], None, None, None, None)
+                continue
+            # folded ratios: divisions happen here, never at transform time
+            sm = rows[m]
+            self._arrays[m] = _Level(sm, sm / rows[2 * m][:q], sm / rows[2 * m][q:],
+                                     sm / rows[4 * m].reshape(4, q), kept[q - 1:2 * q - 1])
+        # the scalar accessors' Python floats, by level, made on first read
+        self._s: dict[int, list[float]] = {}
+        self._t: dict[int, list[tuple]] = {}
         self._r2a: dict[int, list[float]] = {}
         self._r2b: dict[int, list[float]] = {}
         self._r4: dict[int, list[list[float]]] = {}
-        self._columns: dict[int, tuple] = {}
-        for m in _levels(4, size):
-            q = m >> 2
-            sm = rows[m]
-            r2a, r2b = sm / rows[2 * m][:q], sm / rows[2 * m][q:]
-            r4 = sm / rows[4 * m].reshape(4, q)
-            self._r2a[m], self._r2b[m], self._r4[m] = r2a.tolist(), r2b.tolist(), r4.tolist()
-            if m >= 16:
-                # the constants of the twiddle loop, k = 1 .. m/8 - 1, as
-                # columns: the t-factors (level m's k-th at m/4 - 1 + k) as
-                # _tmul's cases, for t and conj(t)
-                e = m >> 3
-                u, p, c = unit[q:q - 1 + e], up[q:q - 1 + e], coef[q:q - 1 + e]
-                self._columns[m] = (_column_cases(u, ~p, c), _column_cases(u, p != u, -c),
-                                    sm[1:e], r2a[1:e], r2b[1:e], r4[:, 1:e])
 
-        self.inv_s8_1 = 1.0 / self.s(8, 1) if size >= 2 else None
+        self.inv_s8_1 = 1.0 / float(rows[8][1]) if size >= 2 else None
 
         # DCT-II output stage 2 * unit_root(k, 4n) * s(n, k): for k < n/2
         # unit_root(k, 4n) stays in the first octant, where its argument is
@@ -213,12 +217,10 @@ class ScaleTables:
         self._stage = dct_stage(size, 2.0 * (cos[:h] - 1j * sin[:h]) * s_row)
 
         # scaled-output DCT-II: stage constants become t(4n, k) = 1 - i*tan,
-        # stored as (True, 1.0, -tan), and every output k carries the known
-        # diagonal 2*s(4n, k)
-        if size >= 2:  # the t(4n, k) come last in coef
-            self.scaled_stage_tan = np.concatenate(([0.0], -coef[(top >> 2) - 1:][1:h]))
-        else:
-            self.scaled_stage_tan = np.array([])
+        # the coefs of level 4n, which come last, and every output k carries
+        # the known diagonal 2*s(4n, k), kept as the list that each output
+        # copies: a tolist() per call would make N floats each time
+        self.scaled_stage_tan = np.concatenate(([0.0], -coef[(top >> 2) - 1:][1:h]))
         self.dct_scales = (2.0 * rows[top]).tolist()
 
         self.validate()
@@ -226,31 +228,64 @@ class ScaleTables:
     def supports(self, n: int) -> bool:
         return n <= self.size
 
+    def level(self, m: int) -> _Level:
+        """The constants of level ``m`` (a power of two, 4 .. 4n) as float64
+        arrays, read in place; the scalar accessors give the same values."""
+        return self._arrays[m]
+
+    # the scalar accessors: one dict lookup and one list index once level m
+    # has its floats, made by _scalar_level on the level's first read
+
     def s(self, m: int, k: int) -> float:
         if m <= 4:
             return 1.0
-        return self._s[m][k % (m >> 2)]
+        try:
+            return self._s[m][k % (m >> 2)]
+        except KeyError:
+            return self._scalar_level(m)._s[m][k % (m >> 2)]
 
     def t_struct(self, m: int, k: int) -> tuple:
-        return self._tstruct[m][k]
+        """``(ts, tcs)``: t(m, k) and its conjugate as ``(unit_re, sign,
+        coef)``, with t = sign * (1 + i*coef) if unit_re, else sign *
+        (coef + i)."""
+        try:
+            return self._t[m][k]
+        except KeyError:
+            return self._scalar_level(m)._t[m][k]
 
     def ratio2a(self, m: int, k: int) -> float:
-        return self._r2a[m][k]
+        try:
+            return self._r2a[m][k]
+        except KeyError:
+            return self._scalar_level(m)._r2a[m][k]
 
     def ratio2b(self, m: int, k: int) -> float:
-        return self._r2b[m][k]
+        try:
+            return self._r2b[m][k]
+        except KeyError:
+            return self._scalar_level(m)._r2b[m][k]
 
     def ratio4(self, m: int, j: int, k: int) -> float:
-        return self._r4[m][j][k]
+        try:
+            return self._r4[m][j][k]
+        except KeyError:
+            return self._scalar_level(m)._r4[m][j][k]
 
-    def columns(self, m: int) -> tuple:
-        """The twiddle-loop constants of level ``m`` >= 16 for k = 1 ..
-        m/8 - 1, as float64 columns: ``(tz, tg, s, ratio2a, ratio2b,
-        ratio4)``, where ``tz`` and ``tg`` are the t-factors and their
-        conjugates as cases ``(columns, unit_re, sign < 0, coef)`` of
-        :func:`fastdcst.fft_complex._tmul`, and ``ratio4`` has one row per
-        ``j``; the entries are bitwise those of the scalar accessors."""
-        return self._columns[m]
+    def _scalar_level(self, m):
+        # level m's arrays as the accessors' Python floats, each list made
+        # whole before it is published; setdefault keeps the first one that
+        # threads racing on the level publish, so all of them read it
+        lv = self._arrays[m]
+        self._s.setdefault(m, lv.s.tolist())
+        if lv.coef is not None:
+            c = lv.coef.tolist()
+            low = (m >> 3) + 1  # k <= m/8
+            self._t.setdefault(m, [((True, 1.0, x), (True, 1.0, -x)) for x in c[:low]]
+                               + [((False, -1.0, x), (False, 1.0, -x)) for x in c[low:]])
+            self._r2a.setdefault(m, lv.ratio2a.tolist())
+            self._r2b.setdefault(m, lv.ratio2b.tolist())
+            self._r4.setdefault(m, lv.ratio4.tolist())
+        return self
 
     def dct_stage(self, norm_key: str):
         return self._stage[norm_key]
@@ -262,24 +297,24 @@ class ScaleTables:
         denominators differ (e.g. s(2m, m/4 - k) vs s(2m, k + m/4)); those
         foldings are only sound if the mirror/periodicity identities hold,
         so they are verified here before any transform trusts the tables.
-        Each level is checked in one pass, elementwise, and the first
-        failure in the order of (m, k, check) is reported.
+        Each level is checked in one pass, elementwise, on its arrays, and
+        the first failure in the order of (m, k, check) is reported.
         """
-        rows = {m: np.asarray(row) for m, row in self._s.items()}
         for m in _levels(4, self.size):
             q = m >> 2
+            lv, s2, s4 = self._arrays[m], self._arrays[2 * m].s, self._arrays[4 * m].s
             # identity c compares s(mm, a - k) with s(mm, b + k), for
             # (mm, a, b) = pairs[c], both within the stored quarter period
             pairs = ((2 * m, q, q), (4 * m, q, 3 * q), (4 * m, 2 * q, 2 * q))
-            s2, s4 = rows[2 * m], rows[4 * m]
-            bad = _far(np.array([s2[q:0:-1], s4[q:0:-1], s4[2 * q:q:-1]]),
-                       np.array([s2[q:], s4[3 * q:], s4[2 * q:3 * q]]))
+            lhs = np.array([s2[q:0:-1], s4[q:0:-1], s4[2 * q:q:-1]])
+            rhs = np.array([s2[q:], s4[3 * q:], s4[2 * q:3 * q]])
+            bad = _far(lhs, rhs)
             # generically weighted slots must stay non-trivial or the structural
             # flop counts would silently drift.  Only weights of exactly +-1 are
             # free there and a zero drops a term, so exactly those are trivial: a
             # tolerance would reject ratio4(m, ...), which nears 1 like 1/m^2
             k = np.arange(q)
-            w = np.array([self._r2a[m], self._r2b[m], *self._r4[m]])
+            w = np.array([lv.ratio2a, lv.ratio2b, *lv.ratio4])
             trivial = ((k > 0) & (k != m // 8)) & ((w == 0.0) | (np.abs(w) == 1.0))
             bad = np.concatenate((bad, trivial))
             if not bad.any():
@@ -288,7 +323,7 @@ class ScaleTables:
             if c < 3:
                 mm, a, b = pairs[c]
                 raise TableError(f"identity violated: s({mm},{a - k}) vs s({mm},{b + k}): "
-                                 f"{self.s(mm, a - k)!r} != {self.s(mm, b + k)!r}")
+                                 f"{float(lhs[c, k])!r} != {float(rhs[c, k])!r}")
             name = f"ratio4({m},{c - 5}," if c >= 5 else f"ratio2{'ab'[c - 3]}({m},"
             raise TableError(f"{name}{k}) = {float(w[c - 3, k])} is trivial")
 
@@ -335,39 +370,22 @@ def _trig_row(n):
     return np.concatenate((c, s[e - 1:0:-1])), np.concatenate((s, c[e - 1:0:-1]))
 
 
-def _t_structs(re, im, count):
-    # per t = re + i*im, (unit_re, sign, coef) for t and for conj(t):
-    #   unit_re:  t = sign * (1 + i*coef)
-    #   else:     t = sign * (coef + i)
-    # as a list of pairs of tuples for the first count, and unit_re, sign > 0
-    # and the coefs of t as arrays for all (conj(t) has unit_re, sign > 0
-    # where sign > 0 == unit_re, and -coef)
-    unit = np.abs(np.abs(re) - 1.0) <= np.abs(np.abs(im) - 1.0)
-    up = np.where(unit, re, im) > 0
-    coef = np.where(unit, im, re) * np.where(up, 1.0, -1.0)
-    u, p, c = unit[:count], up[:count], coef[:count]
-    units = u.tolist()
-    # the signs as the two shared floats -1.0 and 1.0, not one object each
-    sign, conj_sign = _SIGNS[p.view(np.int8)].tolist(), _SIGNS[(p == u).view(np.int8)].tolist()
-    conj = zip(units, conj_sign, (-c).tolist())
-    return list(zip(zip(units, sign, c.tolist()), conj)), (unit, up, coef)
-
-
-def _column_cases(unit, negated, coef):
-    # the columns of each (unit_re, sign < 0) case that occurs, with their
-    # coefs; one case that covers every column takes them all as a slice
-    u, g = bool(unit[0]), bool(negated[0])
-    if (unit == u).all() and (negated == g).all():
-        return [(slice(None), u, g, coef)]
-    cases = []
-    for u, g in ((True, False), (True, True), (False, False), (False, True)):
-        cols = np.flatnonzero((unit == u) & (negated == g))
-        if len(cols):
-            cases.append((cols, u, g, coef[cols]))
-    return cases
-
-
-_SIGNS = np.array([-1.0, 1.0], dtype=object)
+def _t_coef(re, im, low):
+    # the coefs of the t-factors re + i*im of levels 4, 8, ..., one level
+    # after another, each checked to have a unit component within 1e-12 of
+    # exact, and to be 1 + i*coef where low (k <= m/8, the scale
+    # recurrence's cosine branch) and -(coef + i) elsewhere
+    off = np.abs(np.abs(re) - 1.0), np.abs(np.abs(im) - 1.0)
+    unit = off[0] <= off[1]
+    far = np.minimum(*off) > 1e-12
+    bad = far | (unit != low) | ((np.where(unit, re, im) > 0) != low)
+    if bad.any():
+        i = int(bad.argmax())
+        m = 4 << (i + 1).bit_length() - 1
+        what = "has no unit component" if far[i] else (
+            "is not 1 + i*coef" if low[i] else "is not -(coef + i)")
+        raise TableError(f"t({m},{i + 1 - (m >> 2)}) = {complex(re[i], im[i])} {what}")
+    return np.where(low, im, -re)
 
 
 def _levels(lo, hi):

@@ -11,13 +11,19 @@ from fastdcst import (
     dct2_classic,
     dct2_new,
     dct2_scaled,
+    dst2_new,
     embed_4n,
+    fft_scaled,
+    formula_M,
     formula_MS,
     formula_classic_dct2,
     formula_new_dct2,
+    formula_new_fft_complex,
+    formula_splitradix_real,
     naive_dct2,
     naive_dft,
     reorder_even_odd,
+    rfft_scaled,
     unit_root,
 )
 from fastdcst.dct2 import _classic_state
@@ -233,3 +239,24 @@ def test_dct2_at_65536():
     want = np.fft.rfft(embed_4n(x))[:n].real
     assert max_rel(got, want) < 1e-10
     assert max_rel(np.array(res.values) * np.array(res.scales), want) < 1e-10
+    lc, lst = FlopLedger(), FlopLedger()
+    assert max_rel(dct2_classic(x, ledger=lc), want) < 1e-10
+    assert lc.total() == formula_classic_dct2(n)
+    # DST-II(x)[k] is DCT-II((-1)^j x_j)[N-1-k]
+    alt = np.where(np.arange(n) % 2, -x, x)
+    assert max_rel(dst2_new(x, ledger=lst), np.fft.rfft(embed_4n(alt))[:n].real[::-1]) < 1e-10
+    assert lst.as_tuple() == ln.as_tuple()
+
+
+def test_public_ffts_at_65536():
+    # the scalar kernels, on lists, read every level's floats, made on
+    # first read from the cached set's arrays
+    n = 1 << 16
+    tab = build_tables(n)
+    x = rng(49, n).standard_normal(n)
+    z = x + 1j * rng(50, n).standard_normal(n)
+    lr, lc = FlopLedger(), FlopLedger()
+    assert max_rel(rfft_scaled(x, 0, tab, lr).bins, np.fft.rfft(x)) < 1e-10
+    assert max_rel(fft_scaled(z, 0, tab, lc), np.fft.fft(z)) < 1e-10
+    assert lr.total() == formula_splitradix_real(n) - formula_M(n) // 2
+    assert lc.total() == formula_new_fft_complex(n)

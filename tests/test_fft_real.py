@@ -30,11 +30,8 @@ from fastdcst.fft_real import (
     _rfft_scaled_rows_T,
     _rfft_std_lanes,
     _rfft_std_rows,
-    _tmul_rows,
-    _tmul_rows_T,
     pack_lanes,
 )
-from fastdcst.scale_factors import _column_cases
 from fastdcst.transpose_net import record_rows
 from fastdcst.trig_family import _transposed_spectrum_net
 
@@ -260,37 +257,3 @@ def test_transposed_rows_ledger_is_the_closed_form(n):
         dct3_new(y[0], norm, tab, leds[0])
         dst3_new(y[0], norm, tab, leds[1])
         assert leds[0] == leds[1] and leds[0].total() == formula_new_dct2(n) - saving, norm
-
-
-def test_transposed_row_tmul_runs_each_case_on_its_own_columns():
-    # the four cases of _tmul side by side (the real DFTs meet only one):
-    # the forward loop reads z = (zr, a + b) and g = (gr, c + d), the
-    # second parts written negated at columns 2..4, and gives w = p + q
-    # and v = p - q of their products p and q.  Its transposed recording
-    # is what _tmul_rows_T gives the operands, bit for bit
-    unit = np.array([True, False, True, False, True, False, True])
-    up = np.array([True, True, False, False, True, False, True])
-    coef = rng(59).standard_normal(7)
-    tz, tg = _column_cases(unit, ~up, coef), _column_cases(unit, up != unit, -coef)
-    assert len(tz) == len(tg) == 4
-    neg = slice(2, 5)
-
-    def forward(ins):
-        zr, a, b, gr, c, d = (ins[None, 7 * i:7 * i + 7] for i in range(6))
-        zi, gi = a + b, c + d
-        zi[:, neg], gi[:, neg] = -zi[:, neg], -gi[:, neg]
-        pr, pi = _tmul_rows(tz, zr, zi, FlopLedger())
-        qr, qi = _tmul_rows(tg, gr, gi, FlopLedger())
-        out = ins.empty((4, 7))
-        out[0], out[1], out[2], out[3] = (pr + qr)[0], (pi + qi)[0], (pr - qr)[0], (pi - qi)[0]
-        return out
-
-    net = record_rows(forward, 42).transpose()
-    for y in _hard_rows(28, 2, 3):
-        w, v = (y[None, :7], y[None, 7:14]), (y[None, 14:21], y[None, 21:])
-        led = FlopLedger()
-        zr, zi = _tmul_rows_T(tz, w, v, 1, led, neg)
-        gr, gi = _tmul_rows_T(tg, w, v, -1, led, neg)
-        want = np.concatenate((zr[0], zi[0], zi[0], gr[0], gi[0], gi[0]))
-        assert np.array(net.eval(y)).tobytes() == want.tobytes()
-        assert led.as_tuple() == (28, 28)

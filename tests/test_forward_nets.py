@@ -247,18 +247,30 @@ def test_own_tables_get_their_own_network(make, fn):
         assert scalar != run(ScaleTables(n))
 
 
-def _bent_columns(n, column):
-    """A fresh table set with one column of the row kernels' twiddle-loop
-    constants (3: ratio2a, 4: ratio2b, 5: ratio4) scaled by 1.001 at every
-    level, which every path of the real DFT and of its transpose reads."""
-    tab = ScaleTables(n)
-    for m in scale_factors._levels(16, n):
-        tab.columns(m)[column][...] *= 1.001
+def _bent_level_array(tab, name):
+    """``tab`` with one level array (``ratio2a``, ``ratio2b``, ``ratio4`` or
+    ``s``) scaled by 1.001 at every level >= 16, in place: the rows, their
+    transpose and the scalar kernels all read it."""
+    for m in scale_factors._levels(16, tab.size):
+        getattr(tab.level(m), name)[...] *= 1.001
     return tab
 
 
+_BENT = {"r2a": "ratio2a", "r2b": "ratio2b", "r4": "ratio4"}
+
+
+def _three_calls(fn, x, tab):
+    # (output bytes, ledger) of calls 1-3 of fn on x under UNITARY
+    out = []
+    for _ in range(3):
+        led = FlopLedger()
+        got = fn(x, Normalization.UNITARY, tab, led)
+        out.append((np.array(got).tobytes(), led.as_tuple()))
+    return out
+
+
 @pytest.mark.parametrize("n", [64, 1024])
-@pytest.mark.parametrize("column", [3, 4, 5], ids=["r2a", "r2b", "r4"])
+@pytest.mark.parametrize("column", list(_BENT))
 @pytest.mark.parametrize("fn", [dct3_new, dst3_new])
 def test_inverse_calls_run_on_the_callers_tables(fn, column, n):
     # the transposed network comes from the caller's tables, so calls 1-3
@@ -266,20 +278,24 @@ def test_inverse_calls_run_on_the_callers_tables(fn, column, n):
     # N=64 every call the network) and differ from the cached set's; a
     # fresh unbent set gives the cached set's bytes
     x = rng(97, n).standard_normal(n).tolist()
-
-    def calls(tab):
-        out = []
-        for _ in range(3):
-            led = FlopLedger()
-            got = fn(x, Normalization.UNITARY, tab, led)
-            out.append((np.array(got).tobytes(), led.as_tuple()))
-        return out
-
-    cached = calls(None)
-    bent = calls(_bent_columns(n, column))
+    cached = _three_calls(fn, x, None)
+    bent = _three_calls(fn, x, _bent_level_array(ScaleTables(n), _BENT[column]))
     assert bent == [bent[0]] * 3
     assert bent[0][0] != cached[0][0]
-    assert calls(ScaleTables(n)) == cached == [cached[0]] * 3
+    assert _three_calls(fn, x, ScaleTables(n)) == cached == [cached[0]] * 3
+
+
+@pytest.mark.parametrize("column", list(_BENT))
+def test_forward_calls_run_on_the_callers_tables(column):
+    # call 1 runs the scalar recursion, whose floats are made from the
+    # arrays on first read, and later calls the network recorded from the
+    # rows: on a bent set they agree, and differ from the cached set's
+    n = 64
+    x = rng(98, n).standard_normal(n).tolist()
+    cached = _three_calls(dct2_new, x, None)
+    bent = _three_calls(dct2_new, x, _bent_level_array(ScaleTables(n), _BENT[column]))
+    assert bent == [bent[0]] * 3
+    assert bent[0][0] != cached[0][0]
 
 
 def _rescaled_recording(n):

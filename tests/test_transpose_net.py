@@ -30,9 +30,8 @@ from fastdcst import (
 )
 from fastdcst.cli import _NORMS, KERNELS
 from fastdcst.dct2 import _classic_state, _dct2_new_lanes, _dct2_scaled_lanes
-from fastdcst.fft_complex import _fft_scaled_lanes, _fft_std_lanes, _tmul
-from fastdcst.fft_real import _tmul_rows, half_spectrum_lanes, pack_lanes
-from fastdcst.scale_factors import _column_cases
+from fastdcst.fft_complex import _fft_scaled_lanes, _fft_std_lanes
+from fastdcst.fft_real import half_spectrum_lanes, pack_lanes
 from fastdcst.transpose_net import record_rows
 from fastdcst.trig_family import (
     _dct3_new_lanes,
@@ -592,41 +591,6 @@ def test_two_recordings_in_threads_agree():
             want = make(lambda: [_spectrum_record(t) for t in tabs])
             got = make(lambda: list(pool.map(_spectrum_record, tabs * 2)))
             assert got == want * 2
-
-
-def test_row_tmul_runs_each_case_on_its_own_columns():
-    # the real DFTs meet only t-factors 1 - i*tan, so all four cases of
-    # _tmul are put side by side here, one column each at least: on floats
-    # the row form gives the scalar form's bits and ledger, and recorded it
-    # is the scalar trace renumbered
-    unit = np.array([True, False, True, False, True, False, True])
-    negated = np.array([False, False, True, True, False, True, True])
-    coef = rng(57).standard_normal(7)
-    cases = _column_cases(unit, negated, coef)
-    assert len(cases) == 4
-    signed = [(bool(u), -1.0 if g else 1.0, c) for u, g, c in zip(unit, negated, coef.tolist())]
-    zr, zi = rng(58).standard_normal((2, 3, 7))
-    led, scalar_led = FlopLedger(), FlopLedger()
-    re, im = _tmul_rows(cases, zr, zi, led)
-    want = [[_tmul(ts, a, b, scalar_led) for ts, a, b in zip(signed, ra, rb)]
-            for ra, rb in zip(zr.tolist(), zi.tolist())]
-    assert np.stack((re, im), axis=-1).tobytes() == np.array(want).tobytes()
-    assert led == scalar_led
-
-    def rows(ins):
-        re, im = _tmul_rows(cases, ins[None, :7], ins[None, 7:], FlopLedger())
-        out = ins.empty((2, 7))
-        out[0], out[1] = re[0], im[0]
-        return out
-
-    def scalars(ins):
-        pairs = [_tmul(ts, a, b, FlopLedger()) for ts, a, b in zip(signed, ins[:7], ins[7:])]
-        return [p[0] for p in pairs] + [p[1] for p in pairs]
-
-    for make in (uncompacted, lambda f: f()):
-        by_rows, by_scalars = make(lambda: (record_rows(rows, 14), record(scalars, 14)))
-        form_rows, form_scalars = canonical_forms(by_rows, by_scalars)
-        assert form_rows == form_scalars
 
 
 def test_trace_rows_refuse_what_is_not_linear():
