@@ -18,6 +18,7 @@ failure, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections.abc import Callable
@@ -335,7 +336,13 @@ def cmd_flops(max_size, fmt="csv", out=None):
 # ------------------------------------------------------------------- verify
 
 def _verify_size(n, trials, seed, tab, reports):
-    """Returns the first failing (kind, algo, norm, reason) or None."""
+    """Returns the first failing (kind, algo, norm, reason) or None.
+
+    Each family's rows run first, each (kernel, norm) over every trial,
+    and are then judged in that order from one error pass over all of
+    them.  If a kernel raises, the rows run before it are judged first,
+    so an earlier failing row is still the one reported.
+    """
     diag = _diagonals(n)
     seen = {}
     for family in _TAGS:
@@ -349,26 +356,48 @@ def _verify_size(n, trials, seed, tab, reports):
         for k in kernels:
             if k.kind not in wants:
                 wants[k.kind] = k.reference(block, norms)
-        for i, (normname, norm) in enumerate(zip(normnames, norms)):
-            for k in kernels:
-                if normname not in k.norms:
-                    continue
-                ledgers, gots = [], []
-                for x in inputs:
-                    ledgers.append(FlopLedger())
-                    gots.append(k.outputs(x, norm, tab, diag, ledgers[-1]))
-                row = (k.kind, k.algo, normname)
-                if any(led != ledgers[0] for led in ledgers):
-                    return row + ("ledger varies with input values",)
-                max_rels, rms_rels = _rel_errors(gots, wants[k.kind][i])
-                max_rel = _worst(max_rels)
-                reports.append((n, *row, *ledgers[0].as_tuple(), max_rel, _worst(rms_rels)))
-                reason = k.ledger_fault(n, normname, ledgers[0], seen)
-                if reason:
-                    return row + (reason,)
-                if not max_rel < _VERIFY_TOL:  # a NaN error fails too
-                    return row + (f"max_rel_error {max_rel:.3e} >= {_VERIFY_TOL:.0e}",)
-                seen[row] = ledgers[0].as_tuple()
+        # (kernel, norm name, ledgers, outputs, references) per row run
+        ran, error = [], None
+        try:
+            for i, (normname, norm) in enumerate(zip(normnames, norms)):
+                for k in kernels:
+                    if normname not in k.norms:
+                        continue
+                    ledgers, gots = [], []
+                    for x in inputs:
+                        ledgers.append(FlopLedger())
+                        gots.append(k.outputs(x, norm, tab, diag, ledgers[-1]))
+                    ran.append((k, normname, ledgers, gots, wants[k.kind][i]))
+        except Exception as exc:
+            error = exc
+        failure = _judge(n, ran, seen, reports)
+        if failure:
+            return failure
+        if error is not None:
+            raise error
+    return None
+
+
+def _judge(n, ran, seen, reports):
+    # judge the rows _verify_size ran, in order, up to the first failing one
+    if not ran:
+        return None
+    got = np.array([g for *_, gots, _ in ran for g in gots], dtype=complex)
+    want = np.concatenate([want for *_, want in ran])
+    max_rels, rms_rels = _rel_errors(got, want)
+    for r, (k, normname, ledgers, _, _) in enumerate(ran):
+        row = (k.kind, k.algo, normname)
+        if any(led != ledgers[0] for led in ledgers):
+            return row + ("ledger varies with input values",)
+        trials = slice(r * len(ledgers), (r + 1) * len(ledgers))
+        max_rel = _worst(max_rels[trials])
+        reports.append((n, *row, *ledgers[0].as_tuple(), max_rel, _worst(rms_rels[trials])))
+        reason = k.ledger_fault(n, normname, ledgers[0], seen)
+        if reason:
+            return row + (reason,)
+        if not max_rel < _VERIFY_TOL:  # a NaN error fails too
+            return row + (f"max_rel_error {max_rel:.3e} >= {_VERIFY_TOL:.0e}",)
+        seen[row] = ledgers[0].as_tuple()
     return None
 
 
@@ -442,7 +471,9 @@ def _at_least(lowest):
     return integer
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: main() only reads it
     p = argparse.ArgumentParser(
         prog="fastdcst",
         description="Fast DCT/DST transforms with exact flop accounting.",

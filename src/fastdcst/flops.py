@@ -12,14 +12,14 @@ multiplications it performs.  The counting convention:
 * multiplications by +-1 or +-i, unary negations, loads, stores and
   index arithmetic are free and never reach an arithmetic instruction.
 
-The closed-form evaluators below are computed in exact rational
-arithmetic, so they are bit-for-bit comparable with instrumented runs.
+The closed-form evaluators below are exact integer arithmetic: each
+rational form is one integer numerator over a common denominator, so
+they are bit-for-bit comparable with instrumented runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "FlopLedger",
@@ -65,10 +65,12 @@ def checked_log2(n, lowest=2):
     return n.bit_length() - 1
 
 
-def _exact(value: Fraction) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"count formula produced a non-integer: {value}")
-    return int(value)
+def _exact(numerator: int, denominator: int) -> int:
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(
+            f"count formula produced a non-integer: {numerator}/{denominator}")
+    return quotient
 
 
 def formula_classic_dct2(n: int) -> int:
@@ -78,16 +80,14 @@ def formula_classic_dct2(n: int) -> int:
 
 
 def formula_new_dct2(n: int) -> int:
-    """Cost of the rescaled DCT-II: (17/9)*N*lg(N) + O(N)."""
+    """Cost of the rescaled DCT-II: (17/9)*N*lg(N) + O(N).
+
+    (17/9)Nm - (17/27)N - (1/9)sm + (7/54)s + 3/2, with m = lg N and
+    s = (-1)^m, over the common denominator 54.
+    """
     m = checked_log2(n)
-    sign = -1 if m & 1 else 1
-    return _exact(
-        Fraction(17, 9) * n * m
-        - Fraction(17, 27) * n
-        - Fraction(1, 9) * sign * m
-        + Fraction(7, 54) * sign
-        + Fraction(3, 2)
-    )
+    s = -1 if m & 1 else 1
+    return _exact(102 * n * m - 34 * n - 6 * s * m + 7 * s + 81, 54)
 
 
 def formula_splitradix_complex(n: int) -> int:
@@ -103,40 +103,30 @@ def formula_splitradix_real(n: int) -> int:
 
 
 def formula_new_fft_complex(n: int) -> int:
-    """Cost of the rescaled complex DFT: (34/9)*N*lg(N) + O(N)."""
+    """Cost of the rescaled complex DFT: (34/9)*N*lg(N) + O(N).
+
+    (34/9)Nm - (124/27)N - 2m - (2/9)sm + (16/27)s + 8 over 27.
+    """
     m = checked_log2(n)
-    sign = -1 if m & 1 else 1
-    return _exact(
-        Fraction(34, 9) * n * m
-        - Fraction(124, 27) * n
-        - 2 * m
-        - Fraction(2, 9) * sign * m
-        + Fraction(16, 27) * sign
-        + 8
-    )
+    s = -1 if m & 1 else 1
+    return _exact(102 * n * m - 124 * n - 54 * m - 6 * s * m + 16 * s + 216, 27)
 
 
 def formula_M(n: int) -> int:
-    """Real multiplications the rescaled complex DFT saves over split radix."""
+    """Real multiplications the rescaled complex DFT saves over split radix.
+
+    (2/9)Nm - (38/27)N + 2m + (2/9)sm - (16/27)s over 27.
+    """
     m = checked_log2(n)
-    sign = -1 if m & 1 else 1
-    return _exact(
-        Fraction(2, 9) * n * m
-        - Fraction(38, 27) * n
-        + 2 * m
-        + Fraction(2, 9) * sign * m
-        - Fraction(16, 27) * sign
-    )
+    s = -1 if m & 1 else 1
+    return _exact(6 * n * m - 38 * n + 54 * m + 6 * s * m - 16 * s, 27)
 
 
 def formula_MS(n: int) -> int:
-    """Further multiplications saved when outputs may stay rescaled."""
+    """Further multiplications saved when outputs may stay rescaled.
+
+    (2/9)Nm - (20/27)N + (2/9)sm - (7/27)s + 1 over 27.
+    """
     m = checked_log2(n)
-    sign = -1 if m & 1 else 1
-    return _exact(
-        Fraction(2, 9) * n * m
-        - Fraction(20, 27) * n
-        + Fraction(2, 9) * sign * m
-        - Fraction(7, 27) * sign
-        + 1
-    )
+    s = -1 if m & 1 else 1
+    return _exact(6 * n * m - 20 * n + 6 * s * m - 7 * s + 27, 27)

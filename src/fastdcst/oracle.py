@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+# trig-table entries the cosine/sine oracles gather per chunk of summation
+# indices, which bounds that gather's memory at any N
+_CHUNK_ENTRIES = 1 << 16
+
+
 class _Accumulator:
     # compensated elementwise sums across all output bins, in place
     def __init__(self, n):
@@ -106,10 +111,18 @@ def _cos_sum(xs, phases_for, weights, use_sin):
     cos_t, sin_t = _quarter_wave(4 * n)
     table = sin_t if use_sin else cos_t
     acc = _Accumulator((len(weights), rows, n))
+    # weighted[j, w, r] = weights[w, j] * xs[r, j], the product each step
+    # scales its trig row by
+    weighted = (weights.T[:, :, None] * xs.T[:, None, :])[..., None]
+    term = np.empty((len(weights), rows, n))
     ks = np.arange(n, dtype=np.int64)
-    for j in range(n):
-        idx = phases_for(j, ks) % (4 * n)
-        acc.add((weights[:, j, None] * xs[:, j])[..., None] * table[idx])
+    step = max(1, _CHUNK_ENTRIES // n)
+    for j0 in range(0, n, step):
+        js = np.arange(j0, min(j0 + step, n), dtype=np.int64)
+        trig_rows = table[phases_for(js[:, None], ks) % (4 * n)]
+        for j, trig in zip(js.tolist(), trig_rows):
+            np.multiply(weighted[j], trig, out=term)
+            acc.add(term)
     return acc.value()
 
 

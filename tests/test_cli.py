@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 from unittest import mock
@@ -15,6 +16,7 @@ from fastdcst.cli import (
     read_signal,
     write_signal,
 )
+from fastdcst.flops import FlopLedger
 from fastdcst.trig_family import _transposed_spectrum_net
 
 # (kind, algorithm, normalization) -> (adds, mults) of every verify row at N=16
@@ -276,6 +278,129 @@ def test_verify_report_is_the_per_signal_oracles_report(monkeypatch):
     assert cli.cmd_verify(max_size=256, trials=3, out=single) == 0
     assert batched.getvalue() == single.getvalue()
     assert len(batched.getvalue().splitlines()) == 1 + 26 * 8
+
+
+# sha256 of the cmd_verify(max_size=256, trials=3) report for each seed
+VERIFY_REPORT_SHA256 = {
+    0: "52499950134308d23255e66669048fda6e8816a601bb3a3da328f0669f341702",
+    11: "75e84b9e7ab299bd3cdaf4013cc7132292e95fc0f09389c0de6589304cfde76d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_REPORT_SHA256))
+def test_verify_report_is_pinned(seed):
+    out = io.StringIO()
+    assert cli.cmd_verify(max_size=256, trials=3, seed=seed, out=out) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == VERIFY_REPORT_SHA256[seed]
+
+
+def test_stacked_rel_errors_equal_per_row_calls_bitwise():
+    g = rng(80)
+    want = g.standard_normal((7, 33)) + 1j * g.standard_normal((7, 33))
+    got = want * (1 + 1e-13 * g.standard_normal((7, 33)))
+    want[2] = got[2] = 0.0  # an all-zero reference met exactly: 0.0
+    want[4] = 0.0  # and missed: inf
+    got[5, 11] = np.nan
+    got[6] = want[6]
+    stacked = cli._rel_errors(got, want)
+    rows = [cli._rel_errors(got[i:i + 1], want[i:i + 1]) for i in range(7)]
+    for stack, per_row in zip(stacked, zip(*rows)):
+        assert np.array(stack).tobytes() == np.array(sum(per_row, [])).tobytes()
+    max_rel, rms_rel = stacked
+    assert max_rel[2] == rms_rel[2] == 0.0 and max_rel[6] == rms_rel[6] == 0.0
+    assert max_rel[4] == rms_rel[4] == float("inf")
+    assert np.isnan(max_rel[5]) and np.isnan(rms_rel[5])
+
+
+def _verify_size_row_by_row(n, trials, seed, tab, reports):
+    # the reference form of cli._verify_size: each row is judged, from its
+    # own _rel_errors call, before the next row runs
+    diag = cli._diagonals(n)
+    seen = {}
+    for family in cli._TAGS:
+        kernels = [k for k in KERNELS if k.family == family]
+        inputs = [cli._signal(family, seed, n, trial) for trial in range(trials)]
+        normnames = tuple(dict.fromkeys(nm for k in kernels for nm in k.norms))
+        norms = tuple(cli._NORMS.get(nm) for nm in normnames)
+        block = np.array(inputs)
+        wants = {}
+        for k in kernels:
+            if k.kind not in wants:
+                wants[k.kind] = k.reference(block, norms)
+        for i, (normname, norm) in enumerate(zip(normnames, norms)):
+            for k in kernels:
+                if normname not in k.norms:
+                    continue
+                ledgers, gots = [], []
+                for x in inputs:
+                    ledgers.append(FlopLedger())
+                    gots.append(k.outputs(x, norm, tab, diag, ledgers[-1]))
+                row = (k.kind, k.algo, normname)
+                if any(led != ledgers[0] for led in ledgers):
+                    return row + ("ledger varies with input values",)
+                max_rels, rms_rels = cli._rel_errors(gots, wants[k.kind][i])
+                max_rel = cli._worst(max_rels)
+                reports.append((n, *row, *ledgers[0].as_tuple(), max_rel,
+                                cli._worst(rms_rels)))
+                reason = k.ledger_fault(n, normname, ledgers[0], seen)
+                if reason:
+                    return row + (reason,)
+                if not max_rel < cli._VERIFY_TOL:
+                    return row + (f"max_rel_error {max_rel:.3e} >= {cli._VERIFY_TOL:.0e}",)
+                seen[row] = ledgers[0].as_tuple()
+    return None
+
+
+def _bent(real, at_norm, n):
+    # real's outputs with bin n/2 bent under one norm at size n only
+    def run(x, norm=cli.Normalization.TWO_SIDED, *args, **kwargs):
+        out = list(real(x, norm, *args, **kwargs))
+        if norm is at_norm and len(out) == n:
+            out[n // 2] += 1e-6
+        return out
+    return run
+
+
+def _verify_run(max_size):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stderr", err):
+        rc = cli.cmd_verify(max_size=max_size, trials=2, seed=3, out=out)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_stacked_judge_fails_the_row_the_row_by_row_judge_fails(monkeypatch):
+    # one dst2/new bin bent under the middle norm, in the middle of the
+    # trig family's rows at N=16
+    monkeypatch.setattr(cli, "dst2_new", _bent(cli.dst2_new, cli.Normalization.UNITARY, 16))
+    stacked = _verify_run(64)
+    monkeypatch.setattr(cli, "_verify_size", _verify_size_row_by_row)
+    assert _verify_run(64) == stacked
+    rc, out, err = stacked
+    assert rc == 1
+    assert err.startswith("FAIL dst2/new norm=unitary: max_rel_error ")
+    assert "16,rfft,new-s4,-," in out and "\n32," not in out
+    assert "16,dst2,new,unitary," in out and "16,dst3,new,unitary," not in out
+
+
+def test_a_kernel_that_raises_after_a_failing_row_still_fails_that_row(monkeypatch):
+    # dct2/new fails at N=8, and dst3/new raises later in the same family
+    real, dst3_new = cli.dct2_new, cli.dst3_new
+    monkeypatch.setattr(cli, "dct2_new", _bent(real, cli.Normalization.TWO_SIDED, 8))
+
+    def broken(x, *args):
+        if len(x) == 8:
+            raise RuntimeError("dst3 broke")
+        return dst3_new(x, *args)
+    monkeypatch.setattr(cli, "dst3_new", broken)
+    rc, out, err = _verify_run(16)
+    assert rc == 1
+    assert err.startswith("FAIL dct2/new norm=two-sided: max_rel_error ")
+    assert "8,dct2,new,two-sided," in out
+    # with no failing row before it, the kernel's exception propagates
+    monkeypatch.setattr(cli, "dct2_new", real)
+    with pytest.raises(RuntimeError, match="dst3 broke"):
+        _verify_run(16)
 
 
 def test_verify_fault_injection(capsys):

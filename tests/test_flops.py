@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from fastdcst import (
@@ -74,7 +76,7 @@ def test_savings_nonnegative_and_integral_up_to_2_20():
     for m in range(1, 21):
         n = 1 << m
         assert formula_MS(n) - formula_M(n) >= 0
-        # the evaluators raise if any rational form fails to reduce
+        # the evaluators raise if any numerator leaves a remainder
         for f in (
             formula_new_dct2,
             formula_classic_dct2,
@@ -85,6 +87,44 @@ def test_savings_nonnegative_and_integral_up_to_2_20():
             formula_MS,
         ):
             assert isinstance(f(n), int)
+
+
+def _sign(m):
+    return -1 if m & 1 else 1
+
+
+# the paper's closed forms as it writes them, in exact rational arithmetic
+PAPER_FORMS = {
+    formula_new_dct2: lambda n, m: (
+        Fraction(17, 9) * n * m - Fraction(17, 27) * n - Fraction(1, 9) * _sign(m) * m
+        + Fraction(7, 54) * _sign(m) + Fraction(3, 2)),
+    formula_new_fft_complex: lambda n, m: (
+        Fraction(34, 9) * n * m - Fraction(124, 27) * n - 2 * m
+        - Fraction(2, 9) * _sign(m) * m + Fraction(16, 27) * _sign(m) + 8),
+    formula_M: lambda n, m: (
+        Fraction(2, 9) * n * m - Fraction(38, 27) * n + 2 * m
+        + Fraction(2, 9) * _sign(m) * m - Fraction(16, 27) * _sign(m)),
+    formula_MS: lambda n, m: (
+        Fraction(2, 9) * n * m - Fraction(20, 27) * n
+        + Fraction(2, 9) * _sign(m) * m - Fraction(7, 27) * _sign(m) + 1),
+}
+
+
+@pytest.mark.parametrize("formula", PAPER_FORMS, ids=lambda f: f.__name__)
+def test_integer_forms_equal_the_papers_rational_forms_up_to_2_20(formula):
+    for m in range(1, 21):
+        want = PAPER_FORMS[formula](1 << m, m)
+        assert want.denominator == 1
+        got = formula(1 << m)
+        assert type(got) is int and got == want
+
+
+def test_a_non_integer_count_raises():
+    from fastdcst.flops import _exact
+
+    assert _exact(108, 54) == 2
+    with pytest.raises(ArithmeticError, match="non-integer: 109/54"):
+        _exact(109, 54)
 
 
 def test_table1_gap_is_half_MS():

@@ -13,7 +13,8 @@ from fastdcst import (
     naive_dst3,
     naive_dft,
 )
-from fastdcst.oracle import _Accumulator, _quarter_wave, _roots
+from fastdcst import oracle
+from fastdcst.oracle import _CHUNK_ENTRIES, _Accumulator, _quarter_wave, _roots
 from fastdcst.scale_factors import CACHED_SIZES
 
 
@@ -171,6 +172,31 @@ def test_batched_oracles_equal_the_per_signal_oracle_bitwise(n, rows):
         assert got.shape == (rows, n) and got.dtype == complex
         for x, want in zip(xs, got):
             assert want.tobytes() == naive_dft(x.copy()).tobytes()
+
+
+def _cos_sum_per_step(xs, phases_for, weights, use_sin):
+    # the reference form of oracle._cos_sum: each step forms its weighted
+    # inputs and gathers its trig row on its own
+    rows, n = xs.shape
+    cos_t, sin_t = _quarter_wave(4 * n)
+    table = sin_t if use_sin else cos_t
+    acc = _Accumulator((len(weights), rows, n))
+    ks = np.arange(n, dtype=np.int64)
+    for j in range(n):
+        idx = phases_for(j, ks) % (4 * n)
+        acc.add((weights[:, j, None] * xs[:, j])[..., None] * table[idx])
+    return acc.value()
+
+
+@pytest.mark.parametrize("n, chunks", [(1024, 16), (700, 8), (5, 1)])
+def test_chunked_trig_sum_equals_the_per_step_sum_bitwise(n, chunks, monkeypatch):
+    # 1024 spans whole chunks, 700 ends on a partial one, 5 is one chunk
+    assert -(-n // max(1, _CHUNK_ENTRIES // n)) == chunks
+    xr = rng(73, n).standard_normal((2, n))
+    chunked = [fn(xr, _ALL_NORMS) for fn in _KINDS]
+    monkeypatch.setattr(oracle, "_cos_sum", _cos_sum_per_step)
+    for fn, got in zip(_KINDS, chunked):
+        assert got.tobytes() == fn(xr, _ALL_NORMS).tobytes()
 
 
 def test_accumulator_on_a_block_equals_a_run_per_row():
