@@ -1,3 +1,4 @@
+import hashlib
 from functools import partial
 
 import numpy as np
@@ -11,6 +12,8 @@ from fastdcst import (
     dct3_new,
     dst3_new,
     fft_conjpair,
+    fft_scaled,
+    fft_scaled4,
     formula_M,
     formula_MS,
     formula_new_dct2,
@@ -257,3 +260,46 @@ def test_transposed_rows_ledger_is_the_closed_form(n):
         dct3_new(y[0], norm, tab, leds[0])
         dst3_new(y[0], norm, tab, leds[1])
         assert leds[0] == leds[1] and leds[0].total() == formula_new_dct2(n) - saving, norm
+
+
+# ------------------------------------ the public scalar FFTs, pinned bitwise
+
+
+def _signed_zero_input(n, seed, share):
+    # normals with about a share of the samples zeros of random sign
+    g = rng(39, n, seed)
+    x = g.standard_normal(n)
+    zero = g.random(n) < share
+    x[zero] = np.where(g.random(n) < 0.5, 0.0, -0.0)[zero]
+    return x.tolist()
+
+
+def _public_scaled_bits():
+    # the repr of every output part and ledger of fft_scaled/fft_scaled4 at
+    # N = 2 .. 2048 and rfft_scaled/rfft_scaled4 at N = 2 .. 8192, levels
+    # 0, 1, 2 and 4, on an input with a third of its samples signed zeros
+    # and on one of signed zeros only; the complex ones reach both halves
+    # of the twiddle loop, k <= N/8 and k > N/8
+    tab = ScaleTables(8192)
+    calls = [(fft_scaled, fft_scaled4, 2048, lambda n, share: [complex(a, b) for a, b in zip(
+        _signed_zero_input(n, 0, share), _signed_zero_input(n, 1, share))]),
+        (rfft_scaled, rfft_scaled4, 8192, lambda n, share: _signed_zero_input(n, 2, share))]
+    parts = []
+    for scaled, scaled4, top, make in calls:
+        for e in range(1, top.bit_length()):
+            for share in (1 / 3, 1.0):
+                x = make(1 << e, share)
+                for level in (0, 1, 2, 4):
+                    led = FlopLedger()
+                    out = scaled4(x, tab, led) if level == 4 else scaled(x, level, tab, led)
+                    parts.append(repr(([(v.real, v.imag) for v in out], led.as_tuple())))
+    return "\n".join(parts)
+
+
+# sha256 of _public_scaled_bits()
+PUBLIC_SCALED_SHA256 = "f297a5675aaea7f9e031488942fee7bb124eb15ea0a4b146924a9ac9736a3e05"
+
+
+def test_public_scaled_ffts_are_pinned_bitwise():
+    digest = hashlib.sha256(_public_scaled_bits().encode()).hexdigest()
+    assert digest == PUBLIC_SCALED_SHA256
