@@ -33,7 +33,7 @@ output stage of elementwise expressions that keep the scalar formula's
 float operations in its order, so no bit changes; the caller gets a list.
 A call that runs no network computes the real DFT itself: by the
 breadth-first row recursion of :mod:`fastdcst.fft_real` from
-:data:`ROWS_MIN_SIZE` on, and by the scalar recursion below it, with the
+``fft_real.ROWS_MIN_SIZE`` on, and by the scalar recursion below it, with the
 same bits either way (the DCT-III/DST-III run the rows backwards, see
 :mod:`fastdcst.trig_family`).  A spectrum network is recorded from the
 rows on one traced row (:func:`~fastdcst.transpose_net.record_rows`), a
@@ -54,6 +54,7 @@ import numpy as np
 
 from . import scale_factors as sf
 from .fft_real import (
+    ROWS_MIN_SIZE,
     _rfft_scaled_lanes,
     _rfft_scaled_rows,
     _rfft_std_lanes,
@@ -165,21 +166,6 @@ def _real_dft(tab):
         return ("rescaled", lambda xs, led: _rfft_scaled_lanes(1, xs, tab, led),
                 lambda x, led: _rfft_scaled_rows(1, x, tab, led))
     return "plain", _rfft_std_lanes, lambda x, led: _rfft_std_rows(x, tab.twiddles, led)
-
-
-# A call that runs no network (a forward kernel's first call above
-# PLAN_MAX_SIZE, any call above NET_MAX_SIZE, or a call at N <= PLAN_MAX_SIZE
-# before its plan) takes the real DFT breadth first, as rows, from this size
-# on, and the scalar recursion below it; a DCT-III's first call takes the
-# transposed rows from this size on, and its transposed network below it.
-# On cached tables (2-CPU Xeon, Python 3.11, numpy 2.4, medians of 31
-# interleaved calls) the rescaled real DFT took 0.36 against 0.93 ms as rows
-# at N=128, 0.50 against 1.15 at N=256, 0.92 against 0.97 at N=512, 2.2
-# against 1.3 at N=1024 and 16.3 against 3.2 at N=4096;
-# the plain one 0.32 against 0.53 at N=128, 0.41 against 0.40 at N=256,
-# 0.83 against 0.45 at N=512 and 14.0 against 1.6 at N=4096.  From N=512 on
-# the rows are level or ahead for both.
-ROWS_MIN_SIZE = 512
 
 
 def _spectrum(x, tab, led, net=None):

@@ -14,9 +14,14 @@ Two families live here:
 
 Kernels operate on separate real/imaginary lanes of plain Python scalars,
 so the same code runs on floats and on trace scalars when a kernel is
-recorded as a linear network.  Loop iterations k = 0 and k = N/8 are
-peeled: their constants are structurally trivial (1 and 1-i) and must not
-reach a multiplier, otherwise the counts above are unachievable.
+recorded as a linear network.  A rescaled sub-transform of size m reads
+its constants once, as the lists of Python floats of
+:meth:`ScaleTables.scalars(m) <fastdcst.scale_factors.ScaleTables.scalars>`,
+where each t-factor is one real number c: t = 1 + i*c for k <= m/8,
+and -(c + i) above, whose sign the products absorb.  Loop iterations k = 0
+and k = N/8 are peeled: their constants are structurally trivial (1 and
+1-i) and must not reach a multiplier, otherwise the counts above are
+unachievable.
 """
 
 from __future__ import annotations
@@ -35,22 +40,6 @@ _RT_HALF = math.sqrt(0.5)
 # plain->plain, /s(N,k) -> /s(2*(N/2),k), /s(2N,k) -> /s(4*(N/2),k),
 # /s(4N,k) -> /s(2*(N/2),k)
 _SUBTYPE = {0: 0, 1: 2, 2: 4, 4: 2}
-
-
-def _tmul(ts, zr, zi, led):
-    # multiply (zr + i*zi) by a unit-component constant: 2 mults + 2 adds
-    unit_re, sign, coef = ts
-    led.mults += 2
-    led.adds += 2
-    if unit_re:
-        re = zr - coef * zi
-        im = zi + coef * zr
-    else:
-        re = coef * zr - zi
-        im = coef * zi + zr
-    if sign < 0:  # sign flip is absorbed, never an arithmetic instruction
-        return -re, -im
-    return re, im
 
 
 def _cmul(a, b, zr, zi, led):
@@ -154,6 +143,7 @@ def _fft_scaled_lanes(typ, xr, xi, tab, led):
     ur, ui = _fft_scaled_lanes(_SUBTYPE[typ], er, ei, tab, led)
     zr, zi = _fft_scaled_lanes(1, z1r, z1i, tab, led)
     gr, gi = _fft_scaled_lanes(1, z2r, z2i, tab, led)
+    lv = tab.scalars(n)
     outr, outi = [None] * n, [None] * n
     for k in range(q):
         if k == 0:
@@ -174,10 +164,18 @@ def _fft_scaled_lanes(typ, xr, xi, tab, led):
             vr = pr - qr
             vi = pi - qi
         else:
-            ts, tcs = tab.t_struct(n, k)
-            pr, pi = _tmul(ts, zr[k], zi[k], led)
-            qr, qi = _tmul(tcs, gr[k], gi[k], led)
-            led.adds += 4
+            # z times t and g times conj(t): t = 1 + i*c below N/8, and
+            # -(c + i) above, its sign absorbed, never an instruction
+            c = lv.coef[k]
+            nc = -c
+            led.mults += 4
+            led.adds += 8
+            if k < e:
+                pr, pi = zr[k] - c * zi[k], zi[k] + c * zr[k]
+                qr, qi = gr[k] - nc * gi[k], gi[k] + nc * gr[k]
+            else:
+                pr, pi = -(c * zr[k] - zi[k]), -(c * zi[k] + zr[k])
+                qr, qi = nc * gr[k] - gi[k], nc * gi[k] + gr[k]
             wr = pr + qr
             wi = pi + qi
             vr = pr - qr
@@ -190,13 +188,13 @@ def _fft_scaled_lanes(typ, xr, xi, tab, led):
                 outi[0] = ui[0] + wi
                 led.mults += 6
             else:
-                r0 = tab.ratio4(n, 0, k)
+                r0 = lv.ratio4[0][k]
                 led.mults += 8
                 outr[k] = r0 * (ur[k] + wr)
                 outi[k] = r0 * (ui[k] + wi)
-            r1 = tab.ratio4(n, 1, k)
-            r2 = tab.ratio4(n, 2, k)
-            r3 = tab.ratio4(n, 3, k)
+            r1 = lv.ratio4[1][k]
+            r2 = lv.ratio4[2][k]
+            r3 = lv.ratio4[3][k]
             outr[k + h] = r2 * (ur[k] - wr)
             outi[k + h] = r2 * (ui[k] - wi)
             outr[k + q] = r1 * (ur[k + q] + vi)
@@ -207,18 +205,18 @@ def _fft_scaled_lanes(typ, xr, xi, tab, led):
 
         if typ == 0:
             if k != 0:  # s(n, 0) = 1 stays out of the multiplier
-                c = tab.s(n, k)
+                c = lv.s[k]
                 led.mults += 4
                 wr, wi = c * wr, c * wi
                 vr, vi = c * vr, c * vi
         elif typ == 2:
             if k == 0:  # ratio on the W side is 1, the V side is not
-                rb = tab.ratio2b(n, 0)
+                rb = lv.ratio2b[0]
                 led.mults += 2
                 vr, vi = rb * vr, rb * vi
             else:
-                ra = tab.ratio2a(n, k)
-                rb = tab.ratio2b(n, k)
+                ra = lv.ratio2a[k]
+                rb = lv.ratio2b[k]
                 led.mults += 4
                 wr, wi = ra * wr, ra * wi
                 vr, vi = rb * vr, rb * vi

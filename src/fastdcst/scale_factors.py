@@ -15,8 +15,10 @@ ratios and the checks then run as numpy elementwise operations on the
 same operands in the same order, so every entry is bitwise that of the
 scalar definitions :func:`scale`, :func:`t_factor` and :func:`unit_root`.
 Each level's constants are kept once, as float64 arrays, which the row
-kernels read in place; the scalar kernels read Python floats that a
-level's first scalar read makes from its arrays.  The kernels read
+kernels read in place; the scalar kernels index the same level as lists
+of Python floats, made from its arrays on the level's first scalar call.
+Each t-factor is kept as one real number, its coef: t = 1 + i*coef for
+k <= m/8 and -(coef + i) above, a form the build checks.  The kernels read
 t-factors at levels up to the root size only, so the levels above it are
 checked but not kept.
 """
@@ -147,10 +149,9 @@ class ScaleTables:
     DCT output stage constants, taken from the same trig row.  Each
     level's constants are kept once, as float64 arrays (:meth:`level`),
     which the row kernels of :mod:`fastdcst.fft_real` read in place.  The
-    scalar kernels read one constant at a time through the accessors
-    (``s``, ``t_struct``, ``ratio2a``, ``ratio2b``, ``ratio4``), from
-    Python floats that a level's first scalar read makes from its arrays
-    and publishes whole, once.
+    scalar kernels take the same level once per sub-transform as lists of
+    Python floats (:meth:`scalars`), which a level's first such call makes
+    from its arrays and publishes whole, once.
     The constants are immutable after construction.  The one mutable part
     is ``plans``: per kernel configuration, a call count and then the
     recorded whole-kernel network at sizes up to ``dct2.PLAN_MAX_SIZE``
@@ -200,12 +201,8 @@ class ScaleTables:
             sm = rows[m]
             self._arrays[m] = _Level(sm, sm / rows[2 * m][:q], sm / rows[2 * m][q:],
                                      sm / rows[4 * m].reshape(4, q), kept[q - 1:2 * q - 1])
-        # the scalar accessors' Python floats, by level, made on first read
-        self._s: dict[int, list[float]] = {}
-        self._t: dict[int, list[tuple]] = {}
-        self._r2a: dict[int, list[float]] = {}
-        self._r2b: dict[int, list[float]] = {}
-        self._r4: dict[int, list[list[float]]] = {}
+        # the levels as scalars() gives them, each made on its first call
+        self._scalars: dict[int, _Level] = {}
 
         self.inv_s8_1 = 1.0 / float(rows[8][1]) if size >= 2 else None
 
@@ -230,62 +227,20 @@ class ScaleTables:
 
     def level(self, m: int) -> _Level:
         """The constants of level ``m`` (a power of two, 4 .. 4n) as float64
-        arrays, read in place; the scalar accessors give the same values."""
+        arrays, read in place; :meth:`scalars` gives the same values."""
         return self._arrays[m]
 
-    # the scalar accessors: one dict lookup and one list index once level m
-    # has its floats, made by _scalar_level on the level's first read
-
-    def s(self, m: int, k: int) -> float:
-        if m <= 4:
-            return 1.0
+    def scalars(self, m: int) -> _Level:
+        """:meth:`level` ``m`` with each array as a list of Python floats
+        (``ratio4`` one list per j), which the scalar kernels index.  Made
+        on the level's first call and published whole with one
+        ``setdefault``, so threads that race on a level all get the one
+        that is stored first."""
         try:
-            return self._s[m][k % (m >> 2)]
+            return self._scalars[m]
         except KeyError:
-            return self._scalar_level(m)._s[m][k % (m >> 2)]
-
-    def t_struct(self, m: int, k: int) -> tuple:
-        """``(ts, tcs)``: t(m, k) and its conjugate as ``(unit_re, sign,
-        coef)``, with t = sign * (1 + i*coef) if unit_re, else sign *
-        (coef + i)."""
-        try:
-            return self._t[m][k]
-        except KeyError:
-            return self._scalar_level(m)._t[m][k]
-
-    def ratio2a(self, m: int, k: int) -> float:
-        try:
-            return self._r2a[m][k]
-        except KeyError:
-            return self._scalar_level(m)._r2a[m][k]
-
-    def ratio2b(self, m: int, k: int) -> float:
-        try:
-            return self._r2b[m][k]
-        except KeyError:
-            return self._scalar_level(m)._r2b[m][k]
-
-    def ratio4(self, m: int, j: int, k: int) -> float:
-        try:
-            return self._r4[m][j][k]
-        except KeyError:
-            return self._scalar_level(m)._r4[m][j][k]
-
-    def _scalar_level(self, m):
-        # level m's arrays as the accessors' Python floats, each list made
-        # whole before it is published; setdefault keeps the first one that
-        # threads racing on the level publish, so all of them read it
-        lv = self._arrays[m]
-        self._s.setdefault(m, lv.s.tolist())
-        if lv.coef is not None:
-            c = lv.coef.tolist()
-            low = (m >> 3) + 1  # k <= m/8
-            self._t.setdefault(m, [((True, 1.0, x), (True, 1.0, -x)) for x in c[:low]]
-                               + [((False, -1.0, x), (False, 1.0, -x)) for x in c[low:]])
-            self._r2a.setdefault(m, lv.ratio2a.tolist())
-            self._r2b.setdefault(m, lv.ratio2b.tolist())
-            self._r4.setdefault(m, lv.ratio4.tolist())
-        return self
+            lv = _Level(*(None if a is None else a.tolist() for a in self._arrays[m]))
+            return self._scalars.setdefault(m, lv)
 
     def dct_stage(self, norm_key: str):
         return self._stage[norm_key]

@@ -11,7 +11,17 @@ from conftest import rng
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastdcst import build_tables, dct2_new, dct3_new, scale, scale_factors, t_factor, unit_root
+from fastdcst import (
+    build_tables,
+    dct2_new,
+    dct3_new,
+    rfft_scaled,
+    rfft_scaled4,
+    scale,
+    scale_factors,
+    t_factor,
+    unit_root,
+)
 from fastdcst.scale_factors import CACHED_SIZES, ScaleTables, TableError, _cached_tables, _levels
 from fastdcst.trig_family import _transposed_spectrum_net
 
@@ -101,38 +111,33 @@ def test_t_factor_rejects_bad_args():
         t_factor(24, 1)
 
 
-def _decode_t_struct(struct):
-    # (unit_re, sign, coef): sign * (1 + i*coef) or sign * (coef + i)
-    unit_re, sign, coef = struct
-    return sign * (complex(1.0, coef) if unit_re else complex(coef, 1.0))
-
-
 def test_unit_component_form_of_stored_t():
+    # each t-factor is kept as its coef: t = 1 + i*coef for k <= m/8, and
+    # -(coef + i) above
     tab = build_tables(256)
     for m in _levels(4, 256):  # the levels read
-        for k in range(m // 4):
-            ts, tcs = tab.t_struct(m, k)
-            t = t_factor(m, k)
-            assert abs(_decode_t_struct(ts) - t) < 1e-12, (m, k)
-            assert abs(_decode_t_struct(tcs) - t.conjugate()) < 1e-12, (m, k)
-        with pytest.raises(IndexError):
-            tab.t_struct(m, m // 4)
+        coef = tab.scalars(m).coef
+        assert len(coef) == m // 4
+        for k, c in enumerate(coef):
+            stored = complex(1.0, c) if 8 * k <= m else -complex(c, 1.0)
+            assert abs(stored - t_factor(m, k)) < 1e-12, (m, k)
+    assert tab.scalars(512).coef is None
     with pytest.raises(KeyError):
-        tab.t_struct(512, 0)
+        tab.scalars(2048)
 
 
 def test_build_tables_basics():
-    tab1 = build_tables(1)
-    with pytest.raises(KeyError):
-        tab1.t_struct(4, 0)
+    assert build_tables(1).scalars(4).coef is None
     tab = build_tables(16)
     # invariant replay on the stored s entries
     for m in _levels(8, 64):
         q = m // 4
+        s = tab.scalars(m).s
+        assert len(s) == q
         for k in range(q):
-            assert tab.s(m, k) > 0.0
-            assert tab.s(m, k + q) == tab.s(m, k)
-            assert tab.s(m, q - k) == pytest.approx(tab.s(m, k), rel=1e-13)
+            assert s[k] > 0.0
+            assert scale(m, k + q) == s[k]
+            assert s[(q - k) % q] == pytest.approx(s[k], rel=1e-13)
     c0, ch, re, im = build_tables(64).dct_stage("two-sided")
     assert (re[0], im[0]) == (2.0, 0.0)
 
@@ -141,9 +146,10 @@ def test_tables_match_recursive_scale():
     # bottom-up memoized tables vs the top-down recurrence
     tab = build_tables(512)
     for m in _levels(8, 2048):
+        s = tab.scalars(m).s
         for k in range(m // 4):
             top_down = scale(m, k)
-            assert abs(tab.s(m, k) - top_down) <= 1e-15 * top_down
+            assert abs(s[k] - top_down) <= 1e-15 * top_down
 
 
 def test_validate_passes_and_detects_corruption():
@@ -192,15 +198,6 @@ def test_build_tables_cached():
     assert again.dct_scales == first.dct_scales
 
 
-def _t_structs_of(t):
-    # the (unit_re, sign, coef) pair of t and conj(t), one scalar at a time
-    if abs(abs(t.real) - 1.0) <= abs(abs(t.imag) - 1.0):
-        sign = 1.0 if t.real > 0 else -1.0
-        return (True, sign, t.imag * sign), (True, sign, -(t.imag * sign))
-    sign = 1.0 if t.imag > 0 else -1.0
-    return (False, sign, t.real * sign), (False, -sign, -(t.real * sign))
-
-
 def _bits(values):
     # repr tells -0.0 from 0.0 and shows every float exactly
     return repr([float(v) for v in values])
@@ -214,26 +211,26 @@ def test_table_rows_equal_the_recursive_references_bitwise(n):
     top = 4 * n
     for m in _levels(4, top):
         q = m // 4
-        lv = tab.level(m)
+        lv, sc = tab.level(m), tab.scalars(m)
         want = _bits(scale(m, k) for k in range(q))
-        assert _bits(lv.s) == want == _bits(tab.s(m, k) for k in range(q)), m
+        assert _bits(lv.s) == want == _bits(sc.s), m
         if m > n:  # the kernels read levels 4 .. n only
-            assert lv[1:] == (None,) * 4
+            assert lv[1:] == sc[1:] == (None,) * 4
             continue
-        # t-factors, their coefs in the arrays, and as tuples
-        ts = [_t_structs_of(t_factor(m, k)) for k in range(q)]
-        assert _bits(lv.coef) == _bits(t[0][2] for t in ts), m
-        assert repr([tab.t_struct(m, k) for k in range(q)]) == repr(ts), m
+        # t-factors, as their coefs in the arrays and the lists: t = 1 +
+        # i*coef for k <= m/8 and -(coef + i) above
+        ts = [t_factor(m, k) for k in range(q)]
+        want = _bits(t.imag if 8 * k <= m else -t.real for k, t in enumerate(ts))
+        assert _bits(lv.coef) == want == _bits(sc.coef), m
         for name, denominators in (("ratio2a", range(q)), ("ratio2b", range(q, 2 * q))):
             want = _bits(scale(m, k) / scale(2 * m, d) for k, d in enumerate(denominators))
-            accessor = getattr(tab, name)
-            assert _bits(getattr(lv, name)) == want == _bits(accessor(m, k) for k in range(q))
+            assert _bits(getattr(lv, name)) == want == _bits(getattr(sc, name)), (m, name)
         for j in range(4):
             want = _bits(scale(m, k) / scale(4 * m, k + j * q) for k in range(q))
-            assert _bits(lv.ratio4[j]) == want == _bits(tab.ratio4(m, j, k) for k in range(q))
+            assert _bits(lv.ratio4[j]) == want == _bits(sc.ratio4[j]), (m, j)
     if n >= 2:
         assert tab.inv_s8_1 == 1.0 / scale(8, 1)
-        tan = [-_t_structs_of(t_factor(top, k))[0][2] for k in range(1, n // 2)]
+        tan = [-t_factor(top, k).imag for k in range(1, n // 2)]  # k < top/8
         assert _bits(tab.scaled_stage_tan) == _bits([0.0] + tan)
     c0, ch, re, im = tab.dct_stage("two-sided")
     assert repr(list(zip(re.tolist(), im.tolist()))) == repr(
@@ -300,13 +297,10 @@ def test_table_build_refuses_a_twiddle_loop_t_factor_of_another_form(form):
             ScaleTables(64)
 
 
-def _scalar_lists(tab):
-    return tab._s, tab._t, tab._r2a, tab._r2b, tab._r4
-
-
 def test_table_set_at_65536_holds_arrays_only():
     # the row kernels and the transposed rows read the level arrays in
-    # place: first calls on a fresh set make no scalar level
+    # place: first calls on a fresh set, and the public rescaled real DFTs,
+    # which run as rows at this size, make no scalar level
     n = 1 << 16
     x = rng(45, n).standard_normal(n)
     tracemalloc.start()
@@ -317,29 +311,25 @@ def test_table_set_at_65536_holds_arrays_only():
         dct2_new(x, tables=tab)
         dct3_new(x, tables=tab)
         called = tracemalloc.get_traced_memory()[0] - before
+        rfft_scaled(x, 0, tab)
+        rfft_scaled4(x, tab)
+        public = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert built <= 8 << 20 and called <= 8 << 20, (built, called)
-    assert _scalar_lists(tab) == ({},) * 5
+    assert max(built, called, public) <= 8 << 20, (built, called, public)
+    assert tab._scalars == {}
 
 
 def test_scalar_levels_are_made_once_under_threads():
-    # four threads read every scalar level of a fresh set at once; each
-    # reads the floats of the one list stored per level
+    # four threads read every level of a fresh set at once; each gets the
+    # one level of lists stored for it
     n = 1024
     tab = ScaleTables(n)
+    levels = list(_levels(4, 4 * n))
 
-    def read(start=None):
-        if start is not None:
-            start.wait()
-        got = {}
-        for m in _levels(4, n):
-            for k in range(m // 4):
-                got[m, k] = (tab.s(m, k), tab.t_struct(m, k), tab.ratio2a(m, k),
-                             tab.ratio2b(m, k), *(tab.ratio4(m, j, k) for j in range(4)))
-        for m in _levels(2 * n, 4 * n):
-            got.update(((m, k), (tab.s(m, k),)) for k in range(m // 4))
-        return got
+    def read(start):
+        start.wait()
+        return [tab.scalars(m) for m in levels]
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads switch often, so first reads race
@@ -348,10 +338,6 @@ def test_scalar_levels_are_made_once_under_threads():
             seen = list(pool.map(read, [threading.Barrier(4)] * 4))
     finally:
         sys.setswitchinterval(switch)
-    assert [sorted(d) for d in _scalar_lists(tab)] == [list(_levels(4, 4 * n))] + [
-        list(_levels(4, n))] * 4
-    stored = read()
+    assert sorted(tab._scalars) == levels
     for got in seen:
-        assert got.keys() == stored.keys()
-        for key, values in got.items():
-            assert all(a is b for a, b in zip(values, stored[key])), key
+        assert all(lv is tab._scalars[m] for lv, m in zip(got, levels))
